@@ -18,7 +18,6 @@ from .diffusion import (
     guided_eps,
     guided_score,
     make_schedule,
-    mixture_score,
     predict_y0,
     reverse_step,
     sample,

@@ -147,5 +147,7 @@ def load_config_document(path) -> tuple[ExperimentConfig, dict | None]:
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"config {path} is not valid JSON: {exc}") from None
     if isinstance(doc, dict) and "artifacts" in doc and "command" in doc:
+        if "config" not in doc:
+            raise InvalidInputError(f"manifest {path} has no 'config' key")
         return config_from_dict(doc["config"]), dict(doc.get("args", {}))
     return config_from_dict(doc), None

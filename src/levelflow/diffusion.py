@@ -373,13 +373,6 @@ class FrozenFieldProvider:
         return eps
 
 
-def mixture_score(
-    yt: np.ndarray, t: int, sched: DiffusionSchedule, provider: MixtureMaskProvider
-) -> np.ndarray:
-    """Free-function form of the mixture provider's eps-prediction."""
-    return provider.eps_hat(yt, t, sched)
-
-
 # ---------------------------------------------------------------------------
 # Sampler
 # ---------------------------------------------------------------------------

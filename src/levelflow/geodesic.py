@@ -11,10 +11,15 @@ normalized to [0, 1] by their maximum.
 
 The solver is the standard Godunov upwind discretization driven by fast
 sweeping: four alternating sweep orders, iterated until the largest
-update drops below ``tol * max(D)``.  Each directional sweep is evaluated
-one anti-diagonal at a time, which is bit-identical to the sequential
-Gauss-Seidel pixel order (pixels on one anti-diagonal never read each
-other) while letting numpy do the work.
+update drops below ``tol * max(D)``.  The four sequential orders (rows
+and columns ascending; rows ascending, columns descending; rows
+descending, columns ascending; both descending) are replayed as one
+cached schedule of diagonals: i+j ascending, i-j ascending, i-j
+descending, i+j descending.  The neighbours a pixel reads already
+updated in the sequential order lie on earlier diagonals of that sweep,
+the others on later ones, and no two pixels of one diagonal are
+neighbours, so updating a whole diagonal at once with numpy is
+bit-identical to the sequential Gauss-Seidel pixel order.
 """
 
 from __future__ import annotations
@@ -74,36 +79,36 @@ def speed_field(image: np.ndarray, sp: SpeedParams, d_e: np.ndarray | None = Non
 
 
 @lru_cache(maxsize=8)
-def _diagonals(shape: tuple[int, int]):
-    """Per-anti-diagonal padded index arrays for the canonical sweep order."""
+def _schedule(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """Flat indices into the (h+2, w+2) padded grid, one array per diagonal,
+    in the order of the four sequential sweeps."""
     h, w = shape
+    i, j = np.indices(shape)
+    idx = (i + 1) * (w + 2) + j + 1
+    plus = [idx[i + j == d] for d in range(h + w - 1)]
+    minus = [idx[i - j == d] for d in range(1 - w, h)]
+    return tuple(plus + minus + minus[::-1] + plus[::-1])
+
+
+@lru_cache(maxsize=8)
+def _stencil(radius: int):
+    """(dr, dc, segment length, sample offsets) for every offset within radius.
+
+    Offsets are the nearest-pixel points at <= 1 px spacing along the
+    segment from (0, 0) to (dr, dc); repeats are kept, each is one sample.
+    """
     out = []
-    for d in range(h + w - 1):
-        i = np.arange(max(0, d - w + 1), min(h, d + 1))
-        j = d - i
-        out.append((i, j))
-    return out
-
-
-def _sweep(padded_view, speed_view, frozen_view, diagonals):
-    # Canonical (row-ascending, col-ascending) Godunov sweep on flipped views.
-    for i, j in diagonals:
-        pi = i + 1
-        pj = j + 1
-        a = np.minimum(padded_view[pi, pj - 1], padded_view[pi, pj + 1])
-        b = np.minimum(padded_view[pi - 1, pj], padded_view[pi + 1, pj])
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        fh = speed_view[i, j]
-        hi_finite = np.isfinite(hi)
-        with np.errstate(invalid="ignore"):  # inf - inf where both axes are unreached
-            raw_diff = hi - lo
-        diff = np.where(hi_finite, raw_diff, 0.0)
-        one_sided = ~hi_finite | (diff >= fh)
-        disc = 2.0 * fh * fh - diff * diff
-        dnew = np.where(one_sided, lo + fh, 0.5 * (a + b + np.sqrt(np.maximum(disc, 0.0))))
-        cur = padded_view[pi, pj]
-        padded_view[pi, pj] = np.where(frozen_view[i, j], cur, np.minimum(cur, dnew))
+    for dr in range(-radius, radius + 1):
+        for dc in range(-radius, radius + 1):
+            step = float(np.hypot(dr, dc))
+            if step == 0 or step > radius:
+                continue
+            n_samples = max(3, int(np.ceil(2.0 * step)) + 1)
+            samples = tuple(
+                (int(round(s * dr)), int(round(s * dc))) for s in np.linspace(0.0, 1.0, n_samples)
+            )
+            out.append((dr, dc, step, samples))
+    return tuple(out)
 
 
 def _exact_init(dist, speed, seed, radius):
@@ -115,27 +120,21 @@ def _exact_init(dist, speed, seed, radius):
     # for uniform speed, and any particular path only ever upper-bounds the
     # geodesic distance, so the sweeps remain free to lower these values.
     h, w = dist.shape
-    for dr in range(-radius, radius + 1):
-        for dc in range(-radius, radius + 1):
-            step = float(np.hypot(dr, dc))
-            if step == 0 or step > radius:
-                continue
-            src_r = slice(max(0, -dr), h - max(0, dr))
-            src_c = slice(max(0, -dc), w - max(0, dc))
-            dst_r = slice(max(0, dr), h - max(0, -dr))
-            dst_c = slice(max(0, dc), w - max(0, -dc))
-            has_seed = seed[src_r, src_c]
-            n_samples = max(3, int(np.ceil(2.0 * step)) + 1)
-            path_speed = np.zeros((dst_r.stop - dst_r.start, dst_c.stop - dst_c.start))
-            for s in np.linspace(0.0, 1.0, n_samples):
-                ri = int(round(s * dr))
-                ci = int(round(s * dc))
-                path_speed += speed[
-                    dst_r.start - ri : dst_r.stop - ri, dst_c.start - ci : dst_c.stop - ci
-                ]
-            path_speed /= n_samples
-            cand = np.where(has_seed, step * path_speed, np.inf)
-            dist[dst_r, dst_c] = np.minimum(dist[dst_r, dst_c], cand)
+    for dr, dc, step, samples in _stencil(radius):
+        if abs(dr) >= h or abs(dc) >= w:
+            continue  # the segment leaves the grid from every pixel
+        src_r = slice(max(0, -dr), h - max(0, dr))
+        src_c = slice(max(0, -dc), w - max(0, dc))
+        dst_r = slice(max(0, dr), h - max(0, -dr))
+        dst_c = slice(max(0, dc), w - max(0, -dc))
+        path_speed = np.zeros((dst_r.stop - dst_r.start, dst_c.stop - dst_c.start))
+        for ri, ci in samples:
+            path_speed += speed[
+                dst_r.start - ri : dst_r.stop - ri, dst_c.start - ci : dst_c.stop - ci
+            ]
+        path_speed /= len(samples)
+        cand = np.where(seed[src_r, src_c], step * path_speed, np.inf)
+        dist[dst_r, dst_c] = np.minimum(dist[dst_r, dst_c], cand)
     dist[seed] = 0.0
 
 
@@ -168,42 +167,39 @@ def solve_eikonal(
     h, w = speed.shape
     padded = np.full((h + 2, w + 2), np.inf)
     dist = padded[1:-1, 1:-1]
-    dist[...] = np.inf
     dist[seed_bin] = 0.0
     if exact_init_radius > 0:
         _exact_init(dist, speed, seed_bin, exact_init_radius)
 
-    diagonals = _diagonals(speed.shape)
-    # (padded view, speed view, frozen view) per sweep direction; flips give
-    # the four corner-to-corner orders without copying.
-    orientations = [
-        (padded, speed, seed_bin),
-        (padded[:, ::-1], speed[:, ::-1], seed_bin[:, ::-1]),
-        (padded[::-1, :], speed[::-1, :], seed_bin[::-1, :]),
-        (padded[::-1, ::-1], speed[::-1, ::-1], seed_bin[::-1, ::-1]),
-    ]
-
-    for iteration in range(max_iterations):
-        prev = dist.copy()
-        for pv, sv, fv in orientations:
-            _sweep(pv, sv, fv, diagonals)
-        both_inf = np.isinf(prev) & np.isinf(dist)
-        with np.errstate(invalid="ignore"):
-            delta = float(np.where(both_inf, 0.0, np.abs(dist - prev)).max())
-        if np.all(np.isfinite(dist)) and delta < tol * max(float(dist.max()), 1e-300):
-            break
-    else:
-        raise DivergenceError("fast sweeping did not converge", step=max_iterations)
+    # Seeds hold 0 and every Godunov candidate is >= 0, so they never change.
+    # An unreached (inf) neighbour, or two, makes |a - b| inf or nan, and
+    # the comparison then selects the one-sided update min(a, b) + f.
+    p = padded.ravel()
+    stride = w + 2
+    schedule = _schedule(speed.shape)
+    speed_flat = np.pad(speed, 1).ravel()
+    speeds = [speed_flat[idx] for idx in schedule]
+    with np.errstate(invalid="ignore"):
+        for _ in range(max_iterations):
+            prev = dist.copy()
+            for idx, f in zip(schedule, speeds):
+                a = np.minimum(p[idx - 1], p[idx + 1])
+                b = np.minimum(p[idx - stride], p[idx + stride])
+                diff = np.abs(a - b)
+                two_sided = 0.5 * (a + b + np.sqrt(2.0 * f * f - diff * diff))
+                p[idx] = np.minimum(p[idx], np.where(diff < f, two_sided, np.minimum(a, b) + f))
+            # dist never increases, so prev - dist is the largest update
+            scale = tol * max(float(dist.max()), 1e-300)
+            if np.isfinite(dist).all() and (prev - dist).max() < scale:
+                break
+        else:
+            raise DivergenceError("fast sweeping did not converge", step=max_iterations)
 
     raw = dist.copy()
     max_raw = float(raw.max())
-    if max_raw == 0.0:
-        return DistanceMap(
-            values=raw.copy(), seed_mask=seed_bin.copy(), raw=raw, max_raw=0.0, flat=True
-        )
-    return DistanceMap(
-        values=raw / max_raw, seed_mask=seed_bin.copy(), raw=raw, max_raw=max_raw, flat=False
-    )
+    flat = max_raw == 0.0
+    values = raw.copy() if flat else raw / max_raw
+    return DistanceMap(values, seed_bin.copy(), raw, max_raw, flat)
 
 
 def distance_for_mask(

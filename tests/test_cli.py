@@ -60,6 +60,15 @@ class TestConfig:
         assert args["kind"] == "two-disks"
         assert cfg.seed == 0  # config seed untouched; run seed lives in args
 
+    def test_manifest_without_config(self, phantom_dir, tmp_path):
+        doc = json.load(open(phantom_dir / "manifest.json"))
+        del doc["config"]
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InvalidInputError, match="config"):
+            load_config_document(path)
+        assert main(["phantom", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+
 
 class TestPhantomCommand:
     def test_layout_and_manifest(self, phantom_dir):
@@ -177,6 +186,17 @@ class TestOtherCommands:
         assert np.all(dist[gt > 0.5] == 0.0)
         doc = json.load(open(out / "reports/geodesic.json"))
         assert not doc["flat"]
+
+    def test_geodesic_grid_smaller_than_init_radius(self, tmp_path):
+        image = np.zeros((6, 40))
+        image[:, 20:] = 1.0
+        mask = np.zeros((6, 40))
+        mask[2:4, 5:8] = 1.0
+        lf.save_field(image, tmp_path / "image.lsf1")
+        lf.save_field(mask, tmp_path / "mask.lsf1")
+        rc = main(["geodesic", "--image", str(tmp_path / "image.lsf1"),
+                   "--mask", str(tmp_path / "mask.lsf1"), "--out", str(tmp_path / "geo")])
+        assert rc == 0
 
     def test_par(self, phantom_dir, tmp_path):
         out = tmp_path / "par"

@@ -313,15 +313,6 @@ class TestMixtureProvider:
         out = prov.eps_hat(np.zeros((8, 8)), 3, sched)
         assert np.array_equal(out, eps)
 
-    def test_free_function_form(self):
-        sched = dif.make_schedule(40, 1e-3, 0.2)
-        disk, ring = modes_32()
-        prov = dif.MixtureMaskProvider(masks=(disk, ring), weights=(0.5, 0.5))
-        yt = normal_field((84, 3), (32, 32))
-        assert np.array_equal(
-            dif.mixture_score(yt, 9, sched, prov), prov.eps_hat(yt, 9, sched)
-        )
-
 
 class TestSampler:
     def _setup(self):

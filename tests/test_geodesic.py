@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import levelflow as lf
 from levelflow import geodesic as geo
@@ -10,6 +13,50 @@ from conftest import uniform_field
 
 def raw(dmap):
     return dmap.raw
+
+
+def sequential_reference(f, seed, tol=1e-6, max_iterations=200):
+    """Bare Godunov fast sweeping, one pixel at a time in the four
+    sequential Gauss-Seidel orders, seeds held at 0, no exact init."""
+    h, w = f.shape
+    big = np.inf
+    d = np.full((h, w), big)
+    d[seed] = 0.0
+
+    def update(i, j):
+        a = min(
+            d[i, j - 1] if j > 0 else big,
+            d[i, j + 1] if j < w - 1 else big,
+        )
+        b = min(
+            d[i - 1, j] if i > 0 else big,
+            d[i + 1, j] if i < h - 1 else big,
+        )
+        lo, hi = min(a, b), max(a, b)
+        fh = f[i, j]
+        if not np.isfinite(hi) or hi - lo >= fh:
+            cand = lo + fh
+        else:
+            cand = 0.5 * (a + b + np.sqrt(2 * fh * fh - (a - b) ** 2))
+        if cand < d[i, j]:
+            d[i, j] = cand
+
+    orders = [
+        (range(h), range(w)),
+        (range(h), range(w - 1, -1, -1)),
+        (range(h - 1, -1, -1), range(w)),
+        (range(h - 1, -1, -1), range(w - 1, -1, -1)),
+    ]
+    for _ in range(max_iterations):
+        prev = d.copy()
+        for ii, jj in orders:
+            for i in ii:
+                for j in jj:
+                    if not seed[i, j]:
+                        update(i, j)
+        if np.all(np.isfinite(d)) and np.abs(d - prev).max() < tol * d.max():
+            break
+    return d
 
 
 class TestSpeedField:
@@ -125,53 +172,73 @@ class TestSolveEikonal:
         assert np.array_equal(d1.values, d2.values)
         assert d1.max_raw == d2.max_raw
 
-    def test_wavefront_order_matches_sequential_reference(self):
-        # the vectorized anti-diagonal sweeps must reproduce the plain
+    @pytest.mark.parametrize(
+        "shape, seeds",
+        [
+            ((12, 12), [(4, 7)]),
+            ((9, 14), [(4, 7)]),
+            ((14, 9), [(4, 7)]),
+            ((12, 12), [(0, 0), (11, 3), (5, 9)]),
+        ],
+        ids=["12x12", "9x14", "14x9", "12x12-multi-seed"],
+    )
+    def test_wavefront_order_matches_sequential_reference(self, shape, seeds):
+        # the vectorized diagonal sweeps must reproduce the plain
         # pixel-by-pixel Gauss-Seidel order bit for bit
-        f = 0.5 + uniform_field((51, 4), (12, 12))
-        seed = np.zeros((12, 12), dtype=bool)
-        seed[4, 7] = True
+        f = 0.5 + uniform_field((51, 4), shape)
+        seed = np.zeros(shape, dtype=bool)
+        for r, c in seeds:
+            seed[r, c] = True
         got = geo.solve_eikonal(f, seed, exact_init_radius=0)
-
-        h, w = f.shape
-        big = np.inf
-        d = np.full((h, w), big)
-        d[seed] = 0.0
-
-        def update(i, j):
-            a = min(
-                d[i, j - 1] if j > 0 else big,
-                d[i, j + 1] if j < w - 1 else big,
-            )
-            b = min(
-                d[i - 1, j] if i > 0 else big,
-                d[i + 1, j] if i < h - 1 else big,
-            )
-            lo, hi = min(a, b), max(a, b)
-            fh = f[i, j]
-            if not np.isfinite(hi) or hi - lo >= fh:
-                cand = lo + fh
-            else:
-                cand = 0.5 * (a + b + np.sqrt(2 * fh * fh - (a - b) ** 2))
-            if cand < d[i, j]:
-                d[i, j] = cand
-
-        orders = [
-            (range(h), range(w)),
-            (range(h), range(w - 1, -1, -1)),
-            (range(h - 1, -1, -1), range(w)),
-            (range(h - 1, -1, -1), range(w - 1, -1, -1)),
-        ]
-        for _ in range(200):
-            prev = d.copy()
-            for ii, jj in orders:
-                for i in ii:
-                    for j in jj:
-                        if not seed[i, j]:
-                            update(i, j)
-            if np.all(np.isfinite(d)) and np.abs(d - prev).max() < 1e-6 * d.max():
-                break
+        d = sequential_reference(f, seed)
         assert np.array_equal(got.raw, d)
+
+    def test_row_shorter_than_init_radius(self):
+        seed = np.zeros((1, 9), dtype=bool)
+        seed[0, 4] = True
+        dmap = geo.solve_eikonal(np.ones((1, 9)), seed)
+        assert np.array_equal(dmap.raw[0], np.abs(np.arange(9) - 4.0))
+
+    @pytest.mark.parametrize("shape", [(3, 40), (40, 5)], ids=["3x40", "40x5"])
+    def test_thin_grid_zero_on_seed_positive_elsewhere(self, shape):
+        f = 0.5 + uniform_field((51, 5), shape)
+        seed = np.zeros(shape, dtype=bool)
+        seed[1, 2] = True
+        dmap = geo.solve_eikonal(f, seed)
+        assert np.all(dmap.raw[seed] == 0.0)
+        assert np.all(dmap.raw[~seed] > 0.0)
+
+
+@st.composite
+def eikonal_problems(draw):
+    """Random shape up to 20x20, positive speed, a speed increment and a
+    non-empty seed set."""
+    shape = (draw(st.integers(1, 20)), draw(st.integers(1, 20)))
+    speed = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.1, 10.0)))
+    extra = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 10.0)))
+    seed = draw(hnp.arrays(bool, shape))
+    seed[draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))] = True
+    return speed, extra, seed
+
+
+class TestSolveEikonalProperties:
+    @settings(deadline=None, max_examples=50)
+    @given(eikonal_problems())
+    def test_bare_scheme_matches_sequential_reference(self, problem):
+        speed, _, seed = problem
+        got = geo.solve_eikonal(speed, seed, exact_init_radius=0)
+        assert np.array_equal(got.raw, sequential_reference(speed, seed))
+
+    @settings(deadline=None, max_examples=50)
+    @given(eikonal_problems())
+    def test_zero_on_seed_positive_elsewhere_and_monotone_in_speed(self, problem):
+        speed, extra, seed = problem
+        d1 = geo.solve_eikonal(speed, seed).raw
+        d2 = geo.solve_eikonal(speed + extra, seed).raw
+        assert np.all(d1[seed] == 0.0)
+        assert np.all(d1[~seed] > 0.0)
+        # up to the solver's stopping tolerance
+        assert np.all(d2 >= d1 - 1e-6 * d1.max())
 
 
 class TestDistanceForMask:

@@ -1,0 +1,142 @@
+"""Pinned sha256 digests of every artifact from a fixed set of small CLI runs.
+
+C8 proves that two runs of the same code agree; these digests prove that a
+refactor leaves every artifact byte-identical.  Float output is only stable
+per platform (the RNG's normals go through libm), so the digests are
+checked only on the platform they were pinned on and skipped elsewhere.
+"""
+
+import hashlib
+import json
+import platform
+import sys
+
+import numpy as np
+import pytest
+
+import levelflow as lf
+from levelflow.cli import main
+
+PINNED_PLATFORM = ("linux", "x86_64", "2.4")
+
+GOLDEN = {
+    "energy": {
+        "fields/distance.lsf1":
+            "7223782e09fe625a262479adc5037a2a0ed18d9fb7aebf0343a0c1f714910d9d",
+        "reports/energy.json":
+            "4939ec01013ea1be346f0643c25724e3d2e249abce5b17b12b6fe728b704f2c8",
+    },
+    "evolve": {
+        "fields/mask_final.lsf1":
+            "eb0bd357bfa968d64953e4305b8d5f845cbe3d00e2f1df8016d88479caba5b13",
+        "fields/phi_final.lsf1":
+            "57ee93261dcbb85212d7851647e39570098a5599a9aaed05820311af5dd2b428",
+        "reports/evolve.json":
+            "11f9e2a54862402221b98fa08b12760c0ab2a19c4dca87edd0f9c66c7086b2b2",
+        "traces/energy.csv":
+            "53eab8ba92d78af429c02728f24d233559af2fbb60a400a4d80e6dfc3284bf6a",
+    },
+    "geodesic": {
+        "fields/distance.lsf1":
+            "7223782e09fe625a262479adc5037a2a0ed18d9fb7aebf0343a0c1f714910d9d",
+        "reports/geodesic.json":
+            "f2f6b6ef6462be0d3f432f536d42713925c15d1862035f5aa1c9e2d90e16c18c",
+    },
+    "losses": {
+        "reports/losses.json":
+            "d6a72602dc31228fdab47f1f1ac6457078d7c9a486312f80eaa6f06cad6c237f",
+    },
+    "metrics": {
+        "reports/metrics.csv":
+            "ca033bd367e127efd77fc02f896ace067188aa9f81e7ab80f6ee926c90b99d97",
+        "reports/metrics.json":
+            "b9b169295ae6630f944773a67df855d10060eda8dfa4bbeaae13fffb5e5cb4ab",
+    },
+    "par": {
+        "fields/refined.lsf1":
+            "e86bbfee34eade438ad74599c9600b84cb5f52c738f74c8e13382c0585cd2dc5",
+        "reports/par.json":
+            "5749dd1b01dd22bed8348b001e01cad6e3d4bb4c1d5a98d79a136e703078c368",
+    },
+    "phantom": {
+        "fields/gt_mask.lsf1":
+            "3f03c72d6008e17fbc2333538001aa2a7dc2a45892d3d770d8053625a3a8e808",
+        "fields/image.lsf1":
+            "6d04f2d4b3e405d682c6c03e289353e638fec73e5380dbe043829ceeae86902d",
+        "fields/image.pgm":
+            "e162b96b3488a0ae554947ceb2dc11f020c945bffcd382a5979f66aec65b4e6f",
+        "reports/phantom.json":
+            "c2b6eff2c2a11092a00000a1a03c1f4600258a4293459c26691e2e4d2b97e8db",
+    },
+    "sample": {
+        "fields/mask.lsf1":
+            "7a875d0e943e3caa1ba3b2b2640e97694ae9747407fd179c53cf413cd6c00d0d",
+        "reports/sample.json":
+            "47afdd6a5c34920ed73ae29f4e51d55440d29f791535b84e0bbe6cb4bd52f267",
+        "traces/energy.csv":
+            "8bef0fbf3c4f04b86d63eb8e4265385bbdc28c5eeedeeaa4f93281b13a3b3ebe",
+    },
+    "td-verify": {
+        "fields/td_field.lsf1":
+            "965de1922b14323d3f810f22c114b02307b284a956b3b32b1b4947aa4b5663a2",
+        "reports/td_verify.json":
+            "52c8f086dbc55ebd4c2cfcc02ccbec09886977842395171a5e97fcb0a9bf9b4b",
+    },
+}
+
+
+def current_platform():
+    major, minor = np.__version__.split(".")[:2]
+    return (sys.platform, platform.machine(), f"{major}.{minor}")
+
+
+def run_all(root):
+    """Run the fixed CLI set under ``root``; return {run: {artifact: sha256}}."""
+    ph = root / "phantom"
+    image = str(ph / "fields/image.lsf1")
+    gt = str(ph / "fields/gt_mask.lsf1")
+    runs = {
+        "phantom": ["phantom", "--kind", "two-disks", "--size", "64", "--seed", "7",
+                    "--noise-sigma", "0.2"],
+        "energy": ["energy", "--image", image, "--mask", gt],
+        "geodesic": ["geodesic", "--image", image, "--mask", gt],
+        "evolve": ["evolve", "--image", image, "--init-box", "13,13,51,51", "--gt", gt,
+                   "--dt", "1.0", "--steps", "40"],
+        "td-verify": ["td-verify", "--image", image, "--mask", gt, "--model", "cv",
+                      "--radius", "2", "--samples", "40", "--seed", "1"],
+        "par": ["par", "--image", image, "--mask", gt, "--gt", gt, "--tau", "10"],
+        "sample": ["sample", "--image", image,
+                   "--mode-mask", str(root / "disk.lsf1"),
+                   "--mode-mask", str(root / "inv.lsf1"),
+                   "--steps", "10", "--beta1", "0.01", "--betaT", "0.3",
+                   "--gamma0", "0.2", "--ensemble", "3", "--seed", "4", "--a1", "632"],
+        "metrics": ["metrics", "--pred", str(root / "sample/fields/mask.lsf1"), "--gt", gt],
+        "losses": ["losses", "--image", image, "--mask", gt, "--t", "5", "--steps", "12",
+                   "--beta1", "0.01", "--betaT", "0.3", "--seed", "4"],
+    }
+    out = {}
+    for name, args in runs.items():
+        assert main(args + ["--out", str(root / name)]) == 0, name
+        if name == "phantom":
+            disk = lf.load_field(gt)
+            lf.save_field(disk, root / "disk.lsf1")
+            lf.save_field(1.0 - disk, root / "inv.lsf1")
+        listed = json.loads((root / name / "manifest.json").read_text())["artifacts"]
+        out[name] = {
+            rel: hashlib.sha256((root / name / rel).read_bytes()).hexdigest()
+            for rel in sorted(listed)
+        }
+        assert out[name] == listed, name
+    return out
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    if current_platform() != PINNED_PLATFORM:
+        pytest.skip(f"digests pinned on {PINNED_PLATFORM}, this is {current_platform()}")
+    return run_all(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN))
+def test_artifact_digests_pinned(digests, run):
+    assert digests[run] == GOLDEN[run]
