@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -50,7 +51,7 @@ def _sha256(path) -> str:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 class _Run:
@@ -70,8 +71,12 @@ class _Run:
         self.artifacts.append(rel)
 
     def add_json(self, rel: str, obj) -> None:
+        try:
+            text = _dump_json(obj)
+        except ValueError as exc:  # a NaN or inf that no validator caught
+            raise LevelflowError(f"{rel} would hold a non-finite number: {exc}") from None
         with open(self.path(rel), "w", encoding="utf-8") as fh:
-            fh.write(_dump_json(obj))
+            fh.write(text)
         self.artifacts.append(rel)
 
     def add_trace(self, rel: str, steps, trace) -> None:
@@ -121,6 +126,8 @@ class _ArgPool:
             value = self.saved.get(key, default)
         if value is None and required:
             raise InvalidInputError(f"missing required argument --{key}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidInputError(f"--{key} must be finite, got {value}")
         self.resolved[key] = value
         return value
 
@@ -381,6 +388,7 @@ def _cmd_sample(pool: _ArgPool, cfg: ExperimentConfig, run: _Run, seed: int):
     )
     run.add_field("fields/mask.lsf1", result.mask)
     run.add_trace("traces/energy.csv", result.t_steps, result.trace)
+    final = dict(zip(("region", "length", "area", "distance", "total"), result.trace[-1]))
     run.add_json(
         "reports/sample.json",
         {
@@ -390,9 +398,8 @@ def _cmd_sample(pool: _ArgPool, cfg: ExperimentConfig, run: _Run, seed: int):
             "guidance-space": space,
             "steps": sched.T,
             "modes": n_modes,
-            "final": dict(
-                zip(("region", "length", "area", "distance", "total"), result.trace[-1])
-            ),
+            # a degenerate last step leaves a NaN row, which JSON cannot hold
+            "final": {k: None if math.isnan(v) else v for k, v in final.items()},
         },
     )
 

@@ -9,6 +9,7 @@ alone.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 from .diffusion import GuidancePolicy
@@ -139,9 +140,16 @@ def load_config_document(path) -> tuple[ExperimentConfig, dict | None]:
     Returns (config, manifest_args) where manifest_args is None for plain
     config files.
     """
+
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise InvalidInputError(f"config {path} holds the non-finite number {text}")
+        return value
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise InvalidInputError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:

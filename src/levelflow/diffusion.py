@@ -23,6 +23,7 @@ and are algebraically equivalent.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -153,8 +154,8 @@ class GuidancePolicy:
     schedule: str = "noise-scaled"
 
     def __post_init__(self):
-        if self.gamma0 < 0:
-            raise InvalidInputError("gamma0 must be non-negative")
+        if not 0 <= self.gamma0 < math.inf:
+            raise InvalidInputError("gamma0 must be non-negative and finite")
         if self.schedule not in GUIDANCE_SCHEDULES:
             raise InvalidInputError(
                 f"unknown guidance schedule {self.schedule!r}, "
@@ -313,12 +314,12 @@ class MixtureMaskProvider:
         check_same_shape(*masks)
         object.__setattr__(self, "masks", masks)
         w = np.asarray(self.weights, dtype=np.float64)
-        if np.any(w <= 0):
-            raise InvalidInputError("mixture weights must be positive")
+        if not np.all((w > 0) & (w < np.inf)):
+            raise InvalidInputError("mixture weights must be positive and finite")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise InvalidInputError("mixture weights must sum to 1")
-        if self.noise_scale < 0:
-            raise InvalidInputError("noise scale must be non-negative")
+        if not 0 <= self.noise_scale < math.inf:
+            raise InvalidInputError("noise scale must be non-negative and finite")
 
     def marginal_variance(self, t: int, sched: DiffusionSchedule) -> float:
         i = _check_t(t, sched)

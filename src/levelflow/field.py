@@ -284,12 +284,15 @@ def _load_pgm(path) -> np.ndarray:
         raise FieldFormatError(f"unsupported PGM maxval {maxval} (8-bit only)", offset=2)
     if w <= 0 or h <= 0 or w * h > _MAX_PIXELS:
         raise FieldFormatError(f"dimension overflow: {w}x{h}", offset=2)
-    pos += 1  # single whitespace byte after maxval
+    # The maxval token is a maximal run of non-whitespace, so the byte after
+    # it is the one whitespace byte before the raster, or the end of file,
+    # which the size check rejects.
+    pos += 1
     expected = w * h
     actual = len(blob) - pos
-    if actual < expected:
+    if actual != expected:
         raise FieldFormatError(
-            f"truncated payload: header promises {expected} bytes, file holds {actual}",
+            f"payload size mismatch: header promises {expected} bytes, file holds {actual}",
             offset=pos,
         )
     gray = np.frombuffer(blob, dtype=np.uint8, offset=pos, count=expected)

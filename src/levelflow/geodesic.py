@@ -19,11 +19,27 @@ descending, i+j descending.  The neighbours a pixel reads already
 updated in the sequential order lie on earlier diagonals of that sweep,
 the others on later ones, and no two pixels of one diagonal are
 neighbours, so updating a whole diagonal at once with numpy is
-bit-identical to the sequential Gauss-Seidel pixel order.
+bit-identical to the sequential Gauss-Seidel pixel order.  In the flat
+padded grid a diagonal is an arithmetic progression (step w+1 for i+j,
+w+3 for i-j), so its pixels, their four neighbours and their speeds are
+strided-slice views, not gathered copies.
+
+A diagonal whose neighbour diagonals did not change since its last
+visit is skipped.  This is exact: its candidates would be the same bits
+as at that visit, and its values, which only ever decrease, are already
+no larger than those candidates.  Each family (i+j and i-j) keeps one
+dirty flag per diagonal; a pixel that drops flags the diagonals of its
+four neighbours in both families.
+
+The near-seed initialization sums speed samples along straight segments
+in a fixed order, so offsets whose sample lists share a prefix share the
+partial sum bit for bit.  A cached plan per radius walks the offsets in
+the order of their sample lists and computes each partial sum once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,10 +58,10 @@ class SpeedParams:
     nu: float = 0.0
 
     def __post_init__(self):
-        if self.eps_d <= 0:
-            raise InvalidInputError("eps_d must be positive")
-        if self.beta_g < 0 or self.nu < 0:
-            raise InvalidInputError("beta_g and nu must be non-negative")
+        if not 0 < self.eps_d < math.inf:
+            raise InvalidInputError("eps_d must be positive and finite")
+        if not (0 <= self.beta_g < math.inf and 0 <= self.nu < math.inf):
+            raise InvalidInputError("beta_g and nu must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -79,25 +95,53 @@ def speed_field(image: np.ndarray, sp: SpeedParams, d_e: np.ndarray | None = Non
 
 
 @lru_cache(maxsize=8)
-def _schedule(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    """Flat indices into the (h+2, w+2) padded grid, one array per diagonal,
-    in the order of the four sequential sweeps."""
+def _schedule(shape: tuple[int, int]):
+    """The four sequential sweeps as (family, step, diagonals) triples.
+
+    Family 0 holds the diagonals i+j = d, family 1 the diagonals i-j = d.
+    In the flat (h+2, w+2) padded grid a diagonal is the strided slice
+    ``lo:hi:step`` with step w+1 (family 0) or w+3 (family 1).  Each
+    diagonal is ``(k, lo, hi, s, n)``: ``k`` its dirty-flag index in its
+    own family, ``n`` its pixel count, and pixel m's neighbours lie on the
+    other family's diagonals with flag indices s-1+2m and s+1+2m.
+    """
     h, w = shape
-    i, j = np.indices(shape)
-    idx = (i + 1) * (w + 2) + j + 1
-    plus = [idx[i + j == d] for d in range(h + w - 1)]
-    minus = [idx[i - j == d] for d in range(1 - w, h)]
-    return tuple(plus + minus + minus[::-1] + plus[::-1])
+    stride = w + 2
+    plus, minus = [], []
+    for d in range(h + w - 1):  # i + j = d, rows i0..i1
+        i0, i1 = max(0, d - w + 1), min(d, h - 1)
+        lo = (i0 + 1) * stride + d - i0 + 1
+        plus.append((d + 1, lo, lo + (i1 - i0) * (w + 1) + 1, 2 * i0 - d + w, i1 - i0 + 1))
+    for d in range(1 - w, h):  # i - j = d, rows i0..i1
+        i0, i1 = max(0, d), min(h - 1, d + w - 1)
+        lo = (i0 + 1) * stride + i0 - d + 1
+        minus.append((d + w, lo, lo + (i1 - i0) * (w + 3) + 1, 2 * i0 - d + 1, i1 - i0 + 1))
+    return (0, w + 1, plus), (1, w + 3, minus), (1, w + 3, minus[::-1]), (0, w + 1, plus[::-1])
+
+
+def _shared(a, b) -> int:
+    """Length of the common prefix of two sequences."""
+    n = 0
+    while n < min(len(a), len(b)) and a[n] == b[n]:
+        n += 1
+    return n
 
 
 @lru_cache(maxsize=8)
-def _stencil(radius: int):
-    """(dr, dc, segment length, sample offsets) for every offset within radius.
+def _init_plan(radius: int):
+    """Every offset within radius as a step of a walk over prefix sums.
 
-    Offsets are the nearest-pixel points at <= 1 px spacing along the
-    segment from (0, 0) to (dr, dc); repeats are kept, each is one sample.
+    The samples of offset (dr, dc) are the nearest-pixel points at <= 1 px
+    spacing along the segment from (0, 0) to (dr, dc); repeats are kept,
+    each is one sample.  Offsets are ordered by their sample lists, so each
+    shares a prefix of ``keep`` samples with the one before it.  An entry
+    is ``(dr, dc, step, n, keep, adds)`` with ``step`` the segment length,
+    ``n`` the sample count and ``adds`` holding (ri, ci, fresh) for the
+    samples after the prefix; ``fresh`` is set when the partial sum before
+    that sample is needed again by a later offset and so must not be
+    overwritten.
     """
-    out = []
+    lists = []
     for dr in range(-radius, radius + 1):
         for dc in range(-radius, radius + 1):
             step = float(np.hypot(dr, dc))
@@ -107,8 +151,22 @@ def _stencil(radius: int):
             samples = tuple(
                 (int(round(s * dr)), int(round(s * dc))) for s in np.linspace(0.0, 1.0, n_samples)
             )
-            out.append((dr, dc, step, samples))
-    return tuple(out)
+            lists.append((samples, dr, dc, step))
+    lists.sort()
+    keeps = [0] + [_shared(a[0], b[0]) for a, b in zip(lists, lists[1:])]
+    plan = []
+    for k, (samples, dr, dc, step) in enumerate(lists):
+        # A later offset j shares exactly min(keeps[k+1..j]) samples with
+        # this one; the partial sum of that many samples is needed again.
+        needed, shared = set(), len(samples)
+        for keep in keeps[k + 1 :]:
+            shared = min(shared, keep)
+            if shared < keeps[k]:
+                break
+            needed.add(shared)
+        adds = tuple((ri, ci, d in needed) for d, (ri, ci) in enumerate(samples) if d >= keeps[k])
+        plan.append((dr, dc, step, len(samples), keeps[k], adds))
+    return tuple(plan)
 
 
 def _exact_init(dist, speed, seed, radius):
@@ -119,23 +177,35 @@ def _exact_init(dist, speed, seed, radius):
     # line integral, nearest-neighbor sampling at <= 1 px spacing): exact
     # for uniform speed, and any particular path only ever upper-bounds the
     # geodesic distance, so the sweeps remain free to lower these values.
+    # Samples are summed from 0 in list order, so offsets whose lists share
+    # a prefix share its partial sum bit for bit; ``stack[d]`` holds the
+    # sum of the first d samples, over the seeds' bounding box grown by the
+    # radius (no segment from a seed leaves it).  Padding by the radius
+    # keeps every shifted view in bounds: a pixel whose segment leaves the
+    # box reads padding, but its source lies outside the seed mask.
+    rows, cols = np.flatnonzero(seed.any(axis=1)), np.flatnonzero(seed.any(axis=0))
+    box = (
+        slice(max(rows[0] - radius, 0), rows[-1] + radius + 1),
+        slice(max(cols[0] - radius, 0), cols[-1] + radius + 1),
+    )
+    dist, speed, seed = dist[box], speed[box], seed[box]
     h, w = dist.shape
-    for dr, dc, step, samples in _stencil(radius):
-        if abs(dr) >= h or abs(dc) >= w:
-            continue  # the segment leaves the grid from every pixel
-        src_r = slice(max(0, -dr), h - max(0, dr))
-        src_c = slice(max(0, -dc), w - max(0, dc))
-        dst_r = slice(max(0, dr), h - max(0, -dr))
-        dst_c = slice(max(0, dc), w - max(0, -dc))
-        path_speed = np.zeros((dst_r.stop - dst_r.start, dst_c.stop - dst_c.start))
-        for ri, ci in samples:
-            path_speed += speed[
-                dst_r.start - ri : dst_r.stop - ri, dst_c.start - ci : dst_c.stop - ci
-            ]
-        path_speed /= len(samples)
-        cand = np.where(seed[src_r, src_c], step * path_speed, np.inf)
-        dist[dst_r, dst_c] = np.minimum(dist[dst_r, dst_c], cand)
-    dist[seed] = 0.0
+    speed_pad, seed_pad = np.pad(speed, radius), np.pad(seed, radius)
+
+    def shifted(a, dr, dc):  # a[r - dr, c - dc] at every box pixel (r, c)
+        return a[radius - dr : radius - dr + h, radius - dc : radius - dc + w]
+
+    stack = [np.zeros((h, w))]
+    for dr, dc, step, n, keep, adds in _init_plan(radius):
+        del stack[keep + 1 :]
+        acc = stack[keep]
+        for ri, ci, fresh in adds:
+            if fresh:
+                acc = acc + shifted(speed_pad, ri, ci)
+            else:
+                acc += shifted(speed_pad, ri, ci)
+            stack.append(acc)
+        np.minimum(dist, step * (acc / n), out=dist, where=shifted(seed_pad, dr, dc))
 
 
 def solve_eikonal(
@@ -176,18 +246,34 @@ def solve_eikonal(
     # the comparison then selects the one-sided update min(a, b) + f.
     p = padded.ravel()
     stride = w + 2
-    schedule = _schedule(speed.shape)
-    speed_flat = np.pad(speed, 1).ravel()
-    speeds = [speed_flat[idx] for idx in schedule]
+    f1 = np.pad(speed, 1).ravel()
+    f2 = 2.0 * f1 * f1
+    # One dirty flag per diagonal per family, padded by one at each end.
+    flags = np.ones((2, h + w + 1), dtype=bool)
     with np.errstate(invalid="ignore"):
         for _ in range(max_iterations):
             prev = dist.copy()
-            for idx, f in zip(schedule, speeds):
-                a = np.minimum(p[idx - 1], p[idx + 1])
-                b = np.minimum(p[idx - stride], p[idx + stride])
-                diff = np.abs(a - b)
-                two_sided = 0.5 * (a + b + np.sqrt(2.0 * f * f - diff * diff))
-                p[idx] = np.minimum(p[idx], np.where(diff < f, two_sided, np.minimum(a, b) + f))
+            for family, st, diagonals in _schedule(speed.shape):
+                own, other = flags[family], flags[1 - family]
+                for k, lo, hi, s, n in diagonals:
+                    if not own[k]:  # no neighbour changed since the last visit
+                        continue
+                    own[k] = False
+                    cur = p[lo:hi:st]
+                    a = np.minimum(p[lo - 1 : hi - 1 : st], p[lo + 1 : hi + 1 : st])
+                    b = np.minimum(
+                        p[lo - stride : hi - stride : st], p[lo + stride : hi + stride : st]
+                    )
+                    f = f1[lo:hi:st]
+                    diff = np.abs(a - b)
+                    two_sided = 0.5 * (a + b + np.sqrt(f2[lo:hi:st] - diff * diff))
+                    cand = np.where(diff < f, two_sided, np.minimum(a, b) + f)
+                    drop = cand < cur
+                    if drop.any():
+                        np.copyto(cur, cand, where=drop)
+                        own[k - 1] = own[k + 1] = True
+                        other[s - 1 : s - 1 + 2 * n : 2] |= drop
+                        other[s + 1 : s + 1 + 2 * n : 2] |= drop
             # dist never increases, so prev - dist is the largest update
             scale = tol * max(float(dist.max()), 1e-300)
             if np.isfinite(dist).all() and (prev - dist).max() < scale:

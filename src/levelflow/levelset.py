@@ -26,6 +26,7 @@ the per-step energy trace monotone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,8 +48,8 @@ class HeavisideParams:
     epsilon: float = 1.5
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise InvalidInputError("Heaviside epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise InvalidInputError("Heaviside epsilon must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,8 @@ class EnergyWeights:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
-            if getattr(self, name) < 0:
-                raise InvalidInputError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidInputError(f"{name} must be non-negative and finite")
 
 
 @dataclass(frozen=True)

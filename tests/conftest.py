@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import levelflow as lf
 from levelflow import rng
+
+# Property tests draw the same examples on every run and every checkout,
+# and the solver-heavy ones may take longer than hypothesis's deadline.
+settings.register_profile("levelflow", derandomize=True, deadline=None)
+settings.load_profile("levelflow")
 
 
 def uniform_field(key_tags, shape, lo=0.0, hi=1.0):

@@ -69,6 +69,33 @@ class TestConfig:
             load_config_document(path)
         assert main(["phantom", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize(
+        "cls, field",
+        [
+            (lf.SpeedParams, "eps_d"),
+            (lf.SpeedParams, "beta_g"),
+            (lf.SpeedParams, "nu"),
+            (lf.HeavisideParams, "epsilon"),
+            (lf.EnergyWeights, "lambda1"),
+            (lf.EnergyWeights, "lambda4"),
+            (lf.GuidancePolicy, "gamma0"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v.__name__,
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_parameter_rejected(self, cls, field, value):
+        with pytest.raises(InvalidInputError, match=field):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "1e999"])
+    def test_non_finite_number_rejected(self, tmp_path, number):
+        text = json.dumps(ExperimentConfig().to_dict()).replace('"dt": 0.1', f'"dt": {number}')
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            load_config_document(path)
+        assert main(["phantom", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+
 
 class TestPhantomCommand:
     def test_layout_and_manifest(self, phantom_dir):
@@ -286,6 +313,45 @@ class TestOtherCommands:
 
     def test_missing_subcommand_invalid(self):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_flag_invalid(self, phantom_dir, tmp_path, value):
+        gt = str(phantom_dir / "fields/gt_mask.lsf1")
+        rc = main(["metrics", "--pred", gt, "--gt", gt, "--threshold", value,
+                   "--out", str(tmp_path / "m")])
+        assert rc == 1
+        assert not (tmp_path / "m/reports/metrics.json").exists()
+
+    def test_non_finite_report_value_fails_cleanly(self, phantom_dir, tmp_path):
+        # a hand-edited manifest can carry a threshold string that float()
+        # reads as NaN; the report must not become non-standard JSON
+        gt = str(phantom_dir / "fields/gt_mask.lsf1")
+        assert main(["metrics", "--pred", gt, "--gt", gt, "--out", str(tmp_path / "m0")]) == 0
+        doc = json.load(open(tmp_path / "m0/manifest.json"))
+        doc["args"]["threshold"] = "nan"
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        assert main(["metrics", "--config", str(edited), "--out", str(tmp_path / "m1")]) == 2
+        assert not (tmp_path / "m1/reports/metrics.json").exists()
+
+    def test_degenerate_final_trace_row_is_json_null(self, phantom_dir, tmp_path):
+        # a near-hard Heaviside and a noise prediction that drives every
+        # pixel inside leave the outside region empty at every step
+        cfg_doc = ExperimentConfig().to_dict()
+        cfg_doc["heaviside"]["epsilon"] = 1e-14
+        cfg_path = tmp_path / "sharp.json"
+        cfg_path.write_text(json.dumps(cfg_doc))
+        eps_path = tmp_path / "eps.lsf1"
+        lf.save_field(np.full((64, 64), -1000.0), eps_path)
+        out = tmp_path / "degenerate"
+        rc = main(["sample", "--image", str(phantom_dir / "fields/image.lsf1"),
+                   "--frozen-eps", str(eps_path), "--config", str(cfg_path), "--steps", "4",
+                   "--beta1", "0.01", "--betaT", "0.3", "--gamma0", "0", "--seed", "2",
+                   "--out", str(out)])
+        assert rc == 0
+        text = (out / "reports/sample.json").read_text()
+        doc = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-standard {c}"))
+        assert set(doc["final"].values()) == {None}
 
     def test_inputs_never_mutated(self, phantom_dir, tmp_path):
         image_path = phantom_dir / "fields/image.lsf1"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import ndimage
 
 import levelflow as lf
@@ -200,3 +202,41 @@ class TestFieldIO:
         p.write_bytes(b"P5\n2 1\n65535\n" + bytes([0, 0, 0, 0]))
         with pytest.raises(FieldFormatError):
             lf.load_field(p)
+
+    def test_pgm_trailing_bytes_rejected(self, tmp_path):
+        p = tmp_path / "t.pgm"
+        p.write_bytes(b"P5\n2 1\n255\n" + bytes([255, 0, 7]))
+        with pytest.raises(FieldFormatError) as exc:
+            lf.load_field(p)
+        assert "promises 2 bytes, file holds 3" in str(exc.value)
+
+
+@st.composite
+def damaged(draw, blob):
+    """One byte replaced, the file cut short, or bytes appended."""
+    kind = draw(st.sampled_from(["mutate", "truncate", "extend"]))
+    if kind == "mutate":
+        at = draw(st.integers(0, len(blob) - 1))
+        return blob[:at] + bytes([draw(st.integers(0, 255))]) + blob[at + 1 :]
+    if kind == "truncate":
+        return blob[: draw(st.integers(0, len(blob) - 1))]
+    return blob + draw(st.binary(min_size=1, max_size=8))
+
+
+class TestFieldFuzz:
+    @pytest.mark.parametrize("suffix", [".lsf1", ".pgm"])
+    def test_damaged_file_loads_or_raises_field_format_error(self, suffix, tmp_path):
+        valid = tmp_path / f"valid{suffix}"
+        lf.save_field(normal_field((23, 2), (3, 4)), valid)
+
+        @given(damaged(valid.read_bytes()))
+        def check(data):
+            path = tmp_path / f"damaged{suffix}"
+            path.write_bytes(data)
+            try:
+                out = lf.load_field(path)
+            except FieldFormatError:
+                return
+            assert out.ndim == 2 and np.all(np.isfinite(out))
+
+        check()
