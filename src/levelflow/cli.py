@@ -20,13 +20,16 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
+from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, diffusion, geodesic, levelset, metrics, par, rng, topo
 from .config import ExperimentConfig, load_config_document
 from .errors import InvalidInputError, LevelflowError
-from .field import PhantomSpec, as_field, binarize, load_field, make_phantom, save_field
+from .field import PHANTOM_KINDS, PhantomSpec, binarize, load_field, make_phantom, save_field
 
 _LOSS_NOISE_TAG = 0x4C4F5353  # "LOSS"
 
@@ -54,6 +57,11 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _dashed(obj) -> dict:
+    """A dataclass's fields as report keys, with dashes for underscores."""
+    return {k.replace("_", "-"): v for k, v in asdict(obj).items()}
+
+
 class _Run:
     """Output directory layout plus artifact bookkeeping for one invocation."""
 
@@ -79,15 +87,18 @@ class _Run:
             fh.write(text)
         self.artifacts.append(rel)
 
-    def add_trace(self, rel: str, steps, trace) -> None:
+    def add_csv(self, rel: str, columns, rows) -> None:
         with open(self.path(rel), "w", encoding="utf-8") as fh:
-            fh.write("step,e_region,e_length,e_area,e_distance,e_total\n")
-            for s, row in zip(steps, trace):
-                cells = ",".join(f"{v:.17g}" for v in row)
-                fh.write(f"{int(s)},{cells}\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
         self.artifacts.append(rel)
 
-    def finish(self, command: str, cfg: ExperimentConfig, args: dict, seed: int) -> None:
+    def add_trace(self, rel: str, steps, trace) -> None:
+        rows = ([s, *row] for s, row in zip(steps, trace))
+        self.add_csv(rel, ("step", *levelset.TRACE_COLUMNS), rows)
+
+    def finish(self, command: str, cfg: ExperimentConfig, args: dict) -> None:
         cfg_doc = cfg.to_dict()
         manifest = {
             "schema_version": 1,
@@ -95,7 +106,7 @@ class _Run:
             "tool_version": __version__,
             "rng_algorithm": rng.ALGORITHM_ID,
             "command": command,
-            "seed": seed,
+            "seed": args["seed"],
             "config": cfg_doc,
             "config_sha256": hashlib.sha256(_dump_json(cfg_doc).encode()).hexdigest(),
             "args": args,
@@ -105,42 +116,23 @@ class _Run:
             fh.write(_dump_json(manifest))
 
 
+def _final(trace) -> dict:
+    """The last trace row keyed by term; a degenerate (NaN) row becomes null."""
+    keys = (c.removeprefix("e_") for c in levelset.TRACE_COLUMNS)
+    return {k: None if math.isnan(v) else v for k, v in zip(keys, trace[-1])}
+
+
 def _load_input(path, name: str):
+    """The field at ``path``; None when the optional flag is unset."""
+    if path is None:
+        return None
     try:
         return load_field(path)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {name} file {path}: {exc}") from None
 
 
-class _ArgPool:
-    """Resolution order for command parameters: flag > manifest args > default."""
-
-    def __init__(self, ns: argparse.Namespace, manifest_args: dict | None):
-        self.ns = ns
-        self.saved = manifest_args or {}
-        self.resolved: dict = {}
-
-    def get(self, key: str, default=None, required: bool = False):
-        value = getattr(self.ns, key.replace("-", "_"), None)
-        if value is None:
-            value = self.saved.get(key, default)
-        if value is None and required:
-            raise InvalidInputError(f"missing required argument --{key}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise InvalidInputError(f"--{key} must be finite, got {value}")
-        self.resolved[key] = value
-        return value
-
-    def get_list(self, key: str, default=None):
-        value = getattr(self.ns, key.replace("-", "_"), None)
-        if not value:
-            value = self.saved.get(key, default)
-        self.resolved[key] = value
-        return value
-
-
-def _area_prior(cfg: ExperimentConfig, n_pixels: int, fallback_a1: float) -> levelset.AreaPrior:
-    a1 = cfg.area.a1_target
+def _area_prior(cfg: ExperimentConfig, n_pixels: int, a1, fallback_a1) -> levelset.AreaPrior:
     if a1 is None:
         a1 = fallback_a1
     a2 = cfg.area.a2_target
@@ -149,17 +141,104 @@ def _area_prior(cfg: ExperimentConfig, n_pixels: int, fallback_a1: float) -> lev
     return levelset.AreaPrior(float(a1), float(a2), overridden=cfg.area.overridden)
 
 
-def _guidance_config(cfg: ExperimentConfig, area: levelset.AreaPrior | None):
-    return diffusion.GuidanceConfig(
-        heaviside=cfg.heaviside,
-        weights=cfg.weights,
-        area=area,
-        speed=cfg.speed,
-        var_floor=cfg.numerics.var_floor,
-        grad_floor=cfg.numerics.grad_floor,
-        mapping=cfg.numerics.mapping,
-        distance_refresh=cfg.sampler.distance_refresh,
-    )
+# ---------------------------------------------------------------------------
+# Flags
+# ---------------------------------------------------------------------------
+# Each subcommand declares its flags once, as rows (name, kind, default,
+# help).  The kind is str, int, float, a tuple of allowed values, or
+# [kind] for a repeatable flag.  The default is a literal, a _Cfg path into
+# the run's ExperimentConfig, or _REQUIRED.  The parser, the defaults and
+# the checks on values replayed from a manifest's args all come from these
+# rows: a value is taken from the command line, else the manifest, else the
+# default, and then passes the same checks whatever its source.
+
+
+class _Cfg(NamedTuple):
+    """A default read from the run's config at a dotted attribute path."""
+
+    path: str
+
+
+_REQUIRED = object()
+_SEED = ("seed", int, _Cfg("seed"), "run seed")
+_COMMANDS: dict = {}
+
+
+def _command(name: str, help_text: str, *rows):
+    def register(fn):
+        _COMMANDS[name] = (fn, help_text, (*rows, _SEED))
+        return fn
+
+    return register
+
+
+def _check(label: str, kind, value):
+    """``value`` as the flag's kind: text from the command line or JSON
+    replayed from a manifest, rejected with exit 1 when it does not fit."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise InvalidInputError(f"{label} expects a list, got {value!r}")
+        return [_check(label, kind[0], v) for v in value]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise InvalidInputError(f"{label} must be one of {', '.join(kind)}, got {value!r}")
+        return value
+    accepted = {str: str, int: (str, int), float: (str, int, float)}[kind]
+    try:
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValueError
+        converted = kind(value)
+    except (ValueError, OverflowError):
+        raise InvalidInputError(f"{label} expects {kind.__name__}, got {value!r}") from None
+    if kind is float and not math.isfinite(converted):
+        raise InvalidInputError(f"{label} must be finite, got {value!r}")
+    return converted
+
+
+def _resolve(rows, ns: argparse.Namespace, saved: dict, cfg: ExperimentConfig) -> dict:
+    args = {}
+    for name, kind, default, _ in rows:
+        label = f"--{name}"
+        value = getattr(ns, name.replace("-", "_"))
+        if value is None:
+            value = saved.get(name)
+        if value is None and isinstance(default, _Cfg):
+            value, label = attrgetter(default.path)(cfg), f"config {default.path}"
+        elif value is None:
+            value = default
+        if value is _REQUIRED:
+            raise InvalidInputError(f"missing required argument --{name}")
+        args[name] = None if value is None else _check(label, kind, value)
+    return args
+
+
+def _help(text: str, default, cfg: ExperimentConfig) -> str:
+    if default is _REQUIRED:
+        return f"{text} (required)"
+    if isinstance(default, _Cfg):
+        value = attrgetter(default.path)(cfg)
+        shown = "" if value is None else f" = {value}"
+        return f"{text} (default: config {default.path}{shown})"
+    return text if default is None else f"{text} (default: {default})"
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="levelflow", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"levelflow {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    defaults = ExperimentConfig()
+    for command, (_, help_text, rows) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--config", help="JSON config file or a previous run's manifest.json")
+        for name, kind, default, text in rows:
+            p.add_argument(
+                f"--{name}",
+                action="append" if isinstance(kind, list) else "store",
+                metavar="{" + ",".join(kind) + "}" if isinstance(kind, tuple) else None,
+                help=_help(text, default, defaults),
+            )
+    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -167,59 +246,45 @@ def _guidance_config(cfg: ExperimentConfig, area: levelset.AreaPrior | None):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_phantom(pool: _ArgPool, cfg: ExperimentConfig, run: _Run, seed: int):
-    spec = PhantomSpec(
-        kind=pool.get("kind", required=True),
-        size=int(pool.get("size", 64)),
-        fg=float(pool.get("fg", 1.0)),
-        bg=float(pool.get("bg", 0.0)),
-        noise_sigma=float(pool.get("noise-sigma", 0.0)),
-        seed=seed,
-    )
+@_command(
+    "phantom",
+    "generate a synthetic image + ground-truth mask",
+    ("kind", PHANTOM_KINDS, _REQUIRED, "phantom geometry"),
+    ("size", int, 64, "grid side length in pixels"),
+    ("fg", float, PhantomSpec.fg, "foreground intensity"),
+    ("bg", float, PhantomSpec.bg, "background intensity"),
+    ("noise-sigma", float, PhantomSpec.noise_sigma, "additive Gaussian noise level"),
+)
+def _cmd_phantom(a, cfg: ExperimentConfig, run: _Run):
+    spec = PhantomSpec(a.kind, a.size, a.fg, a.bg, a.noise_sigma, a.seed)
     image, gt = make_phantom(spec)
     run.add_field("fields/image.lsf1", image)
     run.add_field("fields/gt_mask.lsf1", gt)
     run.add_field("fields/image.pgm", image)
-    run.add_json(
-        "reports/phantom.json",
-        {
-            "kind": spec.kind,
-            "size": spec.size,
-            "fg": spec.fg,
-            "bg": spec.bg,
-            "noise-sigma": spec.noise_sigma,
-            "seed": spec.seed,
-            "mask-area": float(gt.sum()),
-        },
-    )
+    run.add_json("reports/phantom.json", {**_dashed(spec), "mask-area": float(gt.sum())})
 
 
-def _cmd_energy(pool: _ArgPool, cfg: ExperimentConfig, run: _Run, seed: int):
-    image = _load_input(pool.get("image", required=True), "image")
-    mask = _load_input(pool.get("mask", required=True), "mask")
-    dist_path = pool.get("dist")
-    if dist_path is not None:
-        dist = _load_input(dist_path, "dist")
-    else:
-        dmap = geodesic.distance_for_mask(image, mask, cfg.speed)
-        dist = dmap.values
+@_command(
+    "energy",
+    "evaluate the four-term energy of (image, mask)",
+    ("image", str, _REQUIRED, "image field"),
+    ("mask", str, _REQUIRED, "soft mask field in [0, 1]"),
+    ("dist", str, None, "precomputed distance field (else computed from the mask)"),
+)
+def _cmd_energy(a, cfg: ExperimentConfig, run: _Run):
+    image = _load_input(a.image, "image")
+    mask = _load_input(a.mask, "mask")
+    dist = _load_input(a.dist, "dist")
+    if dist is None:
+        dist = geodesic.distance_for_mask(image, mask, cfg.speed).values
         run.add_field("fields/distance.lsf1", dist)
     phi = levelset.mask_to_levelset(mask, cfg.numerics.mapping)
-    prior = _area_prior(cfg, image.size, float(binarize(mask).sum()))
+    prior = _area_prior(cfg, image.size, cfg.area.a1_target, float(binarize(mask).sum()))
     stats = levelset.region_stats(image, phi, cfg.heaviside, cfg.numerics.var_floor)
     report = levelset.energy_total(
         image, phi, cfg.heaviside, cfg.weights, prior, dist, stats=stats
     )
-    doc = report.to_json_dict()
-    doc["stats"] = {
-        "mean-in": stats.mean_in,
-        "mean-out": stats.mean_out,
-        "var-in": stats.var_in,
-        "var-out": stats.var_out,
-        "mass-in": stats.mass_in,
-        "mass-out": stats.mass_out,
-    }
-    run.add_json("reports/energy.json", doc)
+    run.add_json("reports/energy.json", {**report.to_json_dict(), "stats": _dashed(stats)})
 
 
 def _parse_box(text: str):
@@ -232,27 +297,32 @@ def _parse_box(text: str):
     return r0, c0, r1, c1
 
 
-def _cmd_evolve(pool: _ArgPool, cfg: ExperimentConfig, run: _Run, seed: int):
-    image = _load_input(pool.get("image", required=True), "image")
-    init_path = pool.get("init")
-    init_box = pool.get("init-box")
-    if (init_path is None) == (init_box is None):
+@_command(
+    "evolve",
+    "gradient-flow evolution of a level set function",
+    ("image", str, _REQUIRED, "image field"),
+    ("init", str, None, "initial level set field"),
+    ("init-box", str, None, "box initialization 'r0,c0,r1,c1'"),
+    ("gt", str, None, "ground truth for a Dice report"),
+    ("dist", str, None, "precomputed distance field"),
+    ("dt", float, _Cfg("evolve.dt"), "explicit Euler time step"),
+    ("steps", int, _Cfg("evolve.steps"), "number of evolution steps"),
+    ("stats-refresh", int, _Cfg("evolve.stats_refresh"), "recompute region stats every N steps"),
+)
+def _cmd_evolve(a, cfg: ExperimentConfig, run: _Run):
+    image = _load_input(a.image, "image")
+    if (a.init is None) == (a.init_box is None):
         raise InvalidInputError("provide exactly one of --init or --init-box")
-    if init_path is not None:
-        phi0 = _load_input(init_path, "init")
+    if a.init is not None:
+        phi0 = _load_input(a.init, "init")
     else:
-        r0, c0, r1, c1 = _parse_box(init_box)
+        r0, c0, r1, c1 = _parse_box(a.init_box)
         phi0 = np.full(image.shape, -0.5)
         phi0[r0:r1, c0:c1] = 0.5
-    dist_path = pool.get("dist")
-    if dist_path is not None:
-        dist = _load_input(dist_path, "dist")
-    else:
+    dist = _load_input(a.dist, "dist")
+    if dist is None:
         dist = geodesic.distance_for_mask(image, (phi0 > 0).astype(float), cfg.speed).values
-    prior = _area_prior(cfg, image.size, float((phi0 > 0).sum()))
-    dt = float(pool.get("dt", cfg.evolve.dt))
-    steps = int(pool.get("steps", cfg.evolve.steps))
-    stats_refresh = int(pool.get("stats-refresh", cfg.evolve.stats_refresh))
+    prior = _area_prior(cfg, image.size, cfg.area.a1_target, float((phi0 > 0).sum()))
     phi, trace = levelset.evolve(
         image,
         phi0,
@@ -260,61 +330,70 @@ def _cmd_evolve(pool: _ArgPool, cfg: ExperimentConfig, run: _Run, seed: int):
         cfg.weights,
         prior,
         dist,
-        dt=dt,
-        steps=steps,
-        stats_refresh=stats_refresh,
+        dt=a.dt,
+        steps=a.steps,
+        stats_refresh=a.stats_refresh,
         var_floor=cfg.numerics.var_floor,
         grad_floor=cfg.numerics.grad_floor,
     )
     mask_final = (phi > 0).astype(float)
     run.add_field("fields/phi_final.lsf1", phi)
     run.add_field("fields/mask_final.lsf1", mask_final)
-    run.add_trace("traces/energy.csv", np.arange(1, steps + 1), trace)
+    run.add_trace("traces/energy.csv", np.arange(1, a.steps + 1), trace)
     doc = {
-        "steps": steps,
-        "dt": dt,
-        "stats-refresh": stats_refresh,
-        "final": dict(zip(("region", "length", "area", "distance", "total"), trace[-1])),
+        "steps": a.steps,
+        "dt": a.dt,
+        "stats-refresh": a.stats_refresh,
+        "final": _final(trace),
         "mask-area": float(mask_final.sum()),
     }
-    gt_path = pool.get("gt")
-    if gt_path is not None:
-        gt = _load_input(gt_path, "gt")
+    gt = _load_input(a.gt, "gt")
+    if gt is not None:
         doc["dice"] = metrics.dice_score(mask_final, gt)
     run.add_json("reports/evolve.json", doc)
 
 
-def _cmd_td_verify(pool: _ArgPool, cfg: ExperimentConfig, run: _Run, seed: int):
-    image = _load_input(pool.get("image", required=True), "image")
-    mask = _load_input(pool.get("mask", required=True), "mask")
-    model = pool.get("model", "cv")
-    radius = int(pool.get("radius", 2))
-    samples = int(pool.get("samples", 200))
+@_command(
+    "td-verify",
+    "validate TD fields against the nucleation oracle",
+    ("image", str, _REQUIRED, "image field"),
+    ("mask", str, _REQUIRED, "mask field defining the two regions"),
+    ("model", topo.TD_MODELS, "cv", "energy model"),
+    ("radius", int, 2, "probe disk radius in pixels"),
+    ("samples", int, 200, "number of probe pixels"),
+)
+def _cmd_td_verify(a, cfg: ExperimentConfig, run: _Run):
+    image = _load_input(a.image, "image")
+    mask = _load_input(a.mask, "mask")
     report = topo.verify_td(
         image,
         mask,
-        model=model,
-        samples=samples,
-        radius=radius,
-        seed=seed,
+        model=a.model,
+        samples=a.samples,
+        radius=a.radius,
+        seed=a.seed,
         var_floor=cfg.numerics.var_floor,
     )
-    field_fn = topo.td_field_cv if model == "cv" else topo.td_field_gaussian
+    field_fn = topo.td_field_cv if a.model == "cv" else topo.td_field_gaussian
     run.add_field("fields/td_field.lsf1", field_fn(image, mask, cfg.numerics.var_floor).values)
     run.add_json("reports/td_verify.json", report.to_json_dict())
 
 
-def _cmd_geodesic(pool: _ArgPool, cfg: ExperimentConfig, run: _Run, seed: int):
-    image = _load_input(pool.get("image", required=True), "image")
-    mask = _load_input(pool.get("mask", required=True), "mask")
-    sp = geodesic.SpeedParams(
-        eps_d=float(pool.get("eps-d", cfg.speed.eps_d)),
-        beta_g=float(pool.get("beta-g", cfg.speed.beta_g)),
-        nu=float(pool.get("nu", cfg.speed.nu)),
-    )
-    de_path = pool.get("d-e")
-    d_e = _load_input(de_path, "d-e") if de_path is not None else None
-    dmap = geodesic.distance_for_mask(image, mask, sp, d_e=d_e)
+@_command(
+    "geodesic",
+    "edge-aware geodesic distance map from a mask",
+    ("image", str, _REQUIRED, "image field"),
+    ("mask", str, _REQUIRED, "seed region mask"),
+    ("d-e", str, None, "optional extra-cost field"),
+    ("eps-d", float, _Cfg("speed.eps_d"), "baseline speed"),
+    ("beta-g", float, _Cfg("speed.beta_g"), "gradient-magnitude weight"),
+    ("nu", float, _Cfg("speed.nu"), "extra-cost weight"),
+)
+def _cmd_geodesic(a, cfg: ExperimentConfig, run: _Run):
+    image = _load_input(a.image, "image")
+    mask = _load_input(a.mask, "mask")
+    sp = geodesic.SpeedParams(eps_d=a.eps_d, beta_g=a.beta_g, nu=a.nu)
+    dmap = geodesic.distance_for_mask(image, mask, sp, d_e=_load_input(a.d_e, "d-e"))
     run.add_field("fields/distance.lsf1", dmap.values)
     run.add_json(
         "reports/geodesic.json",
@@ -322,129 +401,151 @@ def _cmd_geodesic(pool: _ArgPool, cfg: ExperimentConfig, run: _Run, seed: int):
             "max-raw": dmap.max_raw,
             "flat": dmap.flat,
             "seed-pixels": int(dmap.seed_mask.sum()),
-            "eps-d": sp.eps_d,
-            "beta-g": sp.beta_g,
-            "nu": sp.nu,
+            **_dashed(sp),
         },
     )
 
 
-def _cmd_par(pool: _ArgPool, cfg: ExperimentConfig, run: _Run, seed: int):
-    image = _load_input(pool.get("image", required=True), "image")
-    mask = _load_input(pool.get("mask", required=True), "mask")
-    tau = int(pool.get("tau", cfg.par.tau))
+@_command(
+    "par",
+    "pixel-adaptive refinement of a mask",
+    ("image", str, _REQUIRED, "image the affinities are built from"),
+    ("mask", str, _REQUIRED, "mask to refine"),
+    ("tau", int, _Cfg("par.tau"), "number of refinement iterations"),
+    ("gt", str, None, "ground truth for Dice before/after"),
+)
+def _cmd_par(a, cfg: ExperimentConfig, run: _Run):
+    image = _load_input(a.image, "image")
+    mask = _load_input(a.mask, "mask")
     kernel = par.affinity_kernel(image, cfg.par)
-    refined = par.refine(mask, kernel, tau)
+    refined = par.refine(mask, kernel, a.tau)
     loss = par.par_loss(mask, refined)
     run.add_field("fields/refined.lsf1", refined)
-    doc = {"tau": tau, "l-par": loss, "l-par-mean": loss / mask.size}
-    gt_path = pool.get("gt")
-    if gt_path is not None:
-        gt = _load_input(gt_path, "gt")
+    doc = {"tau": a.tau, "l-par": loss, "l-par-mean": loss / mask.size}
+    gt = _load_input(a.gt, "gt")
+    if gt is not None:
         doc["dice-before"] = metrics.dice_score(mask, gt)
         doc["dice-after"] = metrics.dice_score(refined, gt)
     run.add_json("reports/par.json", doc)
 
 
-def _cmd_sample(pool: _ArgPool, cfg: ExperimentConfig, run: _Run, seed: int):
-    image = _load_input(pool.get("image", required=True), "image")
-    mode_paths = pool.get_list("mode-mask")
-    frozen_path = pool.get("frozen-eps")
-    if (frozen_path is None) == (not mode_paths):
+_SCHEDULE_FLAGS = (
+    ("steps", int, _Cfg("schedule.steps"), "number of diffusion steps T"),
+    ("beta1", float, _Cfg("schedule.beta1"), "first variance of the linear schedule"),
+    ("betaT", float, _Cfg("schedule.betaT"), "last variance of the linear schedule"),
+)
+
+
+def _schedule(a, cfg: ExperimentConfig) -> diffusion.DiffusionSchedule:
+    return diffusion.make_schedule(a.steps, a.beta1, a.betaT, cfg.schedule.kind)
+
+
+@_command(
+    "sample",
+    "energy-guided reverse diffusion sampling",
+    ("image", str, _REQUIRED, "conditioning image for the energy"),
+    ("mode-mask", [str], None, "reference mask (repeatable)"),
+    ("mode-weight", [float], None, "mixture weight (repeatable; default uniform)"),
+    ("frozen-eps", str, None, "fixed noise-prediction field instead of a mixture"),
+    ("noise-scale", float, _Cfg("sampler.noise_scale"), "mixture component spread"),
+    ("gamma0", float, _Cfg("guidance.gamma0"), "guidance strength"),
+    ("gamma-schedule", diffusion.GUIDANCE_SCHEDULES, _Cfg("guidance.schedule"),
+     "guidance decay policy"),
+    ("guidance-space", diffusion.GUIDANCE_SPACES, _Cfg("sampler.guidance_space"),
+     "apply guidance to the noise prediction or the score"),
+    *_SCHEDULE_FLAGS,
+    ("ensemble", int, _Cfg("sampler.ensemble"), "number of averaged runs"),
+    ("a1", float, _Cfg("area.a1_target"),
+     "area-prior target for the inside region (half the domain when unset)"),
+)
+def _cmd_sample(a, cfg: ExperimentConfig, run: _Run):
+    image = _load_input(a.image, "image")
+    if (a.frozen_eps is None) == (not a.mode_mask):
         raise InvalidInputError("provide either --mode-mask (repeatable) or --frozen-eps")
-    if frozen_path is not None:
-        provider = diffusion.FrozenFieldProvider(_load_input(frozen_path, "frozen-eps"))
+    if a.frozen_eps is not None:
+        provider = diffusion.FrozenFieldProvider(_load_input(a.frozen_eps, "frozen-eps"))
         n_modes = 0
     else:
-        masks = tuple(_load_input(p, "mode-mask") for p in mode_paths)
-        weight_vals = pool.get_list("mode-weight")
-        if weight_vals:
-            weights = tuple(float(v) for v in weight_vals)
-        else:
-            weights = tuple(1.0 / len(masks) for _ in masks)
+        masks = tuple(_load_input(p, "mode-mask") for p in a.mode_mask)
+        weights = a.mode_weight or [1.0 / len(masks)] * len(masks)
         provider = diffusion.MixtureMaskProvider(
-            masks=masks,
-            weights=weights,
-            noise_scale=float(pool.get("noise-scale", cfg.sampler.noise_scale)),
+            masks=masks, weights=tuple(weights), noise_scale=a.noise_scale
         )
         n_modes = len(masks)
-    sched = diffusion.make_schedule(
-        int(pool.get("steps", cfg.schedule.steps)),
-        float(pool.get("beta1", cfg.schedule.beta1)),
-        float(pool.get("betaT", cfg.schedule.betaT)),
-        cfg.schedule.kind,
+    sched = _schedule(a, cfg)
+    gp = diffusion.GuidancePolicy(gamma0=a.gamma0, schedule=a.gamma_schedule)
+    gcfg = diffusion.GuidanceConfig(
+        heaviside=cfg.heaviside,
+        weights=cfg.weights,
+        area=_area_prior(cfg, image.size, a.a1, 0.5 * image.size),
+        speed=cfg.speed,
+        var_floor=cfg.numerics.var_floor,
+        grad_floor=cfg.numerics.grad_floor,
+        mapping=cfg.numerics.mapping,
+        distance_refresh=cfg.sampler.distance_refresh,
     )
-    gp = diffusion.GuidancePolicy(
-        gamma0=float(pool.get("gamma0", cfg.guidance.gamma0)),
-        schedule=pool.get("gamma-schedule", cfg.guidance.schedule),
-    )
-    a1 = pool.get("a1", cfg.area.a1_target)
-    area = None if a1 is None else levelset.AreaPrior.from_a1(float(a1), image.size)
-    gcfg = _guidance_config(cfg, area)
-    ensemble = int(pool.get("ensemble", cfg.sampler.ensemble))
-    space = pool.get("guidance-space", cfg.sampler.guidance_space)
     result = diffusion.sample(
-        image, provider, sched, gp, seed=seed, ensemble=ensemble, cfg=gcfg, guidance_space=space
+        image, provider, sched, gp, seed=a.seed, ensemble=a.ensemble, cfg=gcfg,
+        guidance_space=a.guidance_space,
     )
     run.add_field("fields/mask.lsf1", result.mask)
     run.add_trace("traces/energy.csv", result.t_steps, result.trace)
-    final = dict(zip(("region", "length", "area", "distance", "total"), result.trace[-1]))
     run.add_json(
         "reports/sample.json",
         {
-            "ensemble": ensemble,
+            "ensemble": a.ensemble,
             "gamma0": gp.gamma0,
             "gamma-schedule": gp.schedule,
-            "guidance-space": space,
+            "guidance-space": a.guidance_space,
             "steps": sched.T,
             "modes": n_modes,
-            # a degenerate last step leaves a NaN row, which JSON cannot hold
-            "final": {k: None if math.isnan(v) else v for k, v in final.items()},
+            "final": _final(result.trace),
         },
     )
 
 
-def _cmd_metrics(pool: _ArgPool, cfg: ExperimentConfig, run: _Run, seed: int):
-    pred = _load_input(pool.get("pred", required=True), "pred")
-    gt = _load_input(pool.get("gt", required=True), "gt")
-    threshold = float(pool.get("threshold", 0.5))
-    c = metrics.confusion(pred, gt, threshold)
-    s = metrics.scores(c)
-    doc = {"tp": c.tp, "fp": c.fp, "fn": c.fn, "tn": c.tn, "threshold": threshold}
-    doc.update(s.to_json_dict())
-    run.add_json("reports/metrics.json", doc)
-    csv_path = run.path("reports/metrics.csv")
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("dice,jaccard,precision,recall,tp,fp,fn,tn\n")
-        fh.write(
-            f"{s.dice:.17g},{s.jaccard:.17g},{s.precision:.17g},{s.recall:.17g},"
-            f"{c.tp},{c.fp},{c.fn},{c.tn}\n"
-        )
-    run.artifacts.append("reports/metrics.csv")
+@_command(
+    "metrics",
+    "confusion-count metrics of pred vs gt",
+    ("pred", str, _REQUIRED, "predicted mask field"),
+    ("gt", str, _REQUIRED, "binary ground-truth field"),
+    ("threshold", float, 0.5, "binarization threshold"),
+)
+def _cmd_metrics(a, cfg: ExperimentConfig, run: _Run):
+    c = metrics.confusion(_load_input(a.pred, "pred"), _load_input(a.gt, "gt"), a.threshold)
+    row = {**asdict(metrics.scores(c)), **asdict(c)}
+    run.add_json("reports/metrics.json", {**row, "threshold": a.threshold})
+    run.add_csv("reports/metrics.csv", row, [row.values()])
 
 
-def _cmd_losses(pool: _ArgPool, cfg: ExperimentConfig, run: _Run, seed: int):
-    image = _load_input(pool.get("image", required=True), "image")
-    mask = as_field(_load_input(pool.get("mask", required=True), "mask"), "mask")
-    sched = diffusion.make_schedule(
-        int(pool.get("steps", cfg.schedule.steps)),
-        float(pool.get("beta1", cfg.schedule.beta1)),
-        float(pool.get("betaT", cfg.schedule.betaT)),
-        cfg.schedule.kind,
-    )
-    t = int(pool.get("t", required=True))
-    eps_true = rng.normals(rng.derive_key(seed, _LOSS_NOISE_TAG), image.shape)
-    yt = diffusion.forward_sample(mask, t, sched, eps_true)
-    eps_hat_path = pool.get("eps-hat")
-    eps_hat = _load_input(eps_hat_path, "eps-hat") if eps_hat_path is not None else eps_true
-    w_t = float(pool.get("w-t", cfg.losses.w_t))
-    l_dpm = diffusion.dpm_loss(eps_true, eps_hat, w_t)
+@_command(
+    "losses",
+    "assemble the diffusion + energy + consistency losses",
+    ("image", str, _REQUIRED, "conditioning image"),
+    ("mask", str, _REQUIRED, "clean mask the noise is added to"),
+    ("t", int, _REQUIRED, "diffusion step to evaluate at"),
+    ("eps-hat", str, None, "noise-prediction field (defaults to the true noise)"),
+    ("w-t", float, _Cfg("losses.w_t"), "diffusion-loss weight"),
+    ("eta1", float, _Cfg("losses.eta1"), "energy-loss weight"),
+    ("eta2", float, _Cfg("losses.eta2"), "consistency-loss weight"),
+    *_SCHEDULE_FLAGS,
+)
+def _cmd_losses(a, cfg: ExperimentConfig, run: _Run):
+    image = _load_input(a.image, "image")
+    mask = _load_input(a.mask, "mask")
+    sched = _schedule(a, cfg)
+    eps_true = rng.normals(rng.derive_key(a.seed, _LOSS_NOISE_TAG), image.shape)
+    yt = diffusion.forward_sample(mask, a.t, sched, eps_true)
+    eps_hat = _load_input(a.eps_hat, "eps-hat")
+    if eps_hat is None:
+        eps_hat = eps_true
+    l_dpm = diffusion.dpm_loss(eps_true, eps_hat, a.w_t)
 
-    yhat0 = np.clip(diffusion.predict_y0(yt, eps_hat, t, sched), 0.0, 1.0)
+    yhat0 = np.clip(diffusion.predict_y0(yt, eps_hat, a.t, sched), 0.0, 1.0)
     phi = levelset.mask_to_levelset(yhat0, cfg.numerics.mapping)
     # The localization distance grows from the clean training mask.
     dist = geodesic.distance_for_mask(image, mask, cfg.speed).values
-    prior = _area_prior(cfg, image.size, float(binarize(mask).sum()))
+    prior = _area_prior(cfg, image.size, cfg.area.a1_target, float(binarize(mask).sum()))
     l_lsf = levelset.energy_total(
         image, phi, cfg.heaviside, cfg.weights, prior, dist, var_floor=cfg.numerics.var_floor
     ).e_total
@@ -453,16 +554,14 @@ def _cmd_losses(pool: _ArgPool, cfg: ExperimentConfig, run: _Run, seed: int):
     refined = par.refine(yhat0, kernel, cfg.par.tau)
     l_par = par.par_loss(yhat0, refined)
 
-    eta1 = float(pool.get("eta1", cfg.losses.eta1))
-    eta2 = float(pool.get("eta2", cfg.losses.eta2))
-    total = diffusion.total_loss(l_dpm, l_lsf, l_par, eta1, eta2)
+    total = diffusion.total_loss(l_dpm, l_lsf, l_par, a.eta1, a.eta2)
     run.add_json(
         "reports/losses.json",
         {
-            "t": t,
-            "w-t": w_t,
-            "eta1": eta1,
-            "eta2": eta2,
+            "t": a.t,
+            "w-t": a.w_t,
+            "eta1": a.eta1,
+            "eta2": a.eta2,
             "l-dpm": l_dpm,
             "l-lsf": l_lsf,
             "l-par": l_par,
@@ -471,135 +570,18 @@ def _cmd_losses(pool: _ArgPool, cfg: ExperimentConfig, run: _Run, seed: int):
     )
 
 
-_COMMANDS = {
-    "phantom": _cmd_phantom,
-    "energy": _cmd_energy,
-    "evolve": _cmd_evolve,
-    "td-verify": _cmd_td_verify,
-    "geodesic": _cmd_geodesic,
-    "par": _cmd_par,
-    "sample": _cmd_sample,
-    "metrics": _cmd_metrics,
-    "losses": _cmd_losses,
-}
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(prog="levelflow", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"levelflow {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--config", help="JSON config file or a previous run's manifest.json")
-        p.add_argument("--seed", type=int, help="override the config seed")
-
-    p = sub.add_parser("phantom", help="generate a synthetic image + ground-truth mask")
-    common(p)
-    p.add_argument("--kind", choices=("two-disks", "ring-with-hole", "c-shape", "two-rects"),
-                   help="phantom geometry")
-    p.add_argument("--size", type=int, help="grid side length in pixels (default 64)")
-    p.add_argument("--fg", type=float, help="foreground intensity (default 1)")
-    p.add_argument("--bg", type=float, help="background intensity (default 0)")
-    p.add_argument("--noise-sigma", type=float, help="additive Gaussian noise level (default 0)")
-
-    p = sub.add_parser("energy", help="evaluate the four-term energy of (image, mask)")
-    common(p)
-    p.add_argument("--image", help="image field")
-    p.add_argument("--mask", help="soft mask field in [0, 1]")
-    p.add_argument("--dist", help="precomputed distance field (else computed from the mask)")
-
-    p = sub.add_parser("evolve", help="gradient-flow evolution of a level set function")
-    common(p)
-    p.add_argument("--image", help="image field")
-    p.add_argument("--init", help="initial level set field")
-    p.add_argument("--init-box", help="box initialization 'r0,c0,r1,c1'")
-    p.add_argument("--gt", help="ground truth for a Dice report")
-    p.add_argument("--dist", help="precomputed distance field")
-    p.add_argument("--dt", type=float, help="explicit Euler time step")
-    p.add_argument("--steps", type=int, help="number of evolution steps")
-    p.add_argument("--stats-refresh", type=int, help="recompute region stats every N steps")
-
-    p = sub.add_parser("td-verify", help="validate TD fields against the nucleation oracle")
-    common(p)
-    p.add_argument("--image", help="image field")
-    p.add_argument("--mask", help="mask field defining the two regions")
-    p.add_argument("--model", choices=("cv", "gaussian"), help="energy model")
-    p.add_argument("--radius", type=int, help="probe disk radius in pixels")
-    p.add_argument("--samples", type=int, help="number of probe pixels")
-
-    p = sub.add_parser("geodesic", help="edge-aware geodesic distance map from a mask")
-    common(p)
-    p.add_argument("--image", help="image field")
-    p.add_argument("--mask", help="seed region mask")
-    p.add_argument("--d-e", help="optional extra-cost field")
-    p.add_argument("--eps-d", type=float, help="baseline speed")
-    p.add_argument("--beta-g", type=float, help="gradient-magnitude weight")
-    p.add_argument("--nu", type=float, help="extra-cost weight")
-
-    p = sub.add_parser("par", help="pixel-adaptive refinement of a mask")
-    common(p)
-    p.add_argument("--image", help="image the affinities are built from")
-    p.add_argument("--mask", help="mask to refine")
-    p.add_argument("--tau", type=int, help="number of refinement iterations")
-    p.add_argument("--gt", help="ground truth for Dice before/after")
-
-    p = sub.add_parser("sample", help="energy-guided reverse diffusion sampling")
-    common(p)
-    p.add_argument("--image", help="conditioning image for the energy")
-    p.add_argument("--mode-mask", action="append", help="reference mask (repeatable)")
-    p.add_argument("--mode-weight", action="append", help="mixture weight (repeatable)")
-    p.add_argument("--frozen-eps", help="fixed noise-prediction field instead of a mixture")
-    p.add_argument("--noise-scale", type=float, help="mixture component spread")
-    p.add_argument("--gamma0", type=float, help="guidance strength")
-    p.add_argument("--gamma-schedule", choices=("constant", "noise-scaled"),
-                   help="guidance decay policy")
-    p.add_argument("--guidance-space", choices=("noise", "score"),
-                   help="apply guidance to the noise prediction or the score")
-    p.add_argument("--steps", type=int, help="number of diffusion steps T")
-    p.add_argument("--beta1", type=float, help="first variance of the linear schedule")
-    p.add_argument("--betaT", type=float, help="last variance of the linear schedule")
-    p.add_argument("--ensemble", type=int, help="number of averaged runs")
-    p.add_argument("--a1", type=float, help="area-prior target for the inside region")
-
-    p = sub.add_parser("metrics", help="confusion-count metrics of pred vs gt")
-    common(p)
-    p.add_argument("--pred", help="predicted mask field")
-    p.add_argument("--gt", help="binary ground-truth field")
-    p.add_argument("--threshold", type=float, help="binarization threshold (default 0.5)")
-
-    p = sub.add_parser("losses", help="assemble the diffusion + energy + consistency losses")
-    common(p)
-    p.add_argument("--image", help="conditioning image")
-    p.add_argument("--mask", help="clean mask the noise is added to")
-    p.add_argument("--t", type=int, help="diffusion step to evaluate at")
-    p.add_argument("--eps-hat", help="noise-prediction field (defaults to the true noise)")
-    p.add_argument("--w-t", type=float, help="diffusion-loss weight")
-    p.add_argument("--eta1", type=float, help="energy-loss weight")
-    p.add_argument("--eta2", type=float, help="consistency-loss weight")
-    p.add_argument("--steps", type=int, help="number of diffusion steps T")
-    p.add_argument("--beta1", type=float, help="first variance of the linear schedule")
-    p.add_argument("--betaT", type=float, help="last variance of the linear schedule")
-
-    return parser
-
-
 def main(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
         if ns.config is not None:
-            cfg, manifest_args = load_config_document(ns.config)
+            cfg, saved = load_config_document(ns.config)
         else:
-            cfg, manifest_args = ExperimentConfig(), None
-        pool = _ArgPool(ns, manifest_args)
-        seed = ns.seed
-        if seed is None:
-            seed = pool.saved.get("seed", cfg.seed)
-        seed = int(seed)
-        pool.resolved["seed"] = seed
+            cfg, saved = ExperimentConfig(), None
+        fn, _, rows = _COMMANDS[ns.command]
+        args = _resolve(rows, ns, saved or {}, cfg)
         run = _Run(ns.out)
-        _COMMANDS[ns.command](pool, cfg, run, seed)
-        run.finish(ns.command, cfg, pool.resolved, seed)
+        fn(argparse.Namespace(**{k.replace("-", "_"): v for k, v in args.items()}), cfg, run)
+        run.finish(ns.command, cfg, args)
         return EXIT_OK
     except InvalidInputError as exc:
         print(f"levelflow: invalid input: {exc}", file=sys.stderr)

@@ -12,10 +12,10 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .diffusion import GuidancePolicy
+from .diffusion import DISTANCE_REFRESH_DEFAULT, GuidancePolicy
 from .errors import InvalidInputError
 from .geodesic import SpeedParams
-from .levelset import EnergyWeights, HeavisideParams
+from .levelset import GRAD_FLOOR_DEFAULT, VAR_FLOOR_DEFAULT, EnergyWeights, HeavisideParams
 from .par import ParParams
 
 SCHEMA_VERSION = 1
@@ -41,7 +41,7 @@ class AreaParams:
 @dataclass(frozen=True)
 class SamplerParams:
     ensemble: int = 1
-    distance_refresh: int = 50
+    distance_refresh: int = DISTANCE_REFRESH_DEFAULT
     noise_scale: float = 0.1
     guidance_space: str = "noise"
 
@@ -55,8 +55,8 @@ class EvolveParams:
 
 @dataclass(frozen=True)
 class NumericsParams:
-    var_floor: float = 1e-6
-    grad_floor: float = 1e-8
+    var_floor: float = VAR_FLOOR_DEFAULT
+    grad_floor: float = GRAD_FLOOR_DEFAULT
     mapping: str = "offset"
 
 
@@ -83,27 +83,11 @@ class ExperimentConfig:
     losses: LossParams = field(default_factory=LossParams)
 
     def to_dict(self) -> dict:
-        d = {"schema_version": SCHEMA_VERSION, "seed": self.seed}
-        for f in fields(self):
-            if f.name == "seed":
-                continue
-            d[f.name] = asdict(getattr(self, f.name))
-        return d
+        sections = {name: asdict(getattr(self, name)) for name in _SECTION_TYPES}
+        return {"schema_version": SCHEMA_VERSION, "seed": self.seed, **sections}
 
 
-_SECTION_TYPES = {
-    "heaviside": HeavisideParams,
-    "weights": EnergyWeights,
-    "area": AreaParams,
-    "speed": SpeedParams,
-    "par": ParParams,
-    "schedule": ScheduleParams,
-    "guidance": GuidancePolicy,
-    "sampler": SamplerParams,
-    "evolve": EvolveParams,
-    "numerics": NumericsParams,
-    "losses": LossParams,
-}
+_SECTION_TYPES = {f.name: f.default_factory for f in fields(ExperimentConfig) if f.name != "seed"}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -152,10 +136,13 @@ def load_config_document(path) -> tuple[ExperimentConfig, dict | None]:
             doc = json.load(fh, parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise InvalidInputError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or an integer too long to convert
         raise InvalidInputError(f"config {path} is not valid JSON: {exc}") from None
     if isinstance(doc, dict) and "artifacts" in doc and "command" in doc:
         if "config" not in doc:
             raise InvalidInputError(f"manifest {path} has no 'config' key")
-        return config_from_dict(doc["config"]), dict(doc.get("args", {}))
+        args = doc.get("args", {})
+        if not isinstance(args, dict):
+            raise InvalidInputError(f"manifest {path}: 'args' must be an object")
+        return config_from_dict(doc["config"]), args
     return config_from_dict(doc), None

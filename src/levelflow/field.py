@@ -13,6 +13,7 @@ border derivative is ``(f[1] - f[0]) / 2``.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -133,10 +134,13 @@ class PhantomSpec:
             )
         if self.size < 32:
             raise InvalidInputError("phantom size must be at least 32")
+        for name in ("fg", "bg"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be finite")
         if self.fg == self.bg:
             raise InvalidInputError("foreground and background intensities must differ")
-        if self.noise_sigma < 0:
-            raise InvalidInputError("noise sigma must be non-negative")
+        if not 0 <= self.noise_sigma < math.inf:
+            raise InvalidInputError("noise_sigma must be non-negative and finite")
         if self.seed < 0:
             raise InvalidInputError("seed must be non-negative")
 

@@ -90,8 +90,9 @@ class AreaPrior:
     overridden: bool = False
 
     def __post_init__(self):
-        if self.a1_target < 0 or self.a2_target < 0:
-            raise InvalidInputError("area targets must be non-negative")
+        for name in ("a1_target", "a2_target"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidInputError(f"{name} must be non-negative and finite")
 
     @classmethod
     def from_a1(cls, a1_target: float, n_pixels: int) -> "AreaPrior":
@@ -352,8 +353,8 @@ def evolve(
     ``TRACE_COLUMNS``.  Aborts with :class:`DivergenceError` if the energy
     leaves the finite range.
     """
-    if dt < 0:
-        raise InvalidInputError("dt must be non-negative")
+    if not 0 <= dt < math.inf:
+        raise InvalidInputError("dt must be non-negative and finite")
     if steps < 1:
         raise InvalidInputError("steps must be at least 1")
     if stats_refresh < 1:

@@ -25,14 +25,6 @@ class Scores:
     precision: float
     recall: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "dice": self.dice,
-            "jaccard": self.jaccard,
-            "precision": self.precision,
-            "recall": self.recall,
-        }
-
 
 def confusion(pred: np.ndarray, gt: np.ndarray, threshold: float = 0.5) -> Confusion:
     """Pixel counts after binarizing pred at the threshold (ties -> foreground)."""

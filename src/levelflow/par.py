@@ -16,6 +16,7 @@ the L1 distance between the mask and its refined version.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class ParParams:
     def __post_init__(self):
         if self.tau < 0:
             raise InvalidInputError("tau must be non-negative")
-        if self.sigma_floor <= 0:
-            raise InvalidInputError("sigma_floor must be positive")
+        if not 0 < self.sigma_floor < math.inf:
+            raise InvalidInputError("sigma_floor must be positive and finite")
         if self.features not in PAR_FEATURES:
             raise InvalidInputError(
                 f"unknown feature set {self.features!r}, expected one of {PAR_FEATURES}"

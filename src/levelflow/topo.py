@@ -19,7 +19,7 @@ first-order fields rather than a restatement of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -170,17 +170,7 @@ class TdVerifyReport:
     all_excluded: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "radius": self.radius,
-            "n-samples": self.n_samples,
-            "n-used": self.n_used,
-            "tie-threshold": self.tie_threshold,
-            "median-rel-err": self.median_rel_err,
-            "max-rel-err": self.max_rel_err,
-            "sign-agreement-rate": self.sign_agreement_rate,
-            "all-excluded": self.all_excluded,
-        }
+        return {k.replace("_", "-"): v for k, v in asdict(self).items()}
 
 
 def verify_td(
@@ -236,28 +226,15 @@ def verify_td(
         rels.append(abs(delta - expected) / abs(expected))
         agree.append(np.sign(delta) == np.sign(expected))
 
-    n_used = len(rels)
-    if n_used == 0:
-        return TdVerifyReport(
-            model=model,
-            radius=radius,
-            n_samples=samples,
-            n_used=0,
-            tie_threshold=tie_threshold,
-            median_rel_err=None,
-            max_rel_err=None,
-            sign_agreement_rate=None,
-            all_excluded=True,
-        )
-    rels_arr = np.asarray(rels)
+    used = len(rels) > 0
     return TdVerifyReport(
         model=model,
         radius=radius,
         n_samples=samples,
-        n_used=n_used,
+        n_used=len(rels),
         tie_threshold=tie_threshold,
-        median_rel_err=float(np.median(rels_arr)),
-        max_rel_err=float(rels_arr.max()),
-        sign_agreement_rate=float(np.mean(agree)),
-        all_excluded=False,
+        median_rel_err=float(np.median(rels)) if used else None,
+        max_rel_err=float(np.max(rels)) if used else None,
+        sign_agreement_rate=float(np.mean(agree)) if used else None,
+        all_excluded=not used,
     )

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import levelflow as lf
+from levelflow import cli
 from levelflow.cli import main
 from levelflow.config import ExperimentConfig, config_from_dict, load_config_document
 from levelflow.errors import InvalidInputError
@@ -19,6 +20,21 @@ def tree_hashes(root):
             rel = os.path.relpath(path, root)
             out[rel] = hashlib.sha256(open(path, "rb").read()).hexdigest()
     return out
+
+
+# Required arguments of the callables below whose own checks are under test.
+BASE_KWARGS = {
+    lf.AreaPrior: {"a1_target": 1.0, "a2_target": 1.0},
+    lf.PhantomSpec: {"kind": "two-disks", "size": 32},
+    lf.evolve: {
+        "image": np.eye(4),
+        "phi0": np.eye(4) - 0.5,
+        "p": lf.HeavisideParams(),
+        "w": lf.EnergyWeights(),
+        "prior": lf.AreaPrior(8.0, 8.0),
+        "dist": np.zeros((4, 4)),
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +85,14 @@ class TestConfig:
             load_config_document(path)
         assert main(["phantom", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize("args", ["abc", 5, [["seed", 1]]])
+    def test_manifest_args_not_an_object(self, phantom_dir, tmp_path, args):
+        doc = json.load(open(phantom_dir / "manifest.json"))
+        doc["args"] = args
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        assert main(["phantom", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+
     @pytest.mark.parametrize(
         "cls, field",
         [
@@ -79,13 +103,20 @@ class TestConfig:
             (lf.EnergyWeights, "lambda1"),
             (lf.EnergyWeights, "lambda4"),
             (lf.GuidancePolicy, "gamma0"),
+            (lf.AreaPrior, "a1_target"),
+            (lf.AreaPrior, "a2_target"),
+            (lf.ParParams, "sigma_floor"),
+            (lf.PhantomSpec, "noise_sigma"),
+            (lf.PhantomSpec, "fg"),
+            (lf.PhantomSpec, "bg"),
+            (lf.evolve, "dt"),
         ],
         ids=lambda v: v if isinstance(v, str) else v.__name__,
     )
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_parameter_rejected(self, cls, field, value):
         with pytest.raises(InvalidInputError, match=field):
-            cls(**{field: value})
+            cls(**{**BASE_KWARGS.get(cls, {}), field: value})
 
     @pytest.mark.parametrize("number", ["NaN", "Infinity", "1e999"])
     def test_non_finite_number_rejected(self, tmp_path, number):
@@ -94,6 +125,14 @@ class TestConfig:
         path.write_text(text)
         with pytest.raises(InvalidInputError, match="non-finite"):
             load_config_document(path)
+        assert main(["phantom", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+
+
+    def test_oversized_integer_rejected(self, tmp_path):
+        digits = "9" * 5000  # beyond the interpreter's integer conversion limit
+        text = json.dumps(ExperimentConfig().to_dict()).replace('"seed": 0', f'"seed": {digits}')
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
         assert main(["phantom", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
 
 
@@ -322,17 +361,74 @@ class TestOtherCommands:
         assert rc == 1
         assert not (tmp_path / "m/reports/metrics.json").exists()
 
-    def test_non_finite_report_value_fails_cleanly(self, phantom_dir, tmp_path):
+    def test_non_finite_report_value_fails_cleanly(self, phantom_dir, tmp_path, capsys):
         # a hand-edited manifest can carry a threshold string that float()
-        # reads as NaN; the report must not become non-standard JSON
+        # reads as NaN; it is rejected as input like the flag would be
         gt = str(phantom_dir / "fields/gt_mask.lsf1")
         assert main(["metrics", "--pred", gt, "--gt", gt, "--out", str(tmp_path / "m0")]) == 0
         doc = json.load(open(tmp_path / "m0/manifest.json"))
         doc["args"]["threshold"] = "nan"
         edited = tmp_path / "edited.json"
         edited.write_text(json.dumps(doc))
-        assert main(["metrics", "--config", str(edited), "--out", str(tmp_path / "m1")]) == 2
+        assert main(["metrics", "--config", str(edited), "--out", str(tmp_path / "m1")]) == 1
+        assert "--threshold" in capsys.readouterr().err
         assert not (tmp_path / "m1/reports/metrics.json").exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("size", "abc"), ("fg", [1]), ("threshold", "nan")],
+        ids=["size-text", "fg-list", "threshold-nan"],
+    )
+    def test_bad_manifest_arg_names_the_flag(self, phantom_dir, tmp_path, capsys, key, value):
+        if key == "threshold":
+            gt = str(phantom_dir / "fields/gt_mask.lsf1")
+            assert main(["metrics", "--pred", gt, "--gt", gt, "--out", str(tmp_path / "m")]) == 0
+            doc = json.load(open(tmp_path / "m/manifest.json"))
+        else:
+            doc = json.load(open(phantom_dir / "manifest.json"))
+        doc["args"][key] = value
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        out = tmp_path / "replay"
+        assert main([doc["command"], "--config", str(edited), "--out", str(out)]) == 1
+        assert f"--{key}" in capsys.readouterr().err
+        assert not list(out.rglob("*.json"))
+
+    def test_energy_shape_mismatch_names_both_shapes(self, phantom_dir, tmp_path, capsys):
+        small = tmp_path / "small.lsf1"
+        lf.save_field(np.zeros((32, 40)), small)
+        rc = main(["energy", "--image", str(phantom_dir / "fields/image.lsf1"),
+                   "--mask", str(small), "--out", str(tmp_path / "e")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "(64, 64)" in err and "(32, 40)" in err
+
+    @pytest.mark.parametrize("command", ["phantom", "energy", "evolve", "td-verify", "geodesic",
+                                         "par", "sample", "metrics", "losses"])
+    def test_help_lists_every_flag(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        _, _, rows = cli._COMMANDS[command]
+        for name, *_ in rows:
+            assert f"--{name} " in out
+
+    def test_sample_honours_config_a2_target(self, phantom_dir, tmp_path):
+        eps_path = tmp_path / "eps.lsf1"
+        lf.save_field(np.zeros((64, 64)), eps_path)
+        cfg_doc = ExperimentConfig().to_dict()
+        cfg_doc["area"].update(a2_target=50.0, overridden=True)
+        cfg_path = tmp_path / "area.json"
+        cfg_path.write_text(json.dumps(cfg_doc))
+        traces = []
+        for name, extra in (("plain", []), ("a2", ["--config", str(cfg_path)])):
+            out = tmp_path / name
+            assert main(["sample", "--image", str(phantom_dir / "fields/image.lsf1"),
+                         "--frozen-eps", str(eps_path), "--steps", "4", "--beta1", "0.01",
+                         "--betaT", "0.3", "--gamma0", "0", "--seed", "2", "--out", str(out),
+                         *extra]) == 0
+            traces.append((out / "traces/energy.csv").read_text())
+        assert traces[0] != traces[1]
 
     def test_degenerate_final_trace_row_is_json_null(self, phantom_dir, tmp_path):
         # a near-hard Heaviside and a noise prediction that drives every

@@ -10,6 +10,17 @@ from levelflow.errors import FieldFormatError, InvalidInputError
 from conftest import normal_field
 
 
+class TestAsField:
+    @pytest.mark.parametrize(
+        "value, message",
+        [(np.zeros(4), "2-D"), (np.zeros((0, 3)), "non-empty"), ([[1.0, np.nan]], "non-finite")],
+        ids=["1-d", "empty", "nan"],
+    )
+    def test_rejected(self, value, message):
+        with pytest.raises(InvalidInputError, match=message):
+            lf.field.as_field(value)
+
+
 class TestGradient:
     def test_linear_field_exact(self):
         rows, cols = np.mgrid[0:8, 0:8].astype(float)
