@@ -63,14 +63,6 @@ from .levelset import (
 )
 from .metrics import Confusion, Scores, confusion, dice_score, scores
 from .par import AffinityKernel, ParParams, affinity_kernel, par_loss, refine
-from .topo import (
-    NucleationProbe,
-    TdField,
-    TdVerifyReport,
-    nucleation_delta,
-    td_field_cv,
-    td_field_gaussian,
-    verify_td,
-)
+from .topo import NucleationProbe, TdVerifyReport, nucleation_delta, td_field, verify_td
 
 __all__ = [name for name in dir() if not name.startswith("_")]

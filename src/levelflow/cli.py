@@ -374,8 +374,8 @@ def _cmd_td_verify(a, cfg: ExperimentConfig, run: _Run):
         seed=a.seed,
         var_floor=cfg.numerics.var_floor,
     )
-    field_fn = topo.td_field_cv if a.model == "cv" else topo.td_field_gaussian
-    run.add_field("fields/td_field.lsf1", field_fn(image, mask, cfg.numerics.var_floor).values)
+    td = topo.td_field(image, mask, a.model, cfg.numerics.var_floor)
+    run.add_field("fields/td_field.lsf1", td)
     run.add_json("reports/td_verify.json", report.to_json_dict())
 
 
@@ -400,7 +400,7 @@ def _cmd_geodesic(a, cfg: ExperimentConfig, run: _Run):
         {
             "max-raw": dmap.max_raw,
             "flat": dmap.flat,
-            "seed-pixels": int(dmap.seed_mask.sum()),
+            "seed-pixels": int(binarize(mask).sum()),
             **_dashed(sp),
         },
     )

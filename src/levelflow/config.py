@@ -1,15 +1,16 @@
 """One JSON document carrying every module's parameters.
 
 The document is versioned, validated strictly (unknown keys anywhere are
-rejected so typos cannot silently fall back to defaults), and reproduced
-verbatim into run manifests so any run can be repeated from its manifest
-alone.
+rejected so typos cannot silently fall back to defaults, and each value
+must have its field's annotated type), and reproduced verbatim into run
+manifests so any run can be repeated from its manifest alone.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import typing
 from dataclasses import asdict, dataclass, field, fields
 
 from .diffusion import DISTANCE_REFRESH_DEFAULT, GuidancePolicy
@@ -88,6 +89,16 @@ class ExperimentConfig:
 
 
 _SECTION_TYPES = {f.name: f.default_factory for f in fields(ExperimentConfig) if f.name != "seed"}
+_ACCEPTS = {float: (int, float), int: int, bool: bool, str: str}
+
+
+def _fits(hint, value) -> bool:
+    """Whether a JSON value has the annotated type (checked, not converted)."""
+    kinds = typing.get_args(hint) or (hint,)  # float | None -> (float, NoneType)
+    if value is None:
+        return type(None) in kinds
+    # bool is an int subclass: only a bool field takes true/false
+    return isinstance(value, _ACCEPTS[kinds[0]]) and isinstance(value, bool) == (kinds[0] is bool)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -107,14 +118,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         section = doc.get(name, {})
         if not isinstance(section, dict):
             raise InvalidInputError(f"config section {name!r} must be an object")
-        allowed = {f.name for f in fields(cls)}
-        bad = set(section) - allowed
+        hints = typing.get_type_hints(cls)
+        bad = set(section) - hints.keys()
         if bad:
             raise InvalidInputError(f"unknown keys in config section {name!r}: {sorted(bad)}")
-        try:
-            kwargs[name] = cls(**section)
-        except TypeError as exc:
-            raise InvalidInputError(f"bad config section {name!r}: {exc}") from None
+        for key, value in section.items():
+            if not _fits(hints[key], value):
+                text = cls.__annotations__[key]  # the annotation as written, e.g. "float | None"
+                raise InvalidInputError(f"config {name}.{key} expects {text}, got {value!r}")
+        kwargs[name] = cls(**section)
     return ExperimentConfig(**kwargs)
 
 

@@ -19,6 +19,11 @@ sqrt(abar)`` contributes a ``1/sqrt(abar_t)`` factor (``eps_hat`` treated
 as locally constant).  The identical update can be phrased on the score
 via ``score = -eps / sqrt(1 - abar_t)``; both formulations are provided
 and are algebraically equivalent.
+
+``sample``, ``chain_rule_grad``, ``forward_sample``, ``dpm_loss`` and the
+provider constructors validate their fields; ``predict_y0``,
+``reverse_step``, the guidance updates and the provider methods are
+kernels that trust theirs (see :mod:`levelflow.field`).
 """
 
 from __future__ import annotations
@@ -104,8 +109,6 @@ def predict_y0(
 ) -> np.ndarray:
     """One-shot clean estimate y0_hat = (y_t - sqrt(1-abar) eps_hat) / sqrt(abar)."""
     i = _check_t(t, sched)
-    yt = as_field(yt, "yt")
-    eps_hat = as_field(eps_hat, "eps_hat")
     check_same_shape(yt, eps_hat)
     abar = sched.alpha_bar[i]
     return (yt - np.sqrt(1.0 - abar) * eps_hat) / np.sqrt(abar)
@@ -116,9 +119,6 @@ def reverse_step(
 ) -> np.ndarray:
     """One ancestral step t -> t-1 with caller-supplied standard noise xi."""
     i = _check_t(t, sched)
-    yt = as_field(yt, "yt")
-    eps_hat = as_field(eps_hat, "eps_hat")
-    xi = as_field(xi, "xi")
     check_same_shape(yt, eps_hat, xi)
     alpha = sched.alpha[i]
     abar = sched.alpha_bar[i]
@@ -178,16 +178,12 @@ def guided_eps(
     gp: GuidancePolicy,
 ) -> np.ndarray:
     """Noise-space guidance: eps_hat + gamma_t * grad."""
-    eps_hat = as_field(eps_hat, "eps_hat")
-    grad_lsf = as_field(grad_lsf, "grad_lsf")
     check_same_shape(eps_hat, grad_lsf)
     return eps_hat + guidance_scale(gp, t, sched) * grad_lsf
 
 
 def guided_score(score: np.ndarray, grad_lsf: np.ndarray, gamma_st: float) -> np.ndarray:
     """Score-space guidance: score - gamma_st * grad."""
-    score = as_field(score, "score")
-    grad_lsf = as_field(grad_lsf, "grad_lsf")
     check_same_shape(score, grad_lsf)
     return score - gamma_st * grad_lsf
 
@@ -266,7 +262,6 @@ def chain_rule_grad(
             cfg.weights,
             cfg.area_prior(image.size),
             dist,
-            freeze_stats=True,
             var_floor=cfg.var_floor,
             grad_floor=cfg.grad_floor,
             mapping=cfg.mapping,
@@ -327,6 +322,7 @@ class MixtureMaskProvider:
         return abar * self.noise_scale**2 + (1.0 - abar)
 
     def _log_terms(self, yt, t, sched) -> np.ndarray:
+        check_same_shape(yt, self.masks[0])
         i = _check_t(t, sched)
         root_abar = float(np.sqrt(sched.alpha_bar[i]))
         v = self.marginal_variance(t, sched)
@@ -338,20 +334,17 @@ class MixtureMaskProvider:
         )
 
     def responsibilities(self, yt: np.ndarray, t: int, sched: DiffusionSchedule) -> np.ndarray:
-        terms = self._log_terms(as_field(yt, "yt"), t, sched)
+        terms = self._log_terms(yt, t, sched)
         shifted = terms - terms.max()
         e = np.exp(shifted)
         return e / e.sum()
 
     def log_marginal(self, yt: np.ndarray, t: int, sched: DiffusionSchedule) -> float:
-        yt = as_field(yt, "yt")
         v = self.marginal_variance(t, sched)
         const = -0.5 * yt.size * np.log(2.0 * np.pi * v)
         return _logsumexp(self._log_terms(yt, t, sched)) + const
 
     def eps_hat(self, yt: np.ndarray, t: int, sched: DiffusionSchedule) -> np.ndarray:
-        yt = as_field(yt, "yt")
-        check_same_shape(yt, self.masks[0])
         i = _check_t(t, sched)
         root_abar = float(np.sqrt(sched.alpha_bar[i]))
         v = self.marginal_variance(t, sched)
@@ -367,11 +360,13 @@ class FrozenFieldProvider:
 
     eps_field: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "eps_field", as_field(self.eps_field, "eps_field"))
+
     def eps_hat(self, yt: np.ndarray, t: int, sched: DiffusionSchedule) -> np.ndarray:
         _check_t(t, sched)
-        eps = as_field(self.eps_field, "eps_field")
-        check_same_shape(as_field(yt, "yt"), eps)
-        return eps
+        check_same_shape(yt, self.eps_field)
+        return self.eps_field
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +452,6 @@ def sample(
 
 def _trace_row(image, y, eps_hat, t, sched, cfg, dist):
     yc = np.clip(predict_y0(y, eps_hat, t, sched), 0.0, 1.0)
-    if dist is None:
-        dist = np.zeros_like(image)
     try:
         report = levelset.energy_total(
             image,

@@ -4,7 +4,15 @@ A field is a plain ``numpy`` array of shape ``(height, width)``, float64,
 C-ordered, indexed ``[row, col]``; x runs along columns, y along rows.
 The same representation serves images, level set functions, masks,
 topological-derivative fields and distance maps.  All operations here are
-pure functions and return finite values for finite inputs.
+pure functions.
+
+Fields are validated once, at the package boundary.  An entry point (the
+CLI, ``load_field``, a parameter or provider constructor, a public
+function such as ``evolve`` or ``sample``) passes each field it receives
+through :func:`as_field`, which rejects wrong rank, empty and non-finite
+arrays with :class:`InvalidInputError`.  Kernels (``gradient``, ``heaviside``,
+the energy terms, ``reverse_step``, ...) trust their arrays and keep only
+the O(1) shape checks where two arrays meet.
 
 Stencils use central differences in the interior and degrade to one-sided
 differences at the borders through replicate (Neumann) padding, i.e. the
@@ -56,7 +64,6 @@ def binarize(f: np.ndarray, threshold: float = 0.5) -> np.ndarray:
 
 def gradient(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centred first derivatives (d/dx, d/dy) with replicate boundaries."""
-    f = as_field(f)
     if f.shape[0] < 2 or f.shape[1] < 2:
         raise InvalidInputError(f"gradient needs at least a 2x2 grid, got {f.shape}")
     gx = np.empty_like(f)
@@ -77,8 +84,6 @@ def gradient_adjoint(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     of the summed energy to rounding error; the continuous analogue is the
     negative divergence.
     """
-    vx = as_field(vx, "vx")
-    vy = as_field(vy, "vy")
     check_same_shape(vx, vy)
     out = np.zeros_like(vx)
     # x-direction: column j receives +v[j-1]/2 and -v[j+1]/2, with the
@@ -101,7 +106,7 @@ def divergence_of_normalized_gradient(phi: np.ndarray, grad_floor: float = 1e-8)
     """
     if grad_floor <= 0:
         raise InvalidInputError("grad_floor must be positive")
-    gx, gy = gradient(phi)
+    gx, gy = gradient(as_field(phi, "phi"))
     norm = np.maximum(np.hypot(gx, gy), grad_floor)
     dxx, _ = gradient(gx / norm)
     _, dyy = gradient(gy / norm)
@@ -199,6 +204,7 @@ _MAX_PIXELS = 1 << 31
 
 def save_field(f: np.ndarray, path) -> None:
     """Write a field; dispatches on extension (.pgm -> PGM, else LSF1)."""
+    f = as_field(f)
     if str(path).lower().endswith(".pgm"):
         _save_pgm(f, path)
     else:
@@ -213,7 +219,6 @@ def load_field(path) -> np.ndarray:
 
 
 def _save_lsf1(f: np.ndarray, path) -> None:
-    f = as_field(f)
     h, w = f.shape
     payload = f.astype("<f4").tobytes(order="C")
     with open(path, "wb") as fh:
@@ -248,7 +253,6 @@ def _load_lsf1(path) -> np.ndarray:
 
 
 def _save_pgm(f: np.ndarray, path) -> None:
-    f = as_field(f)
     lo = float(f.min())
     hi = float(f.max())
     if hi > lo:

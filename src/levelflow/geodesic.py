@@ -66,7 +66,7 @@ class SpeedParams:
 
 @dataclass(frozen=True)
 class DistanceMap:
-    """Normalized distance values plus the seed set they were grown from.
+    """Normalized distance values of an eikonal solution.
 
     ``values`` is 0 exactly on seeds and has maximum 1 unless the raw map
     was identically zero (seed covered everything); then ``flat`` is set
@@ -76,10 +76,12 @@ class DistanceMap:
     """
 
     values: np.ndarray
-    seed_mask: np.ndarray
     raw: np.ndarray
     max_raw: float
-    flat: bool
+
+    @property
+    def flat(self) -> bool:
+        return self.max_raw == 0.0
 
 
 def speed_field(image: np.ndarray, sp: SpeedParams, d_e: np.ndarray | None = None) -> np.ndarray:
@@ -283,9 +285,8 @@ def solve_eikonal(
 
     raw = dist.copy()
     max_raw = float(raw.max())
-    flat = max_raw == 0.0
-    values = raw.copy() if flat else raw / max_raw
-    return DistanceMap(values, seed_bin.copy(), raw, max_raw, flat)
+    values = raw.copy() if max_raw == 0.0 else raw / max_raw
+    return DistanceMap(values, raw, max_raw)
 
 
 def distance_for_mask(

@@ -22,6 +22,10 @@ finite differences of the summed energy to truncation error.  The
 explicit Euler stepper descends that same discrete gradient, which is a
 consistent discretization of the classical curvature-based flow and keeps
 the per-step energy trace monotone.
+
+``evolve``, ``energy_total``, ``region_stats`` and ``grad_energy_wrt_mask``
+validate their fields; the other functions are kernels that trust theirs
+(see :mod:`levelflow.field`).
 """
 
 from __future__ import annotations
@@ -142,19 +146,16 @@ class EnergyReport:
 
 def heaviside(phi: np.ndarray, p: HeavisideParams) -> np.ndarray:
     """H(s) = 1/2 (1 + (2/pi) arctan(s / eps)); values in the open (0, 1)."""
-    phi = as_field(phi, "phi")
     return 0.5 + np.arctan(phi / p.epsilon) / np.pi
 
 
 def dirac(phi: np.ndarray, p: HeavisideParams) -> np.ndarray:
     """delta(s) = (1/pi) eps / (eps^2 + s^2) = dH/ds; peak 1/(pi eps) at 0."""
-    phi = as_field(phi, "phi")
     return (p.epsilon / np.pi) / (p.epsilon * p.epsilon + phi * phi)
 
 
 def mask_to_levelset(y: np.ndarray, mapping: str = "offset") -> np.ndarray:
     """Map a soft mask in [0, 1] to a level set function."""
-    y = as_field(y, "mask")
     if mapping == "offset":
         return y - 0.5
     if mapping == "literal":
@@ -166,8 +167,6 @@ def region_stats_from_weights(
     image: np.ndarray, w_in: np.ndarray, var_floor: float = VAR_FLOOR_DEFAULT
 ) -> RegionStats:
     """Weighted two-region statistics with arbitrary inside weights in [0, 1]."""
-    image = as_field(image, "image")
-    w_in = np.asarray(w_in, dtype=np.float64)
     check_same_shape(image, w_in)
     w_out = 1.0 - w_in
     n = image.size
@@ -199,12 +198,13 @@ def region_stats(
     var_floor: float = VAR_FLOOR_DEFAULT,
 ) -> RegionStats:
     """Region statistics weighted by H(phi) / 1 - H(phi)."""
+    image = as_field(image, "image")
+    phi = as_field(phi, "phi")
     return region_stats_from_weights(image, heaviside(phi, p), var_floor)
 
 
 def nll_fields(image: np.ndarray, stats: RegionStats) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel Gaussian negative log-likelihoods (e1, e2) for both regions."""
-    image = as_field(image, "image")
     with np.errstate(over="ignore", invalid="ignore"):  # saturation feeds the divergence guard
         e1 = np.log(stats.var_in) + (image - stats.mean_in) ** 2 / stats.var_in
         e2 = np.log(stats.var_out) + (image - stats.mean_out) ** 2 / stats.var_out
@@ -214,8 +214,6 @@ def nll_fields(image: np.ndarray, stats: RegionStats) -> tuple[np.ndarray, np.nd
 def energy_region(
     image: np.ndarray, phi: np.ndarray, p: HeavisideParams, stats: RegionStats
 ) -> float:
-    image = as_field(image, "image")
-    phi = as_field(phi, "phi")
     check_same_shape(image, phi)
     h = heaviside(phi, p)
     e1, e2 = nll_fields(image, stats)
@@ -229,7 +227,6 @@ def energy_length(phi: np.ndarray, p: HeavisideParams) -> float:
 
 
 def energy_area(phi: np.ndarray, p: HeavisideParams, prior: AreaPrior) -> float:
-    phi = as_field(phi, "phi")
     prior.check_domain(phi.size)
     h = heaviside(phi, p)
     m_in = float(h.sum())
@@ -238,8 +235,6 @@ def energy_area(phi: np.ndarray, p: HeavisideParams, prior: AreaPrior) -> float:
 
 
 def energy_distance(phi: np.ndarray, p: HeavisideParams, dist: np.ndarray) -> float:
-    phi = as_field(phi, "phi")
-    dist = as_field(dist, "dist")
     check_same_shape(phi, dist)
     if dist.min() < 0:
         raise InvalidInputError("distance field must be non-negative")
@@ -257,6 +252,9 @@ def energy_total(
     var_floor: float = VAR_FLOOR_DEFAULT,
 ) -> EnergyReport:
     """Evaluate all four terms; region statistics recomputed from phi unless given."""
+    image = as_field(image, "image")
+    phi = as_field(phi, "phi")
+    dist = as_field(dist, "dist")
     if stats is None:
         stats = region_stats(image, phi, p, var_floor)
     e_region = energy_region(image, phi, p, stats)
@@ -307,7 +305,6 @@ def grad_energy_wrt_mask(
     w: EnergyWeights,
     prior: AreaPrior,
     dist: np.ndarray,
-    freeze_stats: bool = True,
     stats: RegionStats | None = None,
     var_floor: float = VAR_FLOOR_DEFAULT,
     grad_floor: float = GRAD_FLOOR_DEFAULT,
@@ -315,17 +312,17 @@ def grad_energy_wrt_mask(
 ) -> np.ndarray:
     """Pointwise dE/dy for a soft mask y through the phi(y) mapping.
 
-    With ``freeze_stats`` the statistics (supplied or computed once at y)
-    are held constant.  Without it they are recomputed at y, which gives
-    the same value: at their closed forms the partial derivatives of the
-    energy with respect to the statistics vanish, and a variance pinned at
-    the floor is locally constant.
+    The statistics, supplied or else computed at y, are held constant.
+    Computed at y, they give the same value as letting them vary: at their
+    closed forms the partial derivatives of the energy with respect to the
+    statistics vanish, and a variance pinned at the floor is locally
+    constant.
     """
     image = as_field(image, "image")
     y = as_field(y, "mask")
-    check_same_shape(image, y)
+    check_same_shape(image, y, dist)
     phi = mask_to_levelset(y, mapping)
-    if stats is None or not freeze_stats:
+    if stats is None:
         stats = region_stats(image, phi, p, var_floor)
     # d(phi)/dy = 1 for both supported mappings.
     return _grad_energy_wrt_phi(image, phi, p, w, prior, dist, stats, grad_floor)
@@ -365,9 +362,8 @@ def evolve(
     dist = as_field(dist, "dist")
     check_same_shape(image, dist)
     trace = np.empty((steps, 5), dtype=np.float64)
-    stats = None
     for n in range(steps):
-        if stats is None or n % stats_refresh == 0:
+        if n % stats_refresh == 0:
             stats = region_stats(image, phi, p, var_floor)
         g = _grad_energy_wrt_phi(image, phi, p, w, prior, dist, stats, grad_floor)
         phi = phi - dt * g

@@ -35,15 +35,6 @@ _PROBE_TAG = 0x50524F42  # "PROB"
 
 
 @dataclass(frozen=True)
-class TdField:
-    """Per-pixel topological derivative; sign convention: flipping a pixel
-    out of its current region changes the energy by (direction sign) * T."""
-
-    values: np.ndarray
-    model: str
-
-
-@dataclass(frozen=True)
 class NucleationProbe:
     row: int
     col: int
@@ -64,28 +55,25 @@ def _hard_stats(image, mask_bin, var_floor) -> RegionStats:
     return region_stats_from_weights(image, mask_bin.astype(np.float64), var_floor)
 
 
-def td_field_cv(
-    image: np.ndarray, mask: np.ndarray, var_floor: float = VAR_FLOOR_DEFAULT
-) -> TdField:
-    """Piecewise-constant-model TD field from hard region means."""
+def td_field(
+    image: np.ndarray, mask: np.ndarray, model: str = "cv", var_floor: float = VAR_FLOOR_DEFAULT
+) -> np.ndarray:
+    """Per-pixel topological derivative T from hard region statistics.
+
+    Sign convention: flipping a pixel out of its current region changes
+    the energy by (direction sign) * T.  The "cv" model uses the region
+    means alone, the "gaussian" model the full two-phase likelihoods.
+    """
+    if model not in TD_MODELS:
+        raise InvalidInputError(f"unknown energy model {model!r}, expected one of {TD_MODELS}")
     image = as_field(image, "image")
     mask = as_field(mask, "mask")
     check_same_shape(image, mask)
     stats = _hard_stats(image, binarize(mask), var_floor)
-    t = -((image - stats.mean_in) ** 2) + (image - stats.mean_out) ** 2
-    return TdField(values=t, model="cv")
-
-
-def td_field_gaussian(
-    image: np.ndarray, mask: np.ndarray, var_floor: float = VAR_FLOOR_DEFAULT
-) -> TdField:
-    """Two-phase Gaussian-model TD field from hard region statistics."""
-    image = as_field(image, "image")
-    mask = as_field(mask, "mask")
-    check_same_shape(image, mask)
-    stats = _hard_stats(image, binarize(mask), var_floor)
+    if model == "cv":
+        return -((image - stats.mean_in) ** 2) + (image - stats.mean_out) ** 2
     e1, e2 = nll_fields(image, stats)
-    return TdField(values=e2 - e1, model="gaussian")
+    return e2 - e1
 
 
 def _disk_pixels(shape, probe: NucleationProbe) -> np.ndarray:
@@ -191,21 +179,13 @@ def verify_td(
     added and compared against -T(x) (the reverse move flips the sign of
     the first-order sensitivity).
     """
-    if model not in TD_MODELS:
-        raise InvalidInputError(f"unknown energy model {model!r}, expected one of {TD_MODELS}")
     if samples < 1:
         raise InvalidInputError("samples must be at least 1")
-    image = as_field(image, "image")
-    mask = as_field(mask, "mask")
-    check_same_shape(image, mask)
-    h, w = image.shape
+    t = td_field(image, mask, model, var_floor)
+    h, w = t.shape
     if h <= 2 * radius or w <= 2 * radius:
         raise InvalidInputError("grid too small for the probe radius")
 
-    field = td_field_cv(image, mask, var_floor) if model == "cv" else td_field_gaussian(
-        image, mask, var_floor
-    )
-    t = field.values
     tie_threshold = tie_factor * float(np.abs(t).max())
     mask_bin = binarize(mask)
 

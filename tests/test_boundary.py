@@ -1,0 +1,162 @@
+"""Where fields are validated: entry points reject bad fields, kernels
+trust theirs.
+
+The rule is stated in the ``levelflow.field`` module docstring.  The
+entry-point table checks that every public entry point still turns a
+non-finite, wrong-rank or mismatched field into ``InvalidInputError``; the
+guard checks that the inner kernels make no ``as_field`` call of their own.
+"""
+
+import inspect
+import os
+import sys
+
+import numpy as np
+import pytest
+
+import levelflow as lf
+from levelflow import field, levelset
+from levelflow.errors import InvalidInputError
+
+SHAPE = (16, 16)
+MASK = np.zeros(SHAPE)
+MASK[4:12, 4:12] = 1.0
+IMAGE = MASK + 0.05 * np.cos(np.arange(SHAPE[1]))
+P = lf.HeavisideParams()
+W = lf.EnergyWeights()
+PRIOR = lf.AreaPrior(64.0, 192.0)
+SCHED = lf.make_schedule(5, 0.01, 0.3)
+PROBE = lf.NucleationProbe(8, 8, 2, "remove-from-inside")
+
+# Each entry point as a call taking its field arguments by name.  MASK is a
+# well-formed value for every one of them; the tests swap one for a bad field.
+ENTRY_POINTS = {
+    "evolve": lambda image, phi0, dist: lf.evolve(image, phi0 - 0.5, P, W, PRIOR, dist),
+    "energy_total": lambda image, phi, dist: lf.energy_total(image, phi - 0.5, P, W, PRIOR, dist),
+    "region_stats": lambda image, phi: lf.region_stats(image, phi - 0.5, P),
+    "grad_energy_wrt_mask": lambda image, y, dist: lf.grad_energy_wrt_mask(
+        image, y, P, W, PRIOR, dist
+    ),
+    "sample": lambda image, mode_mask: lf.sample(
+        image, lf.MixtureMaskProvider((mode_mask,), (1.0,)), SCHED, lf.GuidancePolicy(), seed=0
+    ),
+    "chain_rule_grad": lambda yt, eps, image: lf.chain_rule_grad(yt, eps, 3, SCHED, image),
+    "forward_sample": lambda y0, noise: lf.forward_sample(y0, 3, SCHED, noise),
+    "dpm_loss": lambda eps_true, eps_hat: lf.dpm_loss(eps_true, eps_hat),
+    "FrozenFieldProvider": lambda eps, yt: lf.FrozenFieldProvider(eps).eps_hat(yt, 3, SCHED),
+    "MixtureMaskProvider": lambda m1, m2: lf.MixtureMaskProvider((m1, m2), (0.5, 0.5)),
+    "speed_field": lambda image, d_e: lf.speed_field(image, lf.SpeedParams(), d_e),
+    "solve_eikonal": lambda speed, seed: lf.solve_eikonal(speed + 1.0, seed),
+    "distance_for_mask": lambda image, mask: lf.distance_for_mask(image, mask),
+    "td_field": lambda image, mask: lf.td_field(image, mask),
+    "nucleation_delta": lambda image, mask: lf.nucleation_delta(image, mask, PROBE),
+    "verify_td": lambda image, mask: lf.verify_td(image, mask, samples=5),
+    "refine": lambda mask, image: lf.refine(mask, lf.affinity_kernel(image), 2),
+    "par_loss": lambda mask, refined: lf.par_loss(mask, refined),
+    "confusion": lambda pred, gt: lf.confusion(pred, gt),
+    "affinity_kernel": lambda image: lf.affinity_kernel(image),
+    "window_intensity": lambda image: lf.window_intensity(image, 0.5, 1.0),
+    "divergence_of_normalized_gradient": lambda phi: lf.divergence_of_normalized_gradient(phi),
+    "save_field": lambda f: lf.save_field(f, os.devnull),
+}
+FIELDS = {name: list(inspect.signature(call).parameters) for name, call in ENTRY_POINTS.items()}
+
+# Fields an entry point takes on trust, with only their shape checked.  The
+# sampler hands grad_energy_wrt_mask a distance map it computed itself, and
+# a scan per guided step would cost more than the rest of that step's
+# checks; a provider's eps_hat is a kernel that sample calls with its own y.
+SHAPE_ONLY = {("grad_energy_wrt_mask", "dist"), ("FrozenFieldProvider", "yt")}
+
+
+def _with_nan(f):
+    out = f.copy()
+    out[3, 5] = np.nan
+    return out
+
+
+# A 1-D field next to 2-D partners may be caught by either check.
+BAD = {
+    "nan": (_with_nan, "non-finite"),
+    "1-d": (np.ravel, "2-D|shape"),
+    "shape": (lambda f: f[:, :12], "shape"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_point_accepts_valid_fields(name):
+    ENTRY_POINTS[name](*(MASK.copy() for _ in FIELDS[name]))
+
+
+def _cases():
+    for name, args in sorted(FIELDS.items()):
+        for arg in args:
+            yield from ((name, arg, bad) for bad in ("nan", "1-d") if (name, arg) not in SHAPE_ONLY)
+            if len(args) > 1:
+                yield name, arg, "shape"
+
+
+@pytest.mark.parametrize("name, arg, bad", list(_cases()))
+def test_entry_point_rejects_bad_field(name, arg, bad):
+    make, message = BAD[bad]
+    fields = {a: make(MASK) if a == arg else MASK.copy() for a in FIELDS[name]}
+    with pytest.raises(InvalidInputError, match=message):
+        ENTRY_POINTS[name](**fields)
+
+
+@pytest.fixture
+def as_field_calls(monkeypatch):
+    """Count ``as_field`` calls through every ``levelflow`` module binding it."""
+    calls = []
+    original = field.as_field
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("levelflow") and getattr(module, "as_field", None) is original:
+            monkeypatch.setattr(module, "as_field", counting)
+    return calls
+
+
+STATS = lf.region_stats(IMAGE, MASK - 0.5, P)
+PROVIDER = lf.MixtureMaskProvider((MASK, 1.0 - MASK), (0.5, 0.5))
+Z = np.zeros(SHAPE)
+KERNELS = {
+    "heaviside": lambda: lf.heaviside(MASK, P),
+    "dirac": lambda: lf.dirac(MASK, P),
+    "mask_to_levelset": lambda: lf.mask_to_levelset(MASK),
+    "nll_fields": lambda: levelset.nll_fields(IMAGE, STATS),
+    "region_stats_from_weights": lambda: levelset.region_stats_from_weights(IMAGE, MASK),
+    "energy_region": lambda: lf.energy_region(IMAGE, MASK - 0.5, P, STATS),
+    "energy_length": lambda: lf.energy_length(MASK - 0.5, P),
+    "energy_area": lambda: lf.energy_area(MASK - 0.5, P, PRIOR),
+    "energy_distance": lambda: lf.energy_distance(MASK - 0.5, P, Z),
+    "gradient": lambda: lf.gradient(IMAGE),
+    "gradient_adjoint": lambda: lf.gradient_adjoint(IMAGE, MASK),
+    "predict_y0": lambda: lf.predict_y0(MASK, Z, 3, SCHED),
+    "reverse_step": lambda: lf.reverse_step(MASK, Z, 3, SCHED, Z),
+    "guided_eps": lambda: lf.guided_eps(Z, MASK, 3, SCHED, lf.GuidancePolicy()),
+    "guided_score": lambda: lf.guided_score(Z, MASK, 0.3),
+    "MixtureMaskProvider.eps_hat": lambda: PROVIDER.eps_hat(MASK, 3, SCHED),
+    "MixtureMaskProvider.responsibilities": lambda: PROVIDER.responsibilities(MASK, 3, SCHED),
+    "MixtureMaskProvider.log_marginal": lambda: PROVIDER.log_marginal(MASK, 3, SCHED),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_trusts_its_arrays(as_field_calls, name):
+    KERNELS[name]()
+    assert as_field_calls == []
+
+
+def test_evolve_step_validates_a_fixed_number_of_fields(as_field_calls):
+    counts = []
+    for steps in (1, 3):
+        as_field_calls.clear()
+        lf.evolve(IMAGE, MASK - 0.5, P, W, PRIOR, Z, steps=steps)
+        counts.append(len(as_field_calls))
+    # evolve checks its 3 fields once; each step re-enters the region_stats
+    # and energy_total entry points (2 + 3 + 2 fields)
+    assert counts[0] <= 10
+    assert (counts[1] - counts[0]) / 2 <= 7

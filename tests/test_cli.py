@@ -128,6 +128,20 @@ class TestConfig:
         assert main(["phantom", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
 
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("numerics", "var_floor", "abc"), ("area", "a1_target", "abc"),
+         ("sampler", "distance_refresh", "x"), ("area", "overridden", "yes")],
+    )
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, section, key, value):
+        doc = ExperimentConfig().to_dict()
+        doc[section][key] = value
+        with pytest.raises(InvalidInputError, match=f"{section}.{key}"):
+            config_from_dict(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["phantom", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+
     def test_oversized_integer_rejected(self, tmp_path):
         digits = "9" * 5000  # beyond the interpreter's integer conversion limit
         text = json.dumps(ExperimentConfig().to_dict()).replace('"seed": 0', f'"seed": {digits}')
@@ -335,6 +349,14 @@ class TestOtherCommands:
                    "--mode-mask", str(phantom_dir / "fields/gt_mask.lsf1"),
                    "--out", str(tmp_path / "both")])
         assert rc == 1
+
+    def test_sample_mode_mask_of_another_size_invalid(self, phantom_dir, tmp_path, capsys):
+        small = tmp_path / "small.lsf1"
+        lf.save_field(np.zeros((32, 32)), small)
+        rc = main(["sample", "--image", str(phantom_dir / "fields/image.lsf1"),
+                   "--mode-mask", str(small), "--steps", "4", "--out", str(tmp_path / "s")])
+        assert rc == 1
+        assert "(32, 32)" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, phantom_dir, tmp_path):
         # near-hard Heaviside plus an all-ones mask starves the outside

@@ -328,16 +328,15 @@ class TestGradient:
         assert rel_inf_err(analytic, fd) <= 1e-3
 
     def test_freeze_flag_equals_fresh_stats(self):
-        # envelope property: at freshly computed statistics the frozen and
-        # recomputed gradients coincide
+        # statistics supplied from region_stats at y and statistics the
+        # gradient computes itself give the same bits
         image = uniform_field((35, 3), (10, 10))
         y = uniform_field((35, 4), (10, 10), 0.2, 0.8)
         dist = np.abs(normal_field((35, 5), (10, 10)))
         prior = ls.AreaPrior.from_a1(50.0, 100)
-        g1 = ls.grad_energy_wrt_mask(image, y, P, ls.EnergyWeights(), prior, dist,
-                                     freeze_stats=True)
-        g2 = ls.grad_energy_wrt_mask(image, y, P, ls.EnergyWeights(), prior, dist,
-                                     freeze_stats=False)
+        stats = ls.region_stats(image, ls.mask_to_levelset(y), P)
+        g1 = ls.grad_energy_wrt_mask(image, y, P, ls.EnergyWeights(), prior, dist, stats=stats)
+        g2 = ls.grad_energy_wrt_mask(image, y, P, ls.EnergyWeights(), prior, dist)
         assert np.array_equal(g1, g2)
 
 

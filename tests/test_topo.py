@@ -18,7 +18,7 @@ def two_constant(n=32):
 class TestTdFieldCv:
     def test_two_constant_substitution(self):
         image, mask = two_constant()
-        t = topo.td_field_cv(image, mask).values
+        t = topo.td_field(image, mask, "cv")
         # inside pixel (f = 1, c1 = 1, c2 = 0): flipping it out raises energy
         assert t[0, 0] == pytest.approx(1.0, rel=1e-12)
 
@@ -28,14 +28,14 @@ class TestTdFieldCv:
         image, mask = two_constant()
         image[5, 20] = 0.5
         image[9, 20] = -0.5
-        t = topo.td_field_cv(image, mask).values
+        t = topo.td_field(image, mask, "cv")
         assert t[5, 20] == pytest.approx(0.0, abs=1e-12)
 
     def test_sign_matches_boundary_drive(self):
         # the descent drive delta(phi) * T is a positive multiple of T
         image, mask = two_constant()
         image += 0.01 * normal_field((40, 0), image.shape)
-        t = topo.td_field_cv(image, mask).values
+        t = topo.td_field(image, mask, "cv")
         phi = ls.mask_to_levelset(mask)
         drive = ls.dirac(phi, ls.HeavisideParams()) * t
         nonzero = t != 0
@@ -44,7 +44,7 @@ class TestTdFieldCv:
     def test_degenerate_region(self):
         image = np.ones((16, 16))
         with pytest.raises(DegenerateRegionError):
-            topo.td_field_cv(image, np.ones((16, 16)))
+            topo.td_field(image, np.ones((16, 16)), "cv")
 
 
 class TestTdFieldGaussian:
@@ -58,7 +58,7 @@ class TestTdFieldGaussian:
         image = 10.0 * (1.0 - mask) + pm
         image[8, 8] = 0.0
         image[10, 9] = 0.0  # second flip keeps the +1/-1 counts balanced
-        t = topo.td_field_gaussian(image, mask).values
+        t = topo.td_field(image, mask, "gaussian")
         st = ls.region_stats_from_weights(image, mask)
         assert st.mean_in == pytest.approx(0.0, abs=1e-12)
         assert st.mean_out == pytest.approx(10.0, abs=1e-12)
@@ -76,7 +76,7 @@ class TestTdFieldGaussian:
         checker = ((rows + cols) % 2 * 2 - 1).astype(float)
         image = 2.0 * mask + 0.5 * checker
         image[11, 90] = 1.0
-        t = topo.td_field_gaussian(image, mask).values
+        t = topo.td_field(image, mask, "gaussian")
         assert abs(t[11, 90]) <= 0.01 * np.abs(t).max()
 
     def test_equal_variance_reduces_to_cv(self):
@@ -87,15 +87,15 @@ class TestTdFieldGaussian:
         image = 2.0 * mask + 0.5 * checker  # both regions: variance 0.25 exactly
         st = ls.region_stats_from_weights(image, mask)
         assert st.var_in == pytest.approx(st.var_out, rel=1e-12)
-        t_cv = topo.td_field_cv(image, mask).values
-        t_g = topo.td_field_gaussian(image, mask).values
+        t_cv = topo.td_field(image, mask, "cv")
+        t_g = topo.td_field(image, mask, "gaussian")
         assert np.allclose(t_g, t_cv / st.var_in, rtol=1e-9)
 
 
 class TestNucleationDelta:
     def test_interior_cv_delta_close_to_td(self, two_disks_64):
         image, gt = two_disks_64
-        t = topo.td_field_cv(image, gt).values
+        t = topo.td_field(image, gt, "cv")
         probe = topo.NucleationProbe(row=43, col=42, radius=1, direction="remove-from-inside")
         delta = topo.nucleation_delta(image, gt, probe, "cv")
         n_bg = (gt == 0).sum()
@@ -114,7 +114,7 @@ class TestNucleationDelta:
 
     def test_radius_sequence_monotone_convergence(self, two_disks_64):
         image, gt = two_disks_64
-        t = topo.td_field_cv(image, gt).values[43, 42]
+        t = topo.td_field(image, gt, "cv")[43, 42]
         errs = []
         for radius in (3, 2, 1):
             probe = topo.NucleationProbe(43, 42, radius, "remove-from-inside")
@@ -152,7 +152,7 @@ class TestNucleationDelta:
         # doubling the pixel count roughly halves the oracle-vs-field gap
         def gap(size):
             image, gt = lf.make_phantom(lf.PhantomSpec(kind="two-disks", size=size, seed=7))
-            t = topo.td_field_cv(image, gt).values
+            t = topo.td_field(image, gt, "cv")
             r, c = int(0.68 * size), int(0.66 * size)
             probe = topo.NucleationProbe(r, c, 2, "remove-from-inside")
             return abs(topo.nucleation_delta(image, gt, probe, "cv") - t[r, c])
