@@ -34,13 +34,11 @@ from .errors import (
 from .field import (
     PhantomSpec,
     binarize,
-    divergence_of_normalized_gradient,
     gradient,
     gradient_adjoint,
     load_field,
     make_phantom,
     save_field,
-    window_intensity,
 )
 from .geodesic import DistanceMap, SpeedParams, distance_for_mask, solve_eikonal, speed_field
 from .levelset import (

@@ -116,10 +116,12 @@ class _Run:
             fh.write(_dump_json(manifest))
 
 
+_TERMS = tuple(c.removeprefix("e_") for c in levelset.TRACE_COLUMNS)
+
+
 def _final(trace) -> dict:
     """The last trace row keyed by term; a degenerate (NaN) row becomes null."""
-    keys = (c.removeprefix("e_") for c in levelset.TRACE_COLUMNS)
-    return {k: None if math.isnan(v) else v for k, v in zip(keys, trace[-1])}
+    return {k: None if math.isnan(v) else v for k, v in zip(_TERMS, trace[-1])}
 
 
 def _load_input(path, name: str):
@@ -278,13 +280,14 @@ def _cmd_energy(a, cfg: ExperimentConfig, run: _Run):
     if dist is None:
         dist = geodesic.distance_for_mask(image, mask, cfg.speed).values
         run.add_field("fields/distance.lsf1", dist)
-    phi = levelset.mask_to_levelset(mask, cfg.numerics.mapping)
+    phi = levelset.mask_to_levelset(mask)
     prior = _area_prior(cfg, image.size, cfg.area.a1_target, float(binarize(mask).sum()))
     stats = levelset.region_stats(image, phi, cfg.heaviside, cfg.numerics.var_floor)
     report = levelset.energy_total(
         image, phi, cfg.heaviside, cfg.weights, prior, dist, stats=stats
     )
-    run.add_json("reports/energy.json", {**report.to_json_dict(), "stats": _dashed(stats)})
+    doc = {**dict(zip(_TERMS, report.as_row())), "weights": asdict(cfg.weights)}
+    run.add_json("reports/energy.json", {**doc, "stats": _dashed(stats)})
 
 
 def _parse_box(text: str):
@@ -376,7 +379,7 @@ def _cmd_td_verify(a, cfg: ExperimentConfig, run: _Run):
     )
     td = topo.td_field(image, mask, a.model, cfg.numerics.var_floor)
     run.add_field("fields/td_field.lsf1", td)
-    run.add_json("reports/td_verify.json", report.to_json_dict())
+    run.add_json("reports/td_verify.json", _dashed(report))
 
 
 @_command(
@@ -436,10 +439,6 @@ _SCHEDULE_FLAGS = (
 )
 
 
-def _schedule(a, cfg: ExperimentConfig) -> diffusion.DiffusionSchedule:
-    return diffusion.make_schedule(a.steps, a.beta1, a.betaT, cfg.schedule.kind)
-
-
 @_command(
     "sample",
     "energy-guided reverse diffusion sampling",
@@ -472,7 +471,7 @@ def _cmd_sample(a, cfg: ExperimentConfig, run: _Run):
             masks=masks, weights=tuple(weights), noise_scale=a.noise_scale
         )
         n_modes = len(masks)
-    sched = _schedule(a, cfg)
+    sched = diffusion.make_schedule(a.steps, a.beta1, a.betaT)
     gp = diffusion.GuidancePolicy(gamma0=a.gamma0, schedule=a.gamma_schedule)
     gcfg = diffusion.GuidanceConfig(
         heaviside=cfg.heaviside,
@@ -481,7 +480,6 @@ def _cmd_sample(a, cfg: ExperimentConfig, run: _Run):
         speed=cfg.speed,
         var_floor=cfg.numerics.var_floor,
         grad_floor=cfg.numerics.grad_floor,
-        mapping=cfg.numerics.mapping,
         distance_refresh=cfg.sampler.distance_refresh,
     )
     result = diffusion.sample(
@@ -533,7 +531,7 @@ def _cmd_metrics(a, cfg: ExperimentConfig, run: _Run):
 def _cmd_losses(a, cfg: ExperimentConfig, run: _Run):
     image = _load_input(a.image, "image")
     mask = _load_input(a.mask, "mask")
-    sched = _schedule(a, cfg)
+    sched = diffusion.make_schedule(a.steps, a.beta1, a.betaT)
     eps_true = rng.normals(rng.derive_key(a.seed, _LOSS_NOISE_TAG), image.shape)
     yt = diffusion.forward_sample(mask, a.t, sched, eps_true)
     eps_hat = _load_input(a.eps_hat, "eps-hat")
@@ -542,7 +540,7 @@ def _cmd_losses(a, cfg: ExperimentConfig, run: _Run):
     l_dpm = diffusion.dpm_loss(eps_true, eps_hat, a.w_t)
 
     yhat0 = np.clip(diffusion.predict_y0(yt, eps_hat, a.t, sched), 0.0, 1.0)
-    phi = levelset.mask_to_levelset(yhat0, cfg.numerics.mapping)
+    phi = levelset.mask_to_levelset(yhat0)
     # The localization distance grows from the clean training mask.
     dist = geodesic.distance_for_mask(image, mask, cfg.speed).values
     prior = _area_prior(cfg, image.size, cfg.area.a1_target, float(binarize(mask).sum()))

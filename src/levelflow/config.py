@@ -3,7 +3,10 @@
 The document is versioned, validated strictly (unknown keys anywhere are
 rejected so typos cannot silently fall back to defaults, and each value
 must have its field's annotated type), and reproduced verbatim into run
-manifests so any run can be repeated from its manifest alone.
+manifests so any run can be repeated from its manifest alone.  Settings
+that once had a single legal value and are gone now (``schedule.kind``,
+``numerics.mapping``) are dropped at that value, so older manifests still
+replay; any other value is an unknown key.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from .levelset import GRAD_FLOOR_DEFAULT, VAR_FLOOR_DEFAULT, EnergyWeights, Heav
 from .par import ParParams
 
 SCHEMA_VERSION = 1
+_RETIRED = (("schedule", "kind", "linear"), ("numerics", "mapping", "offset"))
 
 
 @dataclass(frozen=True)
@@ -27,7 +31,6 @@ class ScheduleParams:
     steps: int = 1000
     beta1: float = 1e-4
     betaT: float = 0.02
-    kind: str = "linear"
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,6 @@ class EvolveParams:
 class NumericsParams:
     var_floor: float = VAR_FLOOR_DEFAULT
     grad_floor: float = GRAD_FLOOR_DEFAULT
-    mapping: str = "offset"
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         section = doc.get(name, {})
         if not isinstance(section, dict):
             raise InvalidInputError(f"config section {name!r} must be an object")
+        section = {k: v for k, v in section.items() if (name, k, v) not in _RETIRED}
         hints = typing.get_type_hints(cls)
         bad = set(section) - hints.keys()
         if bad:

@@ -67,11 +67,8 @@ class DiffusionSchedule:
     sigma: np.ndarray
 
 
-def make_schedule(
-    T: int, beta1: float = 1e-4, betaT: float = 0.02, kind: str = "linear"
-) -> DiffusionSchedule:
-    if kind != "linear":
-        raise InvalidInputError(f"unknown schedule kind {kind!r}, expected 'linear'")
+def make_schedule(T: int, beta1: float = 1e-4, betaT: float = 0.02) -> DiffusionSchedule:
+    """Linear variance schedule from beta1 to betaT over T steps."""
     if T < 1:
         raise InvalidInputError("T must be at least 1")
     if not (0.0 < beta1 <= betaT < 1.0):
@@ -198,17 +195,11 @@ class GuidanceConfig:
     speed: geodesic.SpeedParams = geodesic.SpeedParams()
     var_floor: float = levelset.VAR_FLOOR_DEFAULT
     grad_floor: float = levelset.GRAD_FLOOR_DEFAULT
-    mapping: str = "offset"
     distance_refresh: int = DISTANCE_REFRESH_DEFAULT
 
     def __post_init__(self):
         if self.distance_refresh < 1:
             raise InvalidInputError("distance_refresh must be at least 1")
-        if self.mapping not in levelset.MASK_MAPPINGS:
-            raise InvalidInputError(
-                f"unknown mask mapping {self.mapping!r}, "
-                f"expected one of {levelset.MASK_MAPPINGS}"
-            )
 
     def area_prior(self, n_pixels: int) -> levelset.AreaPrior:
         if self.area is not None:
@@ -264,7 +255,6 @@ def chain_rule_grad(
             dist,
             var_floor=cfg.var_floor,
             grad_floor=cfg.grad_floor,
-            mapping=cfg.mapping,
         )
     except DegenerateRegionError:
         warnings.warn(
@@ -455,7 +445,7 @@ def _trace_row(image, y, eps_hat, t, sched, cfg, dist):
     try:
         report = levelset.energy_total(
             image,
-            levelset.mask_to_levelset(yc, cfg.mapping),
+            levelset.mask_to_levelset(yc),
             cfg.heaviside,
             cfg.weights,
             cfg.area_prior(image.size),

@@ -1,4 +1,4 @@
-"""2-D scalar fields: stencils, intensity windowing, file I/O and phantoms.
+"""2-D scalar fields: stencils, file I/O and phantoms.
 
 A field is a plain ``numpy`` array of shape ``(height, width)``, float64,
 C-ordered, indexed ``[row, col]``; x runs along columns, y along rows.
@@ -95,30 +95,6 @@ def gradient_adjoint(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
     out[0, :] += -0.5 * (vy[0, :] + vy[1, :])
     out[-1, :] += 0.5 * (vy[-1, :] + vy[-2, :])
     return out
-
-
-def divergence_of_normalized_gradient(phi: np.ndarray, grad_floor: float = 1e-8) -> np.ndarray:
-    """Curvature field div(grad phi / max(|grad phi|, grad_floor)).
-
-    With the interior-positive orientation this evaluates to -1/r on the
-    boundary of a disk of radius r.  The floor keeps flat regions at
-    exactly zero curvature instead of dividing by zero.
-    """
-    if grad_floor <= 0:
-        raise InvalidInputError("grad_floor must be positive")
-    gx, gy = gradient(as_field(phi, "phi"))
-    norm = np.maximum(np.hypot(gx, gy), grad_floor)
-    dxx, _ = gradient(gx / norm)
-    _, dyy = gradient(gy / norm)
-    return dxx + dyy
-
-
-def window_intensity(f: np.ndarray, level: float, width_w: float) -> np.ndarray:
-    """Clamp to [level - w/2, level + w/2] then rescale linearly to [0, 1]."""
-    if width_w <= 0:
-        raise InvalidInputError("window width must be positive")
-    f = as_field(f)
-    return np.clip((f - (level - 0.5 * width_w)) / width_w, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ from .errors import DivergenceError, InvalidInputError
 from .field import as_field, binarize, check_same_shape, gradient
 
 EIKONAL_TOL_DEFAULT = 1e-6
+_MAX_ITERATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,6 @@ def solve_eikonal(
     seed: np.ndarray,
     tol: float = EIKONAL_TOL_DEFAULT,
     exact_init_radius: int = 8,
-    max_iterations: int = 10_000,
 ) -> DistanceMap:
     """Solve |grad D| = speed with D = 0 on the seed set, then normalize.
 
@@ -253,7 +253,7 @@ def solve_eikonal(
     # One dirty flag per diagonal per family, padded by one at each end.
     flags = np.ones((2, h + w + 1), dtype=bool)
     with np.errstate(invalid="ignore"):
-        for _ in range(max_iterations):
+        for _ in range(_MAX_ITERATIONS):
             prev = dist.copy()
             for family, st, diagonals in _schedule(speed.shape):
                 own, other = flags[family], flags[1 - family]
@@ -281,7 +281,7 @@ def solve_eikonal(
             if np.isfinite(dist).all() and (prev - dist).max() < scale:
                 break
         else:
-            raise DivergenceError("fast sweeping did not converge", step=max_iterations)
+            raise DivergenceError("fast sweeping did not converge", step=_MAX_ITERATIONS)
 
     raw = dist.copy()
     max_raw = float(raw.max())
@@ -294,10 +294,9 @@ def distance_for_mask(
     mask: np.ndarray,
     sp: SpeedParams = SpeedParams(),
     d_e: np.ndarray | None = None,
-    tol: float = EIKONAL_TOL_DEFAULT,
 ) -> DistanceMap:
     """Distance map grown from the thresholded mask over the image's speed field."""
     image = as_field(image, "image")
     mask = as_field(mask, "mask")
     check_same_shape(image, mask)
-    return solve_eikonal(speed_field(image, sp, d_e), binarize(mask), tol=tol)
+    return solve_eikonal(speed_field(image, sp, d_e), binarize(mask))

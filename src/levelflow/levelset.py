@@ -11,9 +11,8 @@ two-sided area prior and a seed-distance penalty.  Region statistics have
 closed forms given phi and are treated as constants inside a gradient
 evaluation (their back-reaction vanishes at the closed-form optimum).
 
-Masks y in [0, 1] map to level sets by phi = y - 0.5 ("offset", default),
-putting the contour at mask value 0.5; the degenerate identity mapping
-phi = y is kept available as "literal".
+Masks y in [0, 1] map to level sets by phi = y - 0.5, putting the contour
+at mask value 0.5.
 
 All gradients here are exact gradients of the *discretized* energies (the
 perimeter term differentiates through the discrete stencils via
@@ -40,7 +39,6 @@ from .field import as_field, check_same_shape, gradient, gradient_adjoint
 
 VAR_FLOOR_DEFAULT = 1e-6
 GRAD_FLOOR_DEFAULT = 1e-8
-MASK_MAPPINGS = ("offset", "literal")
 
 TRACE_COLUMNS = ("e_region", "e_length", "e_area", "e_distance", "e_total")
 
@@ -121,22 +119,6 @@ class EnergyReport:
     e_area: float
     e_distance: float
     e_total: float
-    weights: EnergyWeights
-
-    def to_json_dict(self) -> dict:
-        return {
-            "region": self.e_region,
-            "length": self.e_length,
-            "area": self.e_area,
-            "distance": self.e_distance,
-            "total": self.e_total,
-            "weights": {
-                "lambda1": self.weights.lambda1,
-                "lambda2": self.weights.lambda2,
-                "lambda3": self.weights.lambda3,
-                "lambda4": self.weights.lambda4,
-            },
-        }
 
     def as_row(self) -> np.ndarray:
         return np.array(
@@ -154,19 +136,17 @@ def dirac(phi: np.ndarray, p: HeavisideParams) -> np.ndarray:
     return (p.epsilon / np.pi) / (p.epsilon * p.epsilon + phi * phi)
 
 
-def mask_to_levelset(y: np.ndarray, mapping: str = "offset") -> np.ndarray:
-    """Map a soft mask in [0, 1] to a level set function."""
-    if mapping == "offset":
-        return y - 0.5
-    if mapping == "literal":
-        return y.copy()
-    raise InvalidInputError(f"unknown mask mapping {mapping!r}, expected one of {MASK_MAPPINGS}")
+def mask_to_levelset(y: np.ndarray) -> np.ndarray:
+    """Map a soft mask in [0, 1] to a level set function with its contour at 0.5."""
+    return y - 0.5
 
 
 def region_stats_from_weights(
     image: np.ndarray, w_in: np.ndarray, var_floor: float = VAR_FLOOR_DEFAULT
 ) -> RegionStats:
     """Weighted two-region statistics with arbitrary inside weights in [0, 1]."""
+    if not 0 < var_floor < math.inf:
+        raise InvalidInputError(f"var_floor must be positive and finite, got {var_floor!r}")
     check_same_shape(image, w_in)
     w_out = 1.0 - w_in
     n = image.size
@@ -264,7 +244,7 @@ def energy_total(
     e_total = (
         w.lambda1 * e_region + w.lambda2 * e_length + w.lambda3 * e_area + w.lambda4 * e_distance
     )
-    return EnergyReport(e_region, e_length, e_area, e_distance, e_total, w)
+    return EnergyReport(e_region, e_length, e_area, e_distance, e_total)
 
 
 def _grad_energy_wrt_phi(
@@ -278,6 +258,8 @@ def _grad_energy_wrt_phi(
     grad_floor: float = GRAD_FLOOR_DEFAULT,
 ) -> np.ndarray:
     """Exact gradient of the weighted discrete energy with frozen statistics."""
+    if not 0 < grad_floor < math.inf:
+        raise InvalidInputError(f"grad_floor must be positive and finite, got {grad_floor!r}")
     h = heaviside(phi, p)
     d = dirac(phi, p)
     grad_h = np.zeros_like(phi)
@@ -308,9 +290,8 @@ def grad_energy_wrt_mask(
     stats: RegionStats | None = None,
     var_floor: float = VAR_FLOOR_DEFAULT,
     grad_floor: float = GRAD_FLOOR_DEFAULT,
-    mapping: str = "offset",
 ) -> np.ndarray:
-    """Pointwise dE/dy for a soft mask y through the phi(y) mapping.
+    """Pointwise dE/dy for a soft mask y through phi = y - 0.5.
 
     The statistics, supplied or else computed at y, are held constant.
     Computed at y, they give the same value as letting them vary: at their
@@ -321,10 +302,10 @@ def grad_energy_wrt_mask(
     image = as_field(image, "image")
     y = as_field(y, "mask")
     check_same_shape(image, y, dist)
-    phi = mask_to_levelset(y, mapping)
+    phi = mask_to_levelset(y)
     if stats is None:
         stats = region_stats(image, phi, p, var_floor)
-    # d(phi)/dy = 1 for both supported mappings.
+    # d(phi)/dy = 1
     return _grad_energy_wrt_phi(image, phi, p, w, prior, dist, stats, grad_floor)
 
 

@@ -56,7 +56,6 @@ class AffinityKernel:
     """(H, W, 8) non-negative weights, zero at missing neighbors, rows sum to 1."""
 
     weights: np.ndarray
-    valid: np.ndarray
 
 
 def _neighbor_stack(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +100,7 @@ def affinity_kernel(image: np.ndarray, pp: ParParams = ParParams()) -> AffinityK
     shift = logits.max(axis=2, keepdims=True)
     expd = np.where(valid, np.exp(logits - shift), 0.0)
     weights = expd / expd.sum(axis=2, keepdims=True)
-    return AffinityKernel(weights=weights, valid=valid)
+    return AffinityKernel(weights=weights)
 
 
 def refine(mask: np.ndarray, kernel: AffinityKernel, tau: int) -> np.ndarray:
@@ -115,8 +114,8 @@ def refine(mask: np.ndarray, kernel: AffinityKernel, tau: int) -> np.ndarray:
         )
     out = mask.copy()
     for _ in range(tau):
-        stack, _ = _neighbor_stack(out)
-        out = np.sum(kernel.weights * np.where(kernel.valid, stack, 0.0), axis=2)
+        stack, valid = _neighbor_stack(out)
+        out = np.sum(kernel.weights * np.where(valid, stack, 0.0), axis=2)
     return out
 
 

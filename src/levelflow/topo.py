@@ -19,14 +19,14 @@ first-order fields rather than a restatement of them.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rng
 from .errors import InvalidInputError
 from .field import as_field, binarize, check_same_shape
-from .levelset import VAR_FLOOR_DEFAULT, RegionStats, nll_fields, region_stats_from_weights
+from .levelset import VAR_FLOOR_DEFAULT, nll_fields, region_stats_from_weights
 
 TD_MODELS = ("cv", "gaussian")
 PROBE_DIRECTIONS = ("remove-from-inside", "add-to-inside")
@@ -51,10 +51,6 @@ class NucleationProbe:
             )
 
 
-def _hard_stats(image, mask_bin, var_floor) -> RegionStats:
-    return region_stats_from_weights(image, mask_bin.astype(np.float64), var_floor)
-
-
 def td_field(
     image: np.ndarray, mask: np.ndarray, model: str = "cv", var_floor: float = VAR_FLOOR_DEFAULT
 ) -> np.ndarray:
@@ -69,7 +65,7 @@ def td_field(
     image = as_field(image, "image")
     mask = as_field(mask, "mask")
     check_same_shape(image, mask)
-    stats = _hard_stats(image, binarize(mask), var_floor)
+    stats = region_stats_from_weights(image, binarize(mask).astype(np.float64), var_floor)
     if model == "cv":
         return -((image - stats.mean_in) ** 2) + (image - stats.mean_out) ** 2
     e1, e2 = nll_fields(image, stats)
@@ -92,7 +88,7 @@ def _disk_pixels(shape, probe: NucleationProbe) -> np.ndarray:
 
 
 def _hard_energy(image, mask_bin, model, var_floor) -> float:
-    stats = _hard_stats(image, mask_bin, var_floor)
+    stats = region_stats_from_weights(image, mask_bin.astype(np.float64), var_floor)
     w_in = mask_bin
     if model == "cv":
         e1 = (image - stats.mean_in) ** 2
@@ -156,9 +152,6 @@ class TdVerifyReport:
     max_rel_err: float | None
     sign_agreement_rate: float | None
     all_excluded: bool
-
-    def to_json_dict(self) -> dict:
-        return {k.replace("_", "-"): v for k, v in asdict(self).items()}
 
 
 def verify_td(

@@ -55,8 +55,6 @@ ENTRY_POINTS = {
     "par_loss": lambda mask, refined: lf.par_loss(mask, refined),
     "confusion": lambda pred, gt: lf.confusion(pred, gt),
     "affinity_kernel": lambda image: lf.affinity_kernel(image),
-    "window_intensity": lambda image: lf.window_intensity(image, 0.5, 1.0),
-    "divergence_of_normalized_gradient": lambda phi: lf.divergence_of_normalized_gradient(phi),
     "save_field": lambda f: lf.save_field(f, os.devnull),
 }
 FIELDS = {name: list(inspect.signature(call).parameters) for name, call in ENTRY_POINTS.items()}

@@ -142,6 +142,54 @@ class TestConfig:
         path.write_text(json.dumps(doc))
         assert main(["phantom", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
 
+    @pytest.mark.parametrize(
+        "key, value, command", [("var_floor", -1, "energy"), ("grad_floor", 0, "evolve")]
+    )
+    def test_floor_out_of_range_exits_1(self, phantom_dir, tmp_path, capsys, key, value, command):
+        doc = ExperimentConfig().to_dict()
+        doc["numerics"][key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        inputs = {"energy": ["--mask", str(phantom_dir / "fields/gt_mask.lsf1")],
+                  "evolve": ["--init-box", "13,13,51,51", "--steps", "2"]}[command]
+        assert main([command, "--image", str(phantom_dir / "fields/image.lsf1"), *inputs,
+                     "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        assert key in capsys.readouterr().err
+
+    @staticmethod
+    def _losses(phantom_dir, out, *extra):
+        return main(["losses", "--image", str(phantom_dir / "fields/image.lsf1"),
+                     "--mask", str(phantom_dir / "fields/gt_mask.lsf1"), "--t", "5",
+                     "--steps", "12", "--beta1", "0.01", "--betaT", "0.3", "--out", str(out),
+                     *extra])
+
+    def test_manifest_with_retired_settings_replays(self, phantom_dir, tmp_path):
+        # manifests written before schedule.kind and numerics.mapping were
+        # removed hold their one legal value
+        assert self._losses(phantom_dir, tmp_path / "run") == 0
+        doc = json.load(open(tmp_path / "run/manifest.json"))
+        doc["config"]["schedule"]["kind"] = "linear"
+        doc["config"]["numerics"]["mapping"] = "offset"
+        old = tmp_path / "old_manifest.json"
+        old.write_text(json.dumps(doc))
+        assert main(["losses", "--config", str(old), "--out", str(tmp_path / "replay")]) == 0
+        assert tree_hashes(tmp_path / "replay") == tree_hashes(tmp_path / "run")
+
+    @pytest.mark.parametrize(
+        "section, key, value", [("numerics", "mapping", "literal"), ("schedule", "kind", "cosine")]
+    )
+    def test_retired_setting_at_another_value_rejected(
+        self, phantom_dir, tmp_path, capsys, section, key, value
+    ):
+        doc = ExperimentConfig().to_dict()
+        doc[section][key] = value
+        with pytest.raises(InvalidInputError, match=key):
+            config_from_dict(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert self._losses(phantom_dir, tmp_path / "x", "--config", str(path)) == 1
+        assert key in capsys.readouterr().err
+
     def test_oversized_integer_rejected(self, tmp_path):
         digits = "9" * 5000  # beyond the interpreter's integer conversion limit
         text = json.dumps(ExperimentConfig().to_dict()).replace('"seed": 0', f'"seed": {digits}')

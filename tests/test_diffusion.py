@@ -46,10 +46,6 @@ class TestSchedule:
         with pytest.raises(InvalidInputError):
             dif.make_schedule(0)
 
-    def test_unknown_kind(self):
-        with pytest.raises(InvalidInputError):
-            dif.make_schedule(10, kind="cosine")
-
 
 class TestForwardAndPredict:
     def test_zero_noise_mean(self):

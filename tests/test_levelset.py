@@ -53,10 +53,7 @@ class TestHeaviside:
 
     def test_mask_mappings(self):
         y = uniform_field((30, 1), (4, 4))
-        assert np.allclose(ls.mask_to_levelset(y, "offset"), y - 0.5)
-        assert np.allclose(ls.mask_to_levelset(y, "literal"), y)
-        with pytest.raises(InvalidInputError):
-            ls.mask_to_levelset(y, "sigmoid")
+        assert np.allclose(ls.mask_to_levelset(y), y - 0.5)
 
 
 class TestRegionStats:
@@ -84,7 +81,7 @@ class TestRegionStats:
     def test_weighted_moment_oracle(self):
         image = uniform_field((31, 3), (32, 32))
         phi = normal_field((31, 4), (32, 32))
-        st = ls.region_stats(image, phi, P, var_floor=0.0)
+        st = ls.region_stats(image, phi, P)  # variances near 1/12: the floor does not bind
         w = ls.heaviside(phi, P)
         for weights, mean, var in (
             (w, st.mean_in, st.var_in),
@@ -305,28 +302,6 @@ class TestGradient:
             fd = central_fd_grad(energy, y)
             assert rel_inf_err(analytic, fd) <= 1e-3, name
 
-    def test_literal_mapping_gradient_matches_fd(self):
-        image = uniform_field((35, 6), (10, 10))
-        y = uniform_field((35, 7), (10, 10), 0.15, 0.85)
-        dist = np.abs(normal_field((35, 8), (10, 10)))
-        prior = ls.AreaPrior.from_a1(50.0, 100)
-        stats = ls.region_stats(image, ls.mask_to_levelset(y, "literal"), P)
-        w = ls.EnergyWeights(1.0, 1.0, 1.0, 1.0)
-        analytic = ls.grad_energy_wrt_mask(image, y, P, w, prior, dist, stats=stats,
-                                           mapping="literal")
-
-        def energy(yy):
-            phi = ls.mask_to_levelset(yy, "literal")
-            return (
-                ls.energy_region(image, phi, P, stats)
-                + ls.energy_length(phi, P)
-                + ls.energy_area(phi, P, prior)
-                + ls.energy_distance(phi, P, dist)
-            )
-
-        fd = central_fd_grad(energy, y)
-        assert rel_inf_err(analytic, fd) <= 1e-3
-
     def test_freeze_flag_equals_fresh_stats(self):
         # statistics supplied from region_stats at y and statistics the
         # gradient computes itself give the same bits
@@ -400,11 +375,39 @@ class TestEvolve:
         with pytest.raises(DivergenceError):
             ls.evolve(image, phi0, P, ls.EnergyWeights(), prior, np.zeros_like(image), steps=5)
 
-    def test_report_json_keys(self, two_disks_64):
-        image, gt = two_disks_64
-        prior = ls.AreaPrior.from_a1(float(gt.sum()), gt.size)
-        rep = ls.energy_total(image, ls.mask_to_levelset(gt), P, ls.EnergyWeights(), prior,
-                              np.zeros_like(image))
-        doc = rep.to_json_dict()
-        assert set(doc) == {"region", "length", "area", "distance", "total", "weights"}
-        assert set(doc["weights"]) == {"lambda1", "lambda2", "lambda3", "lambda4"}
+
+FLOOR_IMAGE = np.zeros((16, 16))
+FLOOR_IMAGE[4:12, 4:12] = 1.0
+FLOOR_Y = 0.2 + 0.6 * FLOOR_IMAGE
+FLOOR_PRIOR = ls.AreaPrior.from_a1(64.0, 256)
+FLOOR_ZEROS = np.zeros((16, 16))
+FLOOR_SCHED = lf.make_schedule(5, 0.01, 0.3)
+FLOOR_PROBE = lf.NucleationProbe(8, 8, 2, "remove-from-inside")
+W = ls.EnergyWeights()
+# Every entry point a floor reaches, as a call taking the floor's value.
+FLOOR_CASES = {
+    ("var_floor", "region_stats"): lambda f: ls.region_stats(FLOOR_IMAGE, FLOOR_Y - 0.5, P, f),
+    ("var_floor", "energy_total"): lambda f: ls.energy_total(
+        FLOOR_IMAGE, FLOOR_Y - 0.5, P, W, FLOOR_PRIOR, FLOOR_ZEROS, var_floor=f),
+    ("var_floor", "evolve"): lambda f: ls.evolve(
+        FLOOR_IMAGE, FLOOR_Y - 0.5, P, W, FLOOR_PRIOR, FLOOR_ZEROS, var_floor=f),
+    ("var_floor", "grad_energy_wrt_mask"): lambda f: ls.grad_energy_wrt_mask(
+        FLOOR_IMAGE, FLOOR_Y, P, W, FLOOR_PRIOR, FLOOR_ZEROS, var_floor=f),
+    ("var_floor", "td_field"): lambda f: lf.td_field(FLOOR_IMAGE, FLOOR_IMAGE, "gaussian", f),
+    ("var_floor", "nucleation_delta"): lambda f: lf.nucleation_delta(
+        FLOOR_IMAGE, FLOOR_IMAGE, FLOOR_PROBE, "cv", f),
+    ("grad_floor", "evolve"): lambda f: ls.evolve(
+        FLOOR_IMAGE, FLOOR_Y - 0.5, P, W, FLOOR_PRIOR, FLOOR_ZEROS, grad_floor=f),
+    ("grad_floor", "grad_energy_wrt_mask"): lambda f: ls.grad_energy_wrt_mask(
+        FLOOR_IMAGE, FLOOR_Y, P, W, FLOOR_PRIOR, FLOOR_ZEROS, grad_floor=f),
+    ("grad_floor", "chain_rule_grad"): lambda f: lf.chain_rule_grad(
+        FLOOR_Y, FLOOR_ZEROS, 3, FLOOR_SCHED, FLOOR_IMAGE, lf.GuidanceConfig(grad_floor=f),
+        dist=FLOOR_ZEROS),
+}
+
+
+@pytest.mark.parametrize("floor, entry", list(FLOOR_CASES), ids="-".join)
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_floor_must_be_positive_and_finite(floor, entry, value):
+    with pytest.raises(InvalidInputError, match=floor):
+        FLOOR_CASES[floor, entry](value)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import levelflow as lf
 from levelflow import par
@@ -23,9 +26,9 @@ class TestAffinityKernel:
     def test_corner_three_neighbors(self):
         k = par.affinity_kernel(np.full((8, 8), 2.0))
         corner = k.weights[0, 0]
-        assert k.valid[0, 0].sum() == 3
-        assert np.all(corner[k.valid[0, 0]] == pytest.approx(1.0 / 3.0, abs=1e-15))
-        assert np.all(corner[~k.valid[0, 0]] == 0.0)
+        on_grid = [par.NEIGHBOR_OFFSETS.index(o) for o in ((0, 1), (1, 0), (1, 1))]
+        assert np.all(corner[on_grid] == pytest.approx(1.0 / 3.0, abs=1e-15))
+        assert np.count_nonzero(corner) == 3
 
     def test_row_stochastic_everywhere(self):
         image = uniform_field((60, 0), (24, 24))
@@ -145,3 +148,29 @@ class TestParLoss:
         b = uniform_field((62, 2), (16, 16))
         expect = float(sum(abs(x - y) for x, y in zip(a.ravel(), b.ravel())))
         assert par.par_loss(a, b) == pytest.approx(expect, rel=1e-12)
+
+
+def _grids():
+    shapes = st.tuples(st.integers(1, 10), st.integers(1, 10)).filter(lambda s: s[0] * s[1] > 1)
+    return shapes.flatmap(lambda shape: st.tuples(
+        hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)),
+        hnp.arrays(np.float64, shape, elements=st.floats(-10.0, 10.0)),
+    ))
+
+
+class TestProperties:
+    @settings(max_examples=30)
+    @given(_grids(), st.integers(0, 4))
+    def test_kernel_row_stochastic_and_refine_range_preserving(self, grid, tau):
+        image, mask = grid
+        k = par.affinity_kernel(image)
+        h, w = image.shape
+        rows, cols = np.mgrid[0:h, 0:w]
+        for n, (dr, dc) in enumerate(par.NEIGHBOR_OFFSETS):
+            on_grid = (0 <= rows + dr) & (rows + dr < h) & (0 <= cols + dc) & (cols + dc < w)
+            assert np.all(k.weights[:, :, n][~on_grid] == 0.0)
+        assert np.all(k.weights >= 0.0)
+        assert np.allclose(k.weights.sum(axis=2), 1.0, rtol=0.0, atol=1e-12)
+        out = par.refine(mask, k, tau)
+        slack = 1e-12 * max(abs(mask.min()), abs(mask.max()))
+        assert mask.min() - slack <= out.min() and out.max() <= mask.max() + slack

@@ -184,11 +184,6 @@ class TestVerifyTd:
         assert rep.sign_agreement_rate is None
         assert rep.median_rel_err is None
 
-    def test_report_json_keys(self, two_disks_64):
-        image, gt = two_disks_64
-        doc = topo.verify_td(image, gt, samples=20, radius=2).to_json_dict()
-        assert {"median-rel-err", "max-rel-err", "sign-agreement-rate"} <= set(doc)
-
     def test_deterministic(self, two_disks_64):
         image, gt = two_disks_64
         r1 = topo.verify_td(image, gt, samples=50, radius=2, seed=9)
