@@ -282,7 +282,7 @@ def _cmd_energy(a, cfg: ExperimentConfig, run: _Run):
         run.add_field("fields/distance.lsf1", dist)
     phi = levelset.mask_to_levelset(mask)
     prior = _area_prior(cfg, image.size, cfg.area.a1_target, float(binarize(mask).sum()))
-    stats = levelset.region_stats(image, phi, cfg.heaviside, cfg.numerics.var_floor)
+    stats = levelset.region_stats(image, phi, cfg.heaviside)
     report = levelset.energy_total(
         image, phi, cfg.heaviside, cfg.weights, prior, dist, stats=stats
     )
@@ -336,8 +336,6 @@ def _cmd_evolve(a, cfg: ExperimentConfig, run: _Run):
         dt=a.dt,
         steps=a.steps,
         stats_refresh=a.stats_refresh,
-        var_floor=cfg.numerics.var_floor,
-        grad_floor=cfg.numerics.grad_floor,
     )
     mask_final = (phi > 0).astype(float)
     run.add_field("fields/phi_final.lsf1", phi)
@@ -369,15 +367,9 @@ def _cmd_td_verify(a, cfg: ExperimentConfig, run: _Run):
     image = _load_input(a.image, "image")
     mask = _load_input(a.mask, "mask")
     report = topo.verify_td(
-        image,
-        mask,
-        model=a.model,
-        samples=a.samples,
-        radius=a.radius,
-        seed=a.seed,
-        var_floor=cfg.numerics.var_floor,
+        image, mask, model=a.model, samples=a.samples, radius=a.radius, seed=a.seed
     )
-    td = topo.td_field(image, mask, a.model, cfg.numerics.var_floor)
+    td = topo.td_field(image, mask, a.model)
     run.add_field("fields/td_field.lsf1", td)
     run.add_json("reports/td_verify.json", _dashed(report))
 
@@ -478,8 +470,6 @@ def _cmd_sample(a, cfg: ExperimentConfig, run: _Run):
         weights=cfg.weights,
         area=_area_prior(cfg, image.size, a.a1, 0.5 * image.size),
         speed=cfg.speed,
-        var_floor=cfg.numerics.var_floor,
-        grad_floor=cfg.numerics.grad_floor,
         distance_refresh=cfg.sampler.distance_refresh,
     )
     result = diffusion.sample(
@@ -544,9 +534,7 @@ def _cmd_losses(a, cfg: ExperimentConfig, run: _Run):
     # The localization distance grows from the clean training mask.
     dist = geodesic.distance_for_mask(image, mask, cfg.speed).values
     prior = _area_prior(cfg, image.size, cfg.area.a1_target, float(binarize(mask).sum()))
-    l_lsf = levelset.energy_total(
-        image, phi, cfg.heaviside, cfg.weights, prior, dist, var_floor=cfg.numerics.var_floor
-    ).e_total
+    l_lsf = levelset.energy_total(image, phi, cfg.heaviside, cfg.weights, prior, dist).e_total
 
     kernel = par.affinity_kernel(image, cfg.par)
     refined = par.refine(yhat0, kernel, cfg.par.tau)

@@ -4,9 +4,9 @@ The document is versioned, validated strictly (unknown keys anywhere are
 rejected so typos cannot silently fall back to defaults, and each value
 must have its field's annotated type), and reproduced verbatim into run
 manifests so any run can be repeated from its manifest alone.  Settings
-that once had a single legal value and are gone now (``schedule.kind``,
-``numerics.mapping``) are dropped at that value, so older manifests still
-replay; any other value is an unknown key.
+that are gone now (``_RETIRED``: ``schedule.kind``, the ``numerics``
+section and a floor in ``par``) are dropped at the one value they ever
+took, so older manifests still replay; any other value of one is rejected.
 """
 
 from __future__ import annotations
@@ -19,11 +19,20 @@ from dataclasses import asdict, dataclass, field, fields
 from .diffusion import DISTANCE_REFRESH_DEFAULT, GuidancePolicy
 from .errors import InvalidInputError
 from .geodesic import SpeedParams
-from .levelset import GRAD_FLOOR_DEFAULT, VAR_FLOOR_DEFAULT, EnergyWeights, HeavisideParams
+from .levelset import EnergyWeights, HeavisideParams
 from .par import ParParams
 
 SCHEMA_VERSION = 1
-_RETIRED = (("schedule", "kind", "linear"), ("numerics", "mapping", "offset"))
+# (section, key) -> the one value older documents hold; the numerical
+# floors are module constants now (levelset.VAR_FLOOR, levelset.GRAD_FLOOR,
+# par.SIGMA_FLOOR).
+_RETIRED = {
+    ("schedule", "kind"): "linear",
+    ("numerics", "mapping"): "offset",
+    ("numerics", "var_floor"): 1e-06,
+    ("numerics", "grad_floor"): 1e-08,
+    ("par", "sigma_floor"): 0.0001,
+}
 
 
 @dataclass(frozen=True)
@@ -58,12 +67,6 @@ class EvolveParams:
 
 
 @dataclass(frozen=True)
-class NumericsParams:
-    var_floor: float = VAR_FLOOR_DEFAULT
-    grad_floor: float = GRAD_FLOOR_DEFAULT
-
-
-@dataclass(frozen=True)
 class LossParams:
     eta1: float = 0.5
     eta2: float = 0.005
@@ -82,7 +85,6 @@ class ExperimentConfig:
     guidance: GuidancePolicy = field(default_factory=GuidancePolicy)
     sampler: SamplerParams = field(default_factory=SamplerParams)
     evolve: EvolveParams = field(default_factory=EvolveParams)
-    numerics: NumericsParams = field(default_factory=NumericsParams)
     losses: LossParams = field(default_factory=LossParams)
 
     def to_dict(self) -> dict:
@@ -91,6 +93,8 @@ class ExperimentConfig:
 
 
 _SECTION_TYPES = {f.name: f.default_factory for f in fields(ExperimentConfig) if f.name != "seed"}
+# Live sections, then sections (``numerics``) that hold retired keys only.
+_SECTIONS = dict.fromkeys([*_SECTION_TYPES, *(name for name, _ in _RETIRED)])
 _ACCEPTS = {float: (int, float), int: int, bool: bool, str: str}
 
 
@@ -111,25 +115,34 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise InvalidInputError(
             f"config schema_version {version!r} not supported (expected {SCHEMA_VERSION})"
         )
-    known = set(_SECTION_TYPES) | {"schema_version", "seed"}
-    unknown = set(doc) - known
+    unknown = set(doc) - set(_SECTIONS) - {"schema_version", "seed"}
     if unknown:
         raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
     kwargs: dict = {"seed": doc.get("seed", 0)}
-    for name, cls in _SECTION_TYPES.items():
+    if not _fits(int, kwargs["seed"]):
+        raise InvalidInputError(f"config seed expects int, got {kwargs['seed']!r}")
+    for name in _SECTIONS:
         section = doc.get(name, {})
         if not isinstance(section, dict):
             raise InvalidInputError(f"config section {name!r} must be an object")
-        section = {k: v for k, v in section.items() if (name, k, v) not in _RETIRED}
-        hints = typing.get_type_hints(cls)
-        bad = set(section) - hints.keys()
-        if bad:
-            raise InvalidInputError(f"unknown keys in config section {name!r}: {sorted(bad)}")
+        live = {}
         for key, value in section.items():
+            if (name, key) not in _RETIRED:
+                live[key] = value
+            elif value != _RETIRED[name, key]:
+                old = _RETIRED[name, key]
+                raise InvalidInputError(f"config {name}.{key} is retired; it takes only {old!r}")
+        cls = _SECTION_TYPES.get(name)
+        hints = typing.get_type_hints(cls) if cls else {}
+        bad = set(live) - hints.keys()
+        if bad:
+            raise InvalidInputError(f"unknown config keys: {sorted(f'{name}.{k}' for k in bad)}")
+        for key, value in live.items():
             if not _fits(hints[key], value):
                 text = cls.__annotations__[key]  # the annotation as written, e.g. "float | None"
                 raise InvalidInputError(f"config {name}.{key} expects {text}, got {value!r}")
-        kwargs[name] = cls(**section)
+        if cls:
+            kwargs[name] = cls(**live)
     return ExperimentConfig(**kwargs)
 
 

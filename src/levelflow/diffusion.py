@@ -193,8 +193,6 @@ class GuidanceConfig:
     weights: levelset.EnergyWeights = levelset.EnergyWeights()
     area: levelset.AreaPrior | None = None
     speed: geodesic.SpeedParams = geodesic.SpeedParams()
-    var_floor: float = levelset.VAR_FLOOR_DEFAULT
-    grad_floor: float = levelset.GRAD_FLOOR_DEFAULT
     distance_refresh: int = DISTANCE_REFRESH_DEFAULT
 
     def __post_init__(self):
@@ -247,14 +245,7 @@ def chain_rule_grad(
         dist = _distance_or_zeros(image, y, cfg)
     try:
         g = levelset.grad_energy_wrt_mask(
-            image,
-            y,
-            cfg.heaviside,
-            cfg.weights,
-            cfg.area_prior(image.size),
-            dist,
-            var_floor=cfg.var_floor,
-            grad_floor=cfg.grad_floor,
+            image, y, cfg.heaviside, cfg.weights, cfg.area_prior(image.size), dist
         )
     except DegenerateRegionError:
         warnings.warn(
@@ -443,14 +434,9 @@ def sample(
 def _trace_row(image, y, eps_hat, t, sched, cfg, dist):
     yc = np.clip(predict_y0(y, eps_hat, t, sched), 0.0, 1.0)
     try:
+        phi = levelset.mask_to_levelset(yc)
         report = levelset.energy_total(
-            image,
-            levelset.mask_to_levelset(yc),
-            cfg.heaviside,
-            cfg.weights,
-            cfg.area_prior(image.size),
-            dist,
-            var_floor=cfg.var_floor,
+            image, phi, cfg.heaviside, cfg.weights, cfg.area_prior(image.size), dist
         )
     except DegenerateRegionError:
         return np.full(5, np.nan)

@@ -37,8 +37,8 @@ import numpy as np
 from .errors import DegenerateRegionError, DivergenceError, InvalidInputError
 from .field import as_field, check_same_shape, gradient, gradient_adjoint
 
-VAR_FLOOR_DEFAULT = 1e-6
-GRAD_FLOOR_DEFAULT = 1e-8
+VAR_FLOOR = 1e-6  # keeps log var and 1/var finite on a flat region
+GRAD_FLOOR = 1e-8  # keeps the unit normal grad H / |grad H| finite where H is flat
 
 TRACE_COLUMNS = ("e_region", "e_length", "e_area", "e_distance", "e_total")
 
@@ -141,12 +141,8 @@ def mask_to_levelset(y: np.ndarray) -> np.ndarray:
     return y - 0.5
 
 
-def region_stats_from_weights(
-    image: np.ndarray, w_in: np.ndarray, var_floor: float = VAR_FLOOR_DEFAULT
-) -> RegionStats:
+def region_stats_from_weights(image: np.ndarray, w_in: np.ndarray) -> RegionStats:
     """Weighted two-region statistics with arbitrary inside weights in [0, 1]."""
-    if not 0 < var_floor < math.inf:
-        raise InvalidInputError(f"var_floor must be positive and finite, got {var_floor!r}")
     check_same_shape(image, w_in)
     w_out = 1.0 - w_in
     n = image.size
@@ -164,23 +160,18 @@ def region_stats_from_weights(
     return RegionStats(
         mean_in=mean_in,
         mean_out=mean_out,
-        var_in=max(var_in, var_floor),
-        var_out=max(var_out, var_floor),
+        var_in=max(var_in, VAR_FLOOR),
+        var_out=max(var_out, VAR_FLOOR),
         mass_in=mass_in,
         mass_out=mass_out,
     )
 
 
-def region_stats(
-    image: np.ndarray,
-    phi: np.ndarray,
-    p: HeavisideParams,
-    var_floor: float = VAR_FLOOR_DEFAULT,
-) -> RegionStats:
+def region_stats(image: np.ndarray, phi: np.ndarray, p: HeavisideParams) -> RegionStats:
     """Region statistics weighted by H(phi) / 1 - H(phi)."""
     image = as_field(image, "image")
     phi = as_field(phi, "phi")
-    return region_stats_from_weights(image, heaviside(phi, p), var_floor)
+    return region_stats_from_weights(image, heaviside(phi, p))
 
 
 def nll_fields(image: np.ndarray, stats: RegionStats) -> tuple[np.ndarray, np.ndarray]:
@@ -214,10 +205,15 @@ def energy_area(phi: np.ndarray, p: HeavisideParams, prior: AreaPrior) -> float:
     return (m_in - prior.a1_target) ** 2 + (m_out - prior.a2_target) ** 2
 
 
+def _check_distance(dist: np.ndarray) -> None:
+    """A distance field is non-negative and finite: one min and one max, no copy."""
+    if not (dist.min() >= 0 and dist.max() < math.inf):  # a NaN fails both comparisons
+        raise InvalidInputError("distance field must be non-negative, with no non-finite value")
+
+
 def energy_distance(phi: np.ndarray, p: HeavisideParams, dist: np.ndarray) -> float:
     check_same_shape(phi, dist)
-    if dist.min() < 0:
-        raise InvalidInputError("distance field must be non-negative")
+    _check_distance(dist)
     return float((dist * heaviside(phi, p)).sum())
 
 
@@ -229,14 +225,13 @@ def energy_total(
     prior: AreaPrior,
     dist: np.ndarray,
     stats: RegionStats | None = None,
-    var_floor: float = VAR_FLOOR_DEFAULT,
 ) -> EnergyReport:
     """Evaluate all four terms; region statistics recomputed from phi unless given."""
     image = as_field(image, "image")
     phi = as_field(phi, "phi")
     dist = as_field(dist, "dist")
     if stats is None:
-        stats = region_stats(image, phi, p, var_floor)
+        stats = region_stats(image, phi, p)
     e_region = energy_region(image, phi, p, stats)
     e_length = energy_length(phi, p)
     e_area = energy_area(phi, p, prior)
@@ -255,11 +250,8 @@ def _grad_energy_wrt_phi(
     prior: AreaPrior,
     dist: np.ndarray,
     stats: RegionStats,
-    grad_floor: float = GRAD_FLOOR_DEFAULT,
 ) -> np.ndarray:
     """Exact gradient of the weighted discrete energy with frozen statistics."""
-    if not 0 < grad_floor < math.inf:
-        raise InvalidInputError(f"grad_floor must be positive and finite, got {grad_floor!r}")
     h = heaviside(phi, p)
     d = dirac(phi, p)
     grad_h = np.zeros_like(phi)
@@ -268,7 +260,7 @@ def _grad_energy_wrt_phi(
         grad_h += w.lambda1 * (e1 - e2)
     if w.lambda2 != 0.0:
         gx, gy = gradient(h)
-        norm = np.maximum(np.hypot(gx, gy), grad_floor)
+        norm = np.maximum(np.hypot(gx, gy), GRAD_FLOOR)
         grad_h += w.lambda2 * gradient_adjoint(gx / norm, gy / norm)
     if w.lambda3 != 0.0:
         prior.check_domain(phi.size)
@@ -288,8 +280,6 @@ def grad_energy_wrt_mask(
     prior: AreaPrior,
     dist: np.ndarray,
     stats: RegionStats | None = None,
-    var_floor: float = VAR_FLOOR_DEFAULT,
-    grad_floor: float = GRAD_FLOOR_DEFAULT,
 ) -> np.ndarray:
     """Pointwise dE/dy for a soft mask y through phi = y - 0.5.
 
@@ -302,11 +292,12 @@ def grad_energy_wrt_mask(
     image = as_field(image, "image")
     y = as_field(y, "mask")
     check_same_shape(image, y, dist)
+    _check_distance(dist)
     phi = mask_to_levelset(y)
     if stats is None:
-        stats = region_stats(image, phi, p, var_floor)
+        stats = region_stats(image, phi, p)
     # d(phi)/dy = 1
-    return _grad_energy_wrt_phi(image, phi, p, w, prior, dist, stats, grad_floor)
+    return _grad_energy_wrt_phi(image, phi, p, w, prior, dist, stats)
 
 
 def evolve(
@@ -319,8 +310,6 @@ def evolve(
     dt: float = 0.1,
     steps: int = 1,
     stats_refresh: int = 1,
-    var_floor: float = VAR_FLOOR_DEFAULT,
-    grad_floor: float = GRAD_FLOOR_DEFAULT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Explicit Euler descent phi <- phi - dt * dE/dphi.
 
@@ -345,12 +334,12 @@ def evolve(
     trace = np.empty((steps, 5), dtype=np.float64)
     for n in range(steps):
         if n % stats_refresh == 0:
-            stats = region_stats(image, phi, p, var_floor)
-        g = _grad_energy_wrt_phi(image, phi, p, w, prior, dist, stats, grad_floor)
+            stats = region_stats(image, phi, p)
+        g = _grad_energy_wrt_phi(image, phi, p, w, prior, dist, stats)
         phi = phi - dt * g
         if not np.all(np.isfinite(phi)):
             raise DivergenceError("level set function became non-finite", step=n)
-        report = energy_total(image, phi, p, w, prior, dist, var_floor=var_floor)
+        report = energy_total(image, phi, p, w, prior, dist)
         trace[n] = report.as_row()
         if not np.isfinite(report.e_total):
             raise DivergenceError("energy became non-finite during evolution", step=n)

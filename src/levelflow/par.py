@@ -16,7 +16,6 @@ the L1 distance between the mask and its refined version.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,18 +32,17 @@ NEIGHBOR_OFFSETS = (
     (1, -1), (1, 0), (1, 1),
 )
 
+SIGMA_FLOOR = 1e-4  # keeps 1 / sigma finite on a flat neighborhood
+
 
 @dataclass(frozen=True)
 class ParParams:
     tau: int = 10
-    sigma_floor: float = 1e-4
     features: str = "intensity"
 
     def __post_init__(self):
         if self.tau < 0:
             raise InvalidInputError("tau must be non-negative")
-        if not 0 < self.sigma_floor < math.inf:
-            raise InvalidInputError("sigma_floor must be positive and finite")
         if self.features not in PAR_FEATURES:
             raise InvalidInputError(
                 f"unknown feature set {self.features!r}, expected one of {PAR_FEATURES}"
@@ -73,11 +71,11 @@ def _neighbor_stack(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stack, valid
 
 
-def _channel_logits(values: np.ndarray, sigma_floor: float) -> np.ndarray:
+def _channel_logits(values: np.ndarray) -> np.ndarray:
     stack, valid = _neighbor_stack(values)
     with np.errstate(invalid="ignore"):
         sigma = np.nanstd(stack, axis=2)
-    sigma = np.maximum(sigma, sigma_floor)
+    sigma = np.maximum(sigma, SIGMA_FLOOR)
     diff = (stack - values[:, :, None]) / sigma[:, :, None]
     logits = np.where(valid, -(diff * diff), -np.inf)
     return logits
@@ -88,12 +86,12 @@ def affinity_kernel(image: np.ndarray, pp: ParParams = ParParams()) -> AffinityK
     image = as_field(image, "image")
     if image.size < 2:
         raise InvalidInputError("affinity kernel needs at least two pixels")
-    logits = _channel_logits(image, pp.sigma_floor)
+    logits = _channel_logits(image)
     if pp.features == "intensity-xy":
         h, w = image.shape
         rows, cols = np.mgrid[0:h, 0:w].astype(np.float64)
-        logits = logits + _channel_logits(rows, pp.sigma_floor)
-        logits = logits + _channel_logits(cols, pp.sigma_floor)
+        logits = logits + _channel_logits(rows)
+        logits = logits + _channel_logits(cols)
     valid = np.isfinite(logits)
     # Softmax over valid neighbors; max-shift keeps exp() in range and maps
     # equal logits to exactly equal weights.

@@ -26,7 +26,7 @@ import numpy as np
 from . import rng
 from .errors import InvalidInputError
 from .field import as_field, binarize, check_same_shape
-from .levelset import VAR_FLOOR_DEFAULT, nll_fields, region_stats_from_weights
+from .levelset import nll_fields, region_stats_from_weights
 
 TD_MODELS = ("cv", "gaussian")
 PROBE_DIRECTIONS = ("remove-from-inside", "add-to-inside")
@@ -51,9 +51,7 @@ class NucleationProbe:
             )
 
 
-def td_field(
-    image: np.ndarray, mask: np.ndarray, model: str = "cv", var_floor: float = VAR_FLOOR_DEFAULT
-) -> np.ndarray:
+def td_field(image: np.ndarray, mask: np.ndarray, model: str = "cv") -> np.ndarray:
     """Per-pixel topological derivative T from hard region statistics.
 
     Sign convention: flipping a pixel out of its current region changes
@@ -65,7 +63,7 @@ def td_field(
     image = as_field(image, "image")
     mask = as_field(mask, "mask")
     check_same_shape(image, mask)
-    stats = region_stats_from_weights(image, binarize(mask).astype(np.float64), var_floor)
+    stats = region_stats_from_weights(image, binarize(mask).astype(np.float64))
     if model == "cv":
         return -((image - stats.mean_in) ** 2) + (image - stats.mean_out) ** 2
     e1, e2 = nll_fields(image, stats)
@@ -87,8 +85,8 @@ def _disk_pixels(shape, probe: NucleationProbe) -> np.ndarray:
     return disk
 
 
-def _hard_energy(image, mask_bin, model, var_floor) -> float:
-    stats = region_stats_from_weights(image, mask_bin.astype(np.float64), var_floor)
+def _hard_energy(image, mask_bin, model) -> float:
+    stats = region_stats_from_weights(image, mask_bin.astype(np.float64))
     w_in = mask_bin
     if model == "cv":
         e1 = (image - stats.mean_in) ** 2
@@ -103,7 +101,6 @@ def nucleation_delta(
     mask: np.ndarray,
     probe: NucleationProbe,
     model: str = "cv",
-    var_floor: float = VAR_FLOOR_DEFAULT,
 ) -> float:
     """Exact energy change per flipped pixel for a hard disk flip.
 
@@ -129,8 +126,8 @@ def nucleation_delta(
     n_flipped = int(flipped.sum())
     if n_flipped == 0:
         raise InvalidInputError("probe disk lies entirely in its target region; nothing to flip")
-    e_before = _hard_energy(image, before, model, var_floor)
-    e_after = _hard_energy(image, after, model, var_floor)
+    e_before = _hard_energy(image, before, model)
+    e_after = _hard_energy(image, after, model)
     return (e_after - e_before) / n_flipped
 
 
@@ -162,7 +159,6 @@ def verify_td(
     radius: int = 2,
     seed: int = 0,
     tie_factor: float = 1e-3,
-    var_floor: float = VAR_FLOOR_DEFAULT,
 ) -> TdVerifyReport:
     """Compare the TD field against the nucleation oracle at random pixels.
 
@@ -174,7 +170,7 @@ def verify_td(
     """
     if samples < 1:
         raise InvalidInputError("samples must be at least 1")
-    t = td_field(image, mask, model, var_floor)
+    t = td_field(image, mask, model)
     h, w = t.shape
     if h <= 2 * radius or w <= 2 * radius:
         raise InvalidInputError("grid too small for the probe radius")
@@ -192,7 +188,7 @@ def verify_td(
         inside = bool(mask_bin[r, c])
         direction = "remove-from-inside" if inside else "add-to-inside"
         probe = NucleationProbe(row=int(r), col=int(c), radius=radius, direction=direction)
-        delta = nucleation_delta(image, mask, probe, model, var_floor)
+        delta = nucleation_delta(image, mask, probe, model)
         expected = float(t[r, c]) if inside else -float(t[r, c])
         if abs(t[r, c]) < tie_threshold:
             continue

@@ -59,11 +59,10 @@ ENTRY_POINTS = {
 }
 FIELDS = {name: list(inspect.signature(call).parameters) for name, call in ENTRY_POINTS.items()}
 
-# Fields an entry point takes on trust, with only their shape checked.  The
-# sampler hands grad_energy_wrt_mask a distance map it computed itself, and
-# a scan per guided step would cost more than the rest of that step's
-# checks; a provider's eps_hat is a kernel that sample calls with its own y.
-SHAPE_ONLY = {("grad_energy_wrt_mask", "dist"), ("FrozenFieldProvider", "yt")}
+# Fields an entry point takes on trust, with only their shape checked: a
+# provider's eps_hat is a kernel that sample calls with its own y.  (The
+# dist of grad_energy_wrt_mask gets one min and one max, not an as_field.)
+SHAPE_ONLY = {("FrozenFieldProvider", "yt")}
 
 
 def _with_nan(f):

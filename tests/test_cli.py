@@ -1,9 +1,12 @@
 import hashlib
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levelflow as lf
 from levelflow import cli
@@ -105,7 +108,6 @@ class TestConfig:
             (lf.GuidancePolicy, "gamma0"),
             (lf.AreaPrior, "a1_target"),
             (lf.AreaPrior, "a2_target"),
-            (lf.ParParams, "sigma_floor"),
             (lf.PhantomSpec, "noise_sigma"),
             (lf.PhantomSpec, "fg"),
             (lf.PhantomSpec, "bg"),
@@ -130,7 +132,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "section, key, value",
-        [("numerics", "var_floor", "abc"), ("area", "a1_target", "abc"),
+        [("heaviside", "epsilon", "abc"), ("area", "a1_target", "abc"),
          ("sampler", "distance_refresh", "x"), ("area", "overridden", "yes")],
     )
     def test_config_value_of_wrong_type_rejected(self, tmp_path, section, key, value):
@@ -142,19 +144,16 @@ class TestConfig:
         path.write_text(json.dumps(doc))
         assert main(["phantom", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
 
-    @pytest.mark.parametrize(
-        "key, value, command", [("var_floor", -1, "energy"), ("grad_floor", 0, "evolve")]
-    )
-    def test_floor_out_of_range_exits_1(self, phantom_dir, tmp_path, capsys, key, value, command):
-        doc = ExperimentConfig().to_dict()
-        doc["numerics"][key] = value
+    @pytest.mark.parametrize("seed", [None, "7", 1.5, True])
+    def test_config_seed_of_wrong_type_rejected(self, tmp_path, seed):
+        # a null seed used to reach PhantomSpec and crash with a TypeError
+        doc = {**ExperimentConfig().to_dict(), "seed": seed}
+        with pytest.raises(InvalidInputError, match="config seed"):
+            config_from_dict(doc)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
-        inputs = {"energy": ["--mask", str(phantom_dir / "fields/gt_mask.lsf1")],
-                  "evolve": ["--init-box", "13,13,51,51", "--steps", "2"]}[command]
-        assert main([command, "--image", str(phantom_dir / "fields/image.lsf1"), *inputs,
-                     "--config", str(path), "--out", str(tmp_path / "x")]) == 1
-        assert key in capsys.readouterr().err
+        assert main(["phantom", "--kind", "two-disks", "--config", str(path),
+                     "--out", str(tmp_path / "x")]) == 1
 
     @staticmethod
     def _losses(phantom_dir, out, *extra):
@@ -164,31 +163,58 @@ class TestConfig:
                      *extra])
 
     def test_manifest_with_retired_settings_replays(self, phantom_dir, tmp_path):
-        # manifests written before schedule.kind and numerics.mapping were
-        # removed hold their one legal value
+        # manifests written before schedule.kind, the numerics section and
+        # par.sigma_floor were removed hold the one value each ever took
         assert self._losses(phantom_dir, tmp_path / "run") == 0
         doc = json.load(open(tmp_path / "run/manifest.json"))
         doc["config"]["schedule"]["kind"] = "linear"
-        doc["config"]["numerics"]["mapping"] = "offset"
+        doc["config"]["numerics"] = {"mapping": "offset", "var_floor": 1e-06, "grad_floor": 1e-08}
+        doc["config"]["par"]["sigma_floor"] = 0.0001
         old = tmp_path / "old_manifest.json"
         old.write_text(json.dumps(doc))
         assert main(["losses", "--config", str(old), "--out", str(tmp_path / "replay")]) == 0
         assert tree_hashes(tmp_path / "replay") == tree_hashes(tmp_path / "run")
 
     @pytest.mark.parametrize(
-        "section, key, value", [("numerics", "mapping", "literal"), ("schedule", "kind", "cosine")]
+        "section, key, value",
+        [("numerics", "mapping", "literal"), ("schedule", "kind", "cosine"),
+         ("numerics", "var_floor", 1e-4), ("numerics", "grad_floor", 1e-6),
+         ("par", "sigma_floor", 1e-3), ("numerics", "eps", 1e-6)],
     )
     def test_retired_setting_at_another_value_rejected(
         self, phantom_dir, tmp_path, capsys, section, key, value
     ):
         doc = ExperimentConfig().to_dict()
-        doc[section][key] = value
-        with pytest.raises(InvalidInputError, match=key):
+        doc.setdefault(section, {})[key] = value
+        with pytest.raises(InvalidInputError, match=f"{section}.{key}"):
             config_from_dict(doc)
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
         assert self._losses(phantom_dir, tmp_path / "x", "--config", str(path)) == 1
-        assert key in capsys.readouterr().err
+        assert f"{section}.{key}" in capsys.readouterr().err
+
+    def test_settable_values_pinned(self):
+        # Each of the 29 config leaves is a setting that tests and the
+        # benchmark have to cover; adding one means editing this list.
+        doc = ExperimentConfig().to_dict()
+        del doc["schema_version"]  # fixed by the code, not settable
+        leaves = []
+        for name, value in doc.items():
+            leaves += [f"{name}.{key}" for key in value] if isinstance(value, dict) else [name]
+        assert sorted(leaves) == [
+            "area.a1_target", "area.a2_target", "area.overridden",
+            "evolve.dt", "evolve.stats_refresh", "evolve.steps",
+            "guidance.gamma0", "guidance.schedule",
+            "heaviside.epsilon",
+            "losses.eta1", "losses.eta2", "losses.w_t",
+            "par.features", "par.tau",
+            "sampler.distance_refresh", "sampler.ensemble", "sampler.guidance_space",
+            "sampler.noise_scale",
+            "schedule.beta1", "schedule.betaT", "schedule.steps",
+            "seed",
+            "speed.beta_g", "speed.eps_d", "speed.nu",
+            "weights.lambda1", "weights.lambda2", "weights.lambda3", "weights.lambda4",
+        ]
 
     def test_oversized_integer_rejected(self, tmp_path):
         digits = "9" * 5000  # beyond the interpreter's integer conversion limit
@@ -530,3 +556,63 @@ class TestOtherCommands:
         ):
             assert main(args + ["--out", str(tmp_path / name)]) == 0
         assert (image_path.read_bytes(), mask_path.read_bytes()) == before
+
+
+# Number tokens a strict config reader must refuse; the strategy stores a
+# placeholder string and swaps the bare token in after encoding.
+RAW_NUMBERS = ("NaN", "Infinity", "-Infinity", "1e999", "9" * 4301)
+# Every (section, key) of the default config, top-level keys under section
+# "", the retired keys, and keys no version ever had.
+CONFIG_PLACES = sorted(
+    {(s, k) for s, v in ExperimentConfig().to_dict().items() if isinstance(v, dict) for k in v}
+    | {("", "seed"), ("", "schema_version"), ("", "turbo"), ("weights", "lambda5")}
+    | {("schedule", "kind"), ("numerics", "mapping"), ("numerics", "var_floor"),
+       ("numerics", "grad_floor"), ("par", "sigma_floor"), ("numerics", "eps")}
+)
+CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(-1e3, 1e3),
+    st.text(max_size=3), st.just([]), st.just({}),
+    st.sampled_from(["linear", "offset", 1e-06, 1e-08, 0.0001]),  # the retired values
+    st.sampled_from(RAW_NUMBERS).map(lambda raw: f"<raw {raw}>"),
+)
+
+
+@st.composite
+def mutated_config_text(draw):
+    """A default config with up to three keys or sections set, swapped or dropped."""
+    doc = ExperimentConfig().to_dict()
+    for _ in range(draw(st.integers(1, 3))):
+        section, key = draw(st.sampled_from(CONFIG_PLACES))
+        target = doc if section == "" else doc.setdefault(section, {})
+        op = draw(st.sampled_from(["set", "drop-key", "swap-section", "drop-section"]))
+        if op == "swap-section":
+            doc[section or key] = draw(CONFIG_VALUES)
+        elif op == "drop-section":
+            doc.pop(section or key, None)
+        elif isinstance(target, dict) and op == "set":
+            target[key] = draw(CONFIG_VALUES)
+        elif isinstance(target, dict):
+            target.pop(key, None)
+    text = json.dumps(doc)
+    for raw in RAW_NUMBERS:
+        text = text.replace(json.dumps(f"<raw {raw}>"), raw)
+    return text
+
+
+class TestConfigFuzz:
+    @settings(max_examples=50)
+    @given(mutated_config_text())
+    def test_mutated_config_exits_0_or_1_and_writes_standard_json(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            out = os.path.join(tmp, "out")
+            rc = main(["phantom", "--kind", "two-disks", "--size", "32", "--config", cfg,
+                       "--out", out])
+            manifest = os.path.join(out, "manifest.json")
+            assert rc in (0, 1)
+            assert os.path.exists(manifest) == (rc == 0)
+            if rc == 0:
+                with open(manifest, encoding="utf-8") as fh:
+                    json.load(fh, parse_constant=lambda c: pytest.fail(f"non-standard {c}"))

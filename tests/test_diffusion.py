@@ -247,6 +247,19 @@ class TestChainRuleGrad:
         with pytest.warns(dif.GuidanceFallbackWarning):
             dif.chain_rule_grad(yt, np.zeros((12, 12)), 5, sched, image, cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_bad_distance_rejected(self, bad):
+        # unchecked, a NaN distance gives a NaN gradient and a negative one a wrong one
+        sched = dif.make_schedule(10, 1e-3, 0.1)
+        image = uniform_field((83, 12), (12, 12))
+        yt = normal_field((83, 13), (12, 12))
+        dist = np.zeros((12, 12))
+        dist[3, 5] = bad
+        with pytest.raises(InvalidInputError, match="distance field .*non-finite"):
+            dif.chain_rule_grad(
+                yt, np.zeros((12, 12)), 5, sched, image, self._config(image), dist=dist
+            )
+
 
 class TestMixtureProvider:
     def test_single_component_sharp(self):

@@ -204,6 +204,28 @@ def damaged(draw, blob):
     return blob + draw(st.binary(min_size=1, max_size=8))
 
 
+def _fields(elements):
+    shapes = st.tuples(st.integers(1, 12), st.integers(1, 12))
+    return shapes.flatmap(lambda shape: hnp.arrays(np.float64, shape, elements=elements))
+
+
+class TestFieldIOProperties:
+    @settings(max_examples=25)
+    @given(f=_fields(st.floats(-3e38, 3e38)))  # inside the float32 range
+    def test_lsf1_round_trip_is_the_float32_cast(self, tmp_path_factory, f):
+        path = tmp_path_factory.getbasetemp() / "round_trip.lsf1"
+        lf.save_field(f, path)
+        out = lf.load_field(path)
+        assert out.tobytes() == f.astype(np.float32).astype(np.float64).tobytes()
+
+    @settings(max_examples=25)
+    @given(f=_fields(st.floats(width=32, allow_nan=False, allow_infinity=False)))
+    def test_lsf1_round_trip_exact_for_float32_values(self, tmp_path_factory, f):
+        path = tmp_path_factory.getbasetemp() / "exact.lsf1"
+        lf.save_field(f, path)
+        assert lf.load_field(path).tobytes() == f.tobytes()
+
+
 class TestFieldFuzz:
     @pytest.mark.parametrize("suffix", [".lsf1", ".pgm"])
     def test_damaged_file_loads_or_raises_field_format_error(self, suffix, tmp_path):

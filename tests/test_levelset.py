@@ -64,8 +64,8 @@ class TestRegionStats:
         st = ls.region_stats(image, phi, P)
         assert st.mean_in == pytest.approx(1.0, abs=1e-9)
         assert st.mean_out == pytest.approx(0.0, abs=1e-9)
-        assert st.var_in == ls.VAR_FLOOR_DEFAULT
-        assert st.var_out == ls.VAR_FLOOR_DEFAULT
+        assert st.var_in == ls.VAR_FLOOR
+        assert st.var_out == ls.VAR_FLOOR
 
     def test_mass_partition_invariant(self):
         image = uniform_field((31, 0), (24, 24))
@@ -100,7 +100,7 @@ class TestEnergies:
         phi = np.where(image == 1.0, 1e12, -1e12)
         st = ls.region_stats(image, phi, P)
         e = ls.energy_region(image, phi, P, st)
-        assert e == pytest.approx(image.size * np.log(ls.VAR_FLOOR_DEFAULT), rel=1e-6)
+        assert e == pytest.approx(image.size * np.log(ls.VAR_FLOOR), rel=1e-6)
 
     def test_region_zero_for_exact_unit_stats(self):
         image = np.zeros((10, 10))
@@ -374,40 +374,3 @@ class TestEvolve:
         prior = ls.AreaPrior.from_a1(128.0, 256)
         with pytest.raises(DivergenceError):
             ls.evolve(image, phi0, P, ls.EnergyWeights(), prior, np.zeros_like(image), steps=5)
-
-
-FLOOR_IMAGE = np.zeros((16, 16))
-FLOOR_IMAGE[4:12, 4:12] = 1.0
-FLOOR_Y = 0.2 + 0.6 * FLOOR_IMAGE
-FLOOR_PRIOR = ls.AreaPrior.from_a1(64.0, 256)
-FLOOR_ZEROS = np.zeros((16, 16))
-FLOOR_SCHED = lf.make_schedule(5, 0.01, 0.3)
-FLOOR_PROBE = lf.NucleationProbe(8, 8, 2, "remove-from-inside")
-W = ls.EnergyWeights()
-# Every entry point a floor reaches, as a call taking the floor's value.
-FLOOR_CASES = {
-    ("var_floor", "region_stats"): lambda f: ls.region_stats(FLOOR_IMAGE, FLOOR_Y - 0.5, P, f),
-    ("var_floor", "energy_total"): lambda f: ls.energy_total(
-        FLOOR_IMAGE, FLOOR_Y - 0.5, P, W, FLOOR_PRIOR, FLOOR_ZEROS, var_floor=f),
-    ("var_floor", "evolve"): lambda f: ls.evolve(
-        FLOOR_IMAGE, FLOOR_Y - 0.5, P, W, FLOOR_PRIOR, FLOOR_ZEROS, var_floor=f),
-    ("var_floor", "grad_energy_wrt_mask"): lambda f: ls.grad_energy_wrt_mask(
-        FLOOR_IMAGE, FLOOR_Y, P, W, FLOOR_PRIOR, FLOOR_ZEROS, var_floor=f),
-    ("var_floor", "td_field"): lambda f: lf.td_field(FLOOR_IMAGE, FLOOR_IMAGE, "gaussian", f),
-    ("var_floor", "nucleation_delta"): lambda f: lf.nucleation_delta(
-        FLOOR_IMAGE, FLOOR_IMAGE, FLOOR_PROBE, "cv", f),
-    ("grad_floor", "evolve"): lambda f: ls.evolve(
-        FLOOR_IMAGE, FLOOR_Y - 0.5, P, W, FLOOR_PRIOR, FLOOR_ZEROS, grad_floor=f),
-    ("grad_floor", "grad_energy_wrt_mask"): lambda f: ls.grad_energy_wrt_mask(
-        FLOOR_IMAGE, FLOOR_Y, P, W, FLOOR_PRIOR, FLOOR_ZEROS, grad_floor=f),
-    ("grad_floor", "chain_rule_grad"): lambda f: lf.chain_rule_grad(
-        FLOOR_Y, FLOOR_ZEROS, 3, FLOOR_SCHED, FLOOR_IMAGE, lf.GuidanceConfig(grad_floor=f),
-        dist=FLOOR_ZEROS),
-}
-
-
-@pytest.mark.parametrize("floor, entry", list(FLOOR_CASES), ids="-".join)
-@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
-def test_floor_must_be_positive_and_finite(floor, entry, value):
-    with pytest.raises(InvalidInputError, match=floor):
-        FLOOR_CASES[floor, entry](value)

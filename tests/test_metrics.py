@@ -1,5 +1,10 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from levelflow import metrics
 from levelflow.errors import InvalidInputError
@@ -101,6 +106,20 @@ class TestIdentities:
         s = metrics.scores(metrics.Confusion(tp=30, fp=12, fn=7, tn=100))
         hm = 2 * s.precision * s.recall / (s.precision + s.recall)
         assert s.dice == pytest.approx(hm, rel=1e-14)
+
+    @settings(max_examples=40)
+    @given(
+        st.tuples(st.integers(1, 16), st.integers(1, 16)).flatmap(
+            lambda shape: st.tuples(hnp.arrays(np.bool_, shape), hnp.arrays(np.bool_, shape))
+        )
+    )
+    def test_identities_on_random_binary_masks(self, masks):
+        pred, gt = (m.astype(np.float64) for m in masks)
+        c = metrics.confusion(pred, gt)
+        assert c.tp + c.fp + c.fn + c.tn == gt.size
+        s = metrics.scores(c)
+        assert all(0.0 <= v <= 1.0 for v in astuple(s))
+        assert abs(s.dice - 2 * s.jaccard / (1 + s.jaccard)) <= 1e-12
 
     def test_dice_symmetry(self):
         a = (uniform_field((71, 1), (20, 20)) > 0.4).astype(float)
