@@ -134,13 +134,8 @@ def _load_input(path, name: str):
         raise InvalidInputError(f"cannot read {name} file {path}: {exc}") from None
 
 
-def _area_prior(cfg: ExperimentConfig, n_pixels: int, a1, fallback_a1) -> levelset.AreaPrior:
-    if a1 is None:
-        a1 = fallback_a1
-    a2 = cfg.area.a2_target
-    if a2 is None:
-        a2 = n_pixels - a1
-    return levelset.AreaPrior(float(a1), float(a2), overridden=cfg.area.overridden)
+def _area_prior(n_pixels: int, a1, fallback_a1) -> levelset.AreaPrior:
+    return levelset.AreaPrior.from_a1(fallback_a1 if a1 is None else a1, n_pixels)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +276,7 @@ def _cmd_energy(a, cfg: ExperimentConfig, run: _Run):
         dist = geodesic.distance_for_mask(image, mask, cfg.speed).values
         run.add_field("fields/distance.lsf1", dist)
     phi = levelset.mask_to_levelset(mask)
-    prior = _area_prior(cfg, image.size, cfg.area.a1_target, float(binarize(mask).sum()))
+    prior = _area_prior(image.size, cfg.area.a1_target, float(binarize(mask).sum()))
     stats = levelset.region_stats(image, phi, cfg.heaviside)
     report = levelset.energy_total(
         image, phi, cfg.heaviside, cfg.weights, prior, dist, stats=stats
@@ -325,7 +320,7 @@ def _cmd_evolve(a, cfg: ExperimentConfig, run: _Run):
     dist = _load_input(a.dist, "dist")
     if dist is None:
         dist = geodesic.distance_for_mask(image, (phi0 > 0).astype(float), cfg.speed).values
-    prior = _area_prior(cfg, image.size, cfg.area.a1_target, float((phi0 > 0).sum()))
+    prior = _area_prior(image.size, cfg.area.a1_target, float((phi0 > 0).sum()))
     phi, trace = levelset.evolve(
         image,
         phi0,
@@ -412,7 +407,7 @@ def _cmd_geodesic(a, cfg: ExperimentConfig, run: _Run):
 def _cmd_par(a, cfg: ExperimentConfig, run: _Run):
     image = _load_input(a.image, "image")
     mask = _load_input(a.mask, "mask")
-    kernel = par.affinity_kernel(image, cfg.par)
+    kernel = par.affinity_kernel(image)
     refined = par.refine(mask, kernel, a.tau)
     loss = par.par_loss(mask, refined)
     run.add_field("fields/refined.lsf1", refined)
@@ -468,7 +463,7 @@ def _cmd_sample(a, cfg: ExperimentConfig, run: _Run):
     gcfg = diffusion.GuidanceConfig(
         heaviside=cfg.heaviside,
         weights=cfg.weights,
-        area=_area_prior(cfg, image.size, a.a1, 0.5 * image.size),
+        area=None if a.a1 is None else levelset.AreaPrior.from_a1(a.a1, image.size),
         speed=cfg.speed,
         distance_refresh=cfg.sampler.distance_refresh,
     )
@@ -533,10 +528,10 @@ def _cmd_losses(a, cfg: ExperimentConfig, run: _Run):
     phi = levelset.mask_to_levelset(yhat0)
     # The localization distance grows from the clean training mask.
     dist = geodesic.distance_for_mask(image, mask, cfg.speed).values
-    prior = _area_prior(cfg, image.size, cfg.area.a1_target, float(binarize(mask).sum()))
+    prior = _area_prior(image.size, cfg.area.a1_target, float(binarize(mask).sum()))
     l_lsf = levelset.energy_total(image, phi, cfg.heaviside, cfg.weights, prior, dist).e_total
 
-    kernel = par.affinity_kernel(image, cfg.par)
+    kernel = par.affinity_kernel(image)
     refined = par.refine(yhat0, kernel, cfg.par.tau)
     l_par = par.par_loss(yhat0, refined)
 
@@ -574,6 +569,9 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     except LevelflowError as exc:
         print(f"levelflow: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:  # e.g. a step count too large to allocate a schedule for
+        print(f"levelflow: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -5,8 +5,9 @@ rejected so typos cannot silently fall back to defaults, and each value
 must have its field's annotated type), and reproduced verbatim into run
 manifests so any run can be repeated from its manifest alone.  Settings
 that are gone now (``_RETIRED``: ``schedule.kind``, the ``numerics``
-section and a floor in ``par``) are dropped at the one value they ever
-took, so older manifests still replay; any other value of one is rejected.
+section, the area override and two ``par`` keys) are dropped at the one
+value they ever took, so older manifests still replay; any other value or
+type of one is rejected.
 """
 
 from __future__ import annotations
@@ -25,13 +26,17 @@ from .par import ParParams
 SCHEMA_VERSION = 1
 # (section, key) -> the one value older documents hold; the numerical
 # floors are module constants now (levelset.VAR_FLOOR, levelset.GRAD_FLOOR,
-# par.SIGMA_FLOOR).
+# par.SIGMA_FLOOR), a2 is always the domain minus a1, and the affinity
+# always uses intensity.
 _RETIRED = {
     ("schedule", "kind"): "linear",
     ("numerics", "mapping"): "offset",
     ("numerics", "var_floor"): 1e-06,
     ("numerics", "grad_floor"): 1e-08,
     ("par", "sigma_floor"): 0.0001,
+    ("area", "a2_target"): None,
+    ("area", "overridden"): False,
+    ("par", "features"): "intensity",
 }
 
 
@@ -44,11 +49,9 @@ class ScheduleParams:
 
 @dataclass(frozen=True)
 class AreaParams:
-    """Targets for the area prior; None means derive a1 from the run's mask."""
+    """Target a1 for the area prior; None means derive it from the run's mask."""
 
     a1_target: float | None = None
-    a2_target: float | None = None
-    overridden: bool = False
 
 
 @dataclass(frozen=True)
@@ -95,7 +98,7 @@ class ExperimentConfig:
 _SECTION_TYPES = {f.name: f.default_factory for f in fields(ExperimentConfig) if f.name != "seed"}
 # Live sections, then sections (``numerics``) that hold retired keys only.
 _SECTIONS = dict.fromkeys([*_SECTION_TYPES, *(name for name, _ in _RETIRED)])
-_ACCEPTS = {float: (int, float), int: int, bool: bool, str: str}
+_ACCEPTS = {float: (int, float), int: int, str: str}
 
 
 def _fits(hint, value) -> bool:
@@ -103,8 +106,8 @@ def _fits(hint, value) -> bool:
     kinds = typing.get_args(hint) or (hint,)  # float | None -> (float, NoneType)
     if value is None:
         return type(None) in kinds
-    # bool is an int subclass: only a bool field takes true/false
-    return isinstance(value, _ACCEPTS[kinds[0]]) and isinstance(value, bool) == (kinds[0] is bool)
+    # bool is an int subclass, but true is not a number
+    return isinstance(value, _ACCEPTS[kinds[0]]) and not isinstance(value, bool)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -129,8 +132,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         for key, value in section.items():
             if (name, key) not in _RETIRED:
                 live[key] = value
-            elif value != _RETIRED[name, key]:
-                old = _RETIRED[name, key]
+                continue
+            old = _RETIRED[name, key]
+            if type(value) is not type(old) or value != old:  # type too: 0 == False
                 raise InvalidInputError(f"config {name}.{key} is retired; it takes only {old!r}")
         cls = _SECTION_TYPES.get(name)
         hints = typing.get_type_hints(cls) if cls else {}

@@ -203,7 +203,7 @@ class GuidanceConfig:
         if self.area is not None:
             return self.area
         # Neutral default: split the domain evenly.
-        return levelset.AreaPrior(0.5 * n_pixels, 0.5 * n_pixels)
+        return levelset.AreaPrior.from_a1(0.5 * n_pixels, n_pixels)
 
 
 def _distance_or_zeros(image, mask_soft, cfg: GuidanceConfig) -> np.ndarray:
@@ -462,4 +462,6 @@ def total_loss(
     l_dpm: float, l_lsf: float, l_par: float, eta1: float = 0.5, eta2: float = 0.005
 ) -> float:
     """Training-style total: l_dpm + eta1 * l_lsf + eta2 * l_par."""
+    if not (eta1 >= 0 and eta2 >= 0):
+        raise InvalidInputError(f"eta1 and eta2 must be non-negative, got {eta1}, {eta2}")
     return float(l_dpm + eta1 * l_lsf + eta2 * l_par)

@@ -196,7 +196,13 @@ def load_field(path) -> np.ndarray:
 
 def _save_lsf1(f: np.ndarray, path) -> None:
     h, w = f.shape
-    payload = f.astype("<f4").tobytes(order="C")
+    with np.errstate(over="ignore"):
+        samples = f.astype("<f4")
+    if not np.isfinite(samples).all():
+        raise InvalidInputError(
+            f"field values {float(f.min())!r}..{float(f.max())!r} exceed the float32 range of LSF1"
+        )
+    payload = samples.tobytes(order="C")
     with open(path, "wb") as fh:
         fh.write(LSF1_MAGIC)
         fh.write(struct.pack("<II", w, h))
@@ -231,6 +237,8 @@ def _load_lsf1(path) -> np.ndarray:
 def _save_pgm(f: np.ndarray, path) -> None:
     lo = float(f.min())
     hi = float(f.max())
+    if hi - lo == math.inf:
+        raise InvalidInputError(f"field values {lo!r}..{hi!r} span too wide a range to rescale")
     if hi > lo:
         gray = np.rint((f - lo) / (hi - lo) * 255.0).astype(np.uint8)
         comment = f"# linear rescale: gray = round(255*(v - lo)/(hi - lo)), lo={lo!r}, hi={hi!r}"

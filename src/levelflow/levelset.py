@@ -83,13 +83,12 @@ class EnergyWeights:
 class AreaPrior:
     """Target areas for the inside/outside regions.
 
-    Unless ``overridden`` is set, the two targets must sum to the pixel
-    count of the domain they are used on (checked at evaluation time).
+    The two targets must sum to the pixel count of the domain they are
+    used on (checked at evaluation time).
     """
 
     a1_target: float
     a2_target: float
-    overridden: bool = False
 
     def __post_init__(self):
         for name in ("a1_target", "a2_target"):
@@ -101,12 +100,10 @@ class AreaPrior:
         return cls(a1_target=float(a1_target), a2_target=float(n_pixels) - float(a1_target))
 
     def check_domain(self, n_pixels: int) -> None:
-        if self.overridden:
-            return
         if abs(self.a1_target + self.a2_target - n_pixels) > 1e-6 * max(n_pixels, 1):
             raise InvalidInputError(
                 f"area targets {self.a1_target} + {self.a2_target} do not sum to the "
-                f"domain size {n_pixels}; construct with overridden=True to allow this"
+                f"domain size {n_pixels}"
             )
 
 

@@ -4,8 +4,7 @@ Each pixel gets a softmax-normalized affinity to its 8-neighborhood,
 
     logit(q) = -((p(i,j) - p(q)) / sigma(i,j))^2,
 
-with the feature p taken from the image (intensity by default, optionally
-intensity plus coordinates) and sigma the local neighborhood standard
+with p the image intensity and sigma the local neighborhood standard
 deviation, floored to stay finite on flat patches.  Border pixels
 normalize over their existing neighbors, so the kernel is row-stochastic
 everywhere.  Refinement applies the kernel tau times to the mask
@@ -23,8 +22,6 @@ import numpy as np
 from .errors import InvalidInputError
 from .field import as_field, check_same_shape
 
-PAR_FEATURES = ("intensity", "intensity-xy")
-
 # Fixed neighbor order: row-major over the 3x3 window minus the center.
 NEIGHBOR_OFFSETS = (
     (-1, -1), (-1, 0), (-1, 1),
@@ -38,15 +35,10 @@ SIGMA_FLOOR = 1e-4  # keeps 1 / sigma finite on a flat neighborhood
 @dataclass(frozen=True)
 class ParParams:
     tau: int = 10
-    features: str = "intensity"
 
     def __post_init__(self):
         if self.tau < 0:
             raise InvalidInputError("tau must be non-negative")
-        if self.features not in PAR_FEATURES:
-            raise InvalidInputError(
-                f"unknown feature set {self.features!r}, expected one of {PAR_FEATURES}"
-            )
 
 
 @dataclass(frozen=True)
@@ -71,28 +63,18 @@ def _neighbor_stack(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stack, valid
 
 
-def _channel_logits(values: np.ndarray) -> np.ndarray:
-    stack, valid = _neighbor_stack(values)
-    with np.errstate(invalid="ignore"):
-        sigma = np.nanstd(stack, axis=2)
-    sigma = np.maximum(sigma, SIGMA_FLOOR)
-    diff = (stack - values[:, :, None]) / sigma[:, :, None]
-    logits = np.where(valid, -(diff * diff), -np.inf)
-    return logits
-
-
-def affinity_kernel(image: np.ndarray, pp: ParParams = ParParams()) -> AffinityKernel:
-    """Softmax affinity over the 8-neighborhood from image-derived features."""
+def affinity_kernel(image: np.ndarray) -> AffinityKernel:
+    """Softmax affinity over the 8-neighborhood from image intensity."""
     image = as_field(image, "image")
     if image.size < 2:
         raise InvalidInputError("affinity kernel needs at least two pixels")
-    logits = _channel_logits(image)
-    if pp.features == "intensity-xy":
-        h, w = image.shape
-        rows, cols = np.mgrid[0:h, 0:w].astype(np.float64)
-        logits = logits + _channel_logits(rows)
-        logits = logits + _channel_logits(cols)
-    valid = np.isfinite(logits)
+    stack, valid = _neighbor_stack(image)
+    with np.errstate(invalid="ignore"):
+        sigma = np.nanstd(stack, axis=2)
+    sigma = np.maximum(sigma, SIGMA_FLOOR)
+    diff = (stack - image[:, :, None]) / sigma[:, :, None]
+    logits = np.where(valid, -(diff * diff), -np.inf)
+    del stack, diff  # two (H, W, 8) arrays the softmax below no longer needs
     # Softmax over valid neighbors; max-shift keeps exp() in range and maps
     # equal logits to exactly equal weights.
     shift = logits.max(axis=2, keepdims=True)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import tempfile
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import levelflow as lf
-from levelflow import cli
+from levelflow import cli, config
 from levelflow.cli import main
 from levelflow.config import ExperimentConfig, config_from_dict, load_config_document
 from levelflow.errors import InvalidInputError
@@ -133,7 +135,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "section, key, value",
         [("heaviside", "epsilon", "abc"), ("area", "a1_target", "abc"),
-         ("sampler", "distance_refresh", "x"), ("area", "overridden", "yes")],
+         ("sampler", "distance_refresh", "x")],
     )
     def test_config_value_of_wrong_type_rejected(self, tmp_path, section, key, value):
         doc = ExperimentConfig().to_dict()
@@ -163,13 +165,15 @@ class TestConfig:
                      *extra])
 
     def test_manifest_with_retired_settings_replays(self, phantom_dir, tmp_path):
-        # manifests written before schedule.kind, the numerics section and
-        # par.sigma_floor were removed hold the one value each ever took
+        # manifests written before schedule.kind, the numerics section, the
+        # area override and par.sigma_floor/features were removed hold the
+        # one value each ever took
         assert self._losses(phantom_dir, tmp_path / "run") == 0
         doc = json.load(open(tmp_path / "run/manifest.json"))
         doc["config"]["schedule"]["kind"] = "linear"
         doc["config"]["numerics"] = {"mapping": "offset", "var_floor": 1e-06, "grad_floor": 1e-08}
-        doc["config"]["par"]["sigma_floor"] = 0.0001
+        doc["config"]["par"].update(sigma_floor=0.0001, features="intensity")
+        doc["config"]["area"].update(a2_target=None, overridden=False)
         old = tmp_path / "old_manifest.json"
         old.write_text(json.dumps(doc))
         assert main(["losses", "--config", str(old), "--out", str(tmp_path / "replay")]) == 0
@@ -179,7 +183,10 @@ class TestConfig:
         "section, key, value",
         [("numerics", "mapping", "literal"), ("schedule", "kind", "cosine"),
          ("numerics", "var_floor", 1e-4), ("numerics", "grad_floor", 1e-6),
-         ("par", "sigma_floor", 1e-3), ("numerics", "eps", 1e-6)],
+         ("par", "sigma_floor", 1e-3), ("numerics", "eps", 1e-6),
+         ("area", "a2_target", 50.0), ("area", "overridden", True),
+         ("area", "overridden", 0), ("area", "overridden", "yes"),
+         ("par", "features", "intensity-xy")],
     )
     def test_retired_setting_at_another_value_rejected(
         self, phantom_dir, tmp_path, capsys, section, key, value
@@ -193,8 +200,12 @@ class TestConfig:
         assert self._losses(phantom_dir, tmp_path / "x", "--config", str(path)) == 1
         assert f"{section}.{key}" in capsys.readouterr().err
 
+    def test_retired_keys_are_not_live_fields(self):
+        doc = ExperimentConfig().to_dict()
+        assert [place for place in config._RETIRED if place[1] in doc.get(place[0], {})] == []
+
     def test_settable_values_pinned(self):
-        # Each of the 29 config leaves is a setting that tests and the
+        # Each of the 26 config leaves is a setting that tests and the
         # benchmark have to cover; adding one means editing this list.
         doc = ExperimentConfig().to_dict()
         del doc["schema_version"]  # fixed by the code, not settable
@@ -202,12 +213,12 @@ class TestConfig:
         for name, value in doc.items():
             leaves += [f"{name}.{key}" for key in value] if isinstance(value, dict) else [name]
         assert sorted(leaves) == [
-            "area.a1_target", "area.a2_target", "area.overridden",
+            "area.a1_target",
             "evolve.dt", "evolve.stats_refresh", "evolve.steps",
             "guidance.gamma0", "guidance.schedule",
             "heaviside.epsilon",
             "losses.eta1", "losses.eta2", "losses.w_t",
-            "par.features", "par.tau",
+            "par.tau",
             "sampler.distance_refresh", "sampler.ensemble", "sampler.guidance_space",
             "sampler.noise_scale",
             "schedule.beta1", "schedule.betaT", "schedule.steps",
@@ -509,22 +520,17 @@ class TestOtherCommands:
         for name, *_ in rows:
             assert f"--{name} " in out
 
-    def test_sample_honours_config_a2_target(self, phantom_dir, tmp_path):
-        eps_path = tmp_path / "eps.lsf1"
-        lf.save_field(np.zeros((64, 64)), eps_path)
-        cfg_doc = ExperimentConfig().to_dict()
-        cfg_doc["area"].update(a2_target=50.0, overridden=True)
-        cfg_path = tmp_path / "area.json"
-        cfg_path.write_text(json.dumps(cfg_doc))
-        traces = []
-        for name, extra in (("plain", []), ("a2", ["--config", str(cfg_path)])):
-            out = tmp_path / name
-            assert main(["sample", "--image", str(phantom_dir / "fields/image.lsf1"),
-                         "--frozen-eps", str(eps_path), "--steps", "4", "--beta1", "0.01",
-                         "--betaT", "0.3", "--gamma0", "0", "--seed", "2", "--out", str(out),
-                         *extra]) == 0
-            traces.append((out / "traces/energy.csv").read_text())
-        assert traces[0] != traces[1]
+    def test_unallocatable_step_count_exits_2_without_traceback(
+        self, phantom_dir, tmp_path, capsys
+    ):
+        # a schedule of 10**16 steps needs 80 PB, beyond any address space,
+        # so numpy refuses it at once and nothing is allocated
+        rc = main(["losses", "--image", str(phantom_dir / "fields/image.lsf1"),
+                   "--mask", str(phantom_dir / "fields/gt_mask.lsf1"), "--t", "5",
+                   "--steps", str(10**16), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("levelflow: out of memory:") and "Traceback" not in err
 
     def test_degenerate_final_trace_row_is_json_null(self, phantom_dir, tmp_path):
         # a near-hard Heaviside and a noise prediction that drives every
@@ -566,13 +572,12 @@ RAW_NUMBERS = ("NaN", "Infinity", "-Infinity", "1e999", "9" * 4301)
 CONFIG_PLACES = sorted(
     {(s, k) for s, v in ExperimentConfig().to_dict().items() if isinstance(v, dict) for k in v}
     | {("", "seed"), ("", "schema_version"), ("", "turbo"), ("weights", "lambda5")}
-    | {("schedule", "kind"), ("numerics", "mapping"), ("numerics", "var_floor"),
-       ("numerics", "grad_floor"), ("par", "sigma_floor"), ("numerics", "eps")}
+    | set(config._RETIRED) | {("numerics", "eps")}
 )
 CONFIG_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(-1e3, 1e3),
     st.text(max_size=3), st.just([]), st.just({}),
-    st.sampled_from(["linear", "offset", 1e-06, 1e-08, 0.0001]),  # the retired values
+    st.sampled_from(list(config._RETIRED.values())),
     st.sampled_from(RAW_NUMBERS).map(lambda raw: f"<raw {raw}>"),
 )
 
@@ -616,3 +621,76 @@ class TestConfigFuzz:
             if rc == 0:
                 with open(manifest, encoding="utf-8") as fh:
                     json.load(fh, parse_constant=lambda c: pytest.fail(f"non-standard {c}"))
+
+
+# The manifest-args fuzz replays energy, evolve and losses.  Integers come
+# only from {-1, 0, 1, 10**15}: a mid-size count such as 10**8 steps would
+# run for minutes or allocate GBs, while 10**15 steps is refused at once
+# (its schedule or trace cannot be allocated).  The loop-count flags
+# `ensemble` (sample) and `tau` (par) are excluded: they allocate nothing up
+# front, so a huge value would loop for hours instead of failing fast.
+FUZZED_COMMANDS = ("energy", "evolve", "losses")
+ARG_VALUES = st.one_of(
+    st.sampled_from([-1, 0, 1, 10**15]), st.none(), st.booleans(), st.floats(-4.0, 4.0),
+    st.sampled_from(["nan", "NaN", "inf", "-Infinity", "1e999", "abc", ""]), st.just({}),
+)
+
+
+@st.composite
+def args_mutations(draw):
+    """A command plus up to three (op, key, value) edits of its manifest args."""
+    command = draw(st.sampled_from(FUZZED_COMMANDS))
+    flags = [name for name, *_ in cli._COMMANDS[command][2]]
+    ops = []
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["swap", "listify", "drop", "extra"]))
+        key = draw(st.sampled_from(["turbo", "out", "config"] if op == "extra" else flags))
+        ops.append((op, key, draw(ARG_VALUES)))
+    return command, ops
+
+
+@pytest.fixture(scope="module")
+def fuzz_manifests(tmp_path_factory):
+    root = tmp_path_factory.mktemp("args_fuzz")
+    assert main(["phantom", "--kind", "two-disks", "--size", "32", "--seed", "3",
+                 "--out", str(root / "phantom")]) == 0
+    image, gt = str(root / "phantom/fields/image.lsf1"), str(root / "phantom/fields/gt_mask.lsf1")
+    runs = {
+        "energy": ["energy", "--image", image, "--mask", gt],
+        "evolve": ["evolve", "--image", image, "--init-box", "8,8,24,24", "--gt", gt,
+                   "--steps", "3"],
+        "losses": ["losses", "--image", image, "--mask", gt, "--t", "5"],
+    }
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(root / name)]) == 0
+    return {name: json.loads((root / name / "manifest.json").read_text()) for name in runs}
+
+
+class TestManifestArgsFuzz:
+    @settings(max_examples=50)
+    @given(mutation=args_mutations())
+    def test_mutated_args_exit_0_1_or_2_with_matching_digests(self, fuzz_manifests, mutation):
+        command, ops = mutation
+        doc = json.loads(json.dumps(fuzz_manifests[command]))
+        args = doc["args"]
+        for op, key, value in ops:
+            if op == "drop":
+                args.pop(key, None)
+            elif op == "listify":
+                args[key] = [args.get(key)]
+            else:
+                args[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "manifest.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            out = os.path.join(tmp, "out")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main([command, "--config", path, "--out", out])
+            assert rc in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if rc == 0:
+                with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+                    listed = json.load(fh)["artifacts"]
+                assert listed == {rel: cli._sha256(os.path.join(out, rel)) for rel in listed}

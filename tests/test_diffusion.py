@@ -423,6 +423,11 @@ class TestLosses:
         b = normal_field((85, 2), (8, 8))
         assert dif.dpm_loss(a, b, w_t=2.0) == pytest.approx(2 * dif.dpm_loss(a, b, w_t=1.0))
 
+    @pytest.mark.parametrize("eta1, eta2", [(-1.0, 0.005), (0.5, -1e-9)])
+    def test_negative_eta_rejected(self, eta1, eta2):
+        with pytest.raises(InvalidInputError, match="eta1 and eta2"):
+            dif.total_loss(1.0, 2.0, 10.0, eta1=eta1, eta2=eta2)
+
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(InvalidInputError):
             dif.dpm_loss(np.zeros((4, 4)), np.zeros((4, 4)), w_t=0.0)

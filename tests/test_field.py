@@ -178,6 +178,28 @@ class TestFieldIO:
         assert back[1, 1] == 1.0  # max maps to 255 -> 1.0
         assert back[0, 0] == 0.0
 
+    @pytest.mark.parametrize("value", [1e39, -1e39, 3.5e38])
+    def test_lsf1_value_beyond_float32_rejected_before_writing(self, tmp_path, value):
+        # a value that rounds to inf in float32 would make a file load_field rejects
+        p = tmp_path / "big.lsf1"
+        with pytest.raises(InvalidInputError, match="float32"):
+            lf.save_field(np.array([[0.0, value], [1.0, 2.0]]), p)
+        assert not p.exists()
+
+    def test_lsf1_float32_max_round_trips(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        f = np.array([[top, -top], [0.0, 1.0]])
+        p = tmp_path / "max.lsf1"
+        lf.save_field(f, p)
+        assert np.array_equal(lf.load_field(p), f)
+
+    def test_pgm_range_too_wide_to_rescale_rejected(self, tmp_path):
+        # hi - lo overflows to inf, which used to write an all-zero raster
+        p = tmp_path / "wide.pgm"
+        with pytest.raises(InvalidInputError, match="range"):
+            lf.save_field(np.array([[-1e308, 1e308], [0.0, 1.0]]), p)
+        assert not p.exists()
+
     def test_pgm_16bit_rejected(self, tmp_path):
         p = tmp_path / "x.pgm"
         p.write_bytes(b"P5\n2 1\n65535\n" + bytes([0, 0, 0, 0]))

@@ -164,8 +164,6 @@ class TestEnergies:
         prior = ls.AreaPrior(10.0, 10.0)
         with pytest.raises(InvalidInputError):
             ls.energy_area(np.zeros((10, 10)), P, prior)
-        ok = ls.AreaPrior(10.0, 10.0, overridden=True)
-        ls.energy_area(np.zeros((10, 10)), P, ok)
 
     def test_distance_zero_field(self):
         phi = normal_field((33, 1), (8, 8))

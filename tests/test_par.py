@@ -56,16 +56,6 @@ class TestAffinityKernel:
         with pytest.raises(InvalidInputError):
             par.affinity_kernel(np.ones((1, 1)))
 
-    def test_xy_feature_variant(self):
-        image = np.full((12, 12), 1.0)
-        k = par.affinity_kernel(image, par.ParParams(features="intensity-xy"))
-        # coordinates break the tie: diagonal neighbors are farther
-        w = k.weights[6, 6]
-        n4 = par.NEIGHBOR_OFFSETS.index((0, 1))
-        n8 = par.NEIGHBOR_OFFSETS.index((1, 1))
-        assert w[n4] > w[n8]
-        assert k.weights.sum(axis=2) == pytest.approx(1.0, abs=1e-6)
-
 
 class TestRefine:
     def test_tau_zero_identity(self):
