@@ -142,12 +142,13 @@ def _area_prior(n_pixels: int, a1, fallback_a1) -> levelset.AreaPrior:
 # Flags
 # ---------------------------------------------------------------------------
 # Each subcommand declares its flags once, as rows (name, kind, default,
-# help).  The kind is str, int, float, a tuple of allowed values, or
-# [kind] for a repeatable flag.  The default is a literal, a _Cfg path into
-# the run's ExperimentConfig, or _REQUIRED.  The parser, the defaults and
-# the checks on values replayed from a manifest's args all come from these
-# rows: a value is taken from the command line, else the manifest, else the
-# default, and then passes the same checks whatever its source.
+# help).  The kind is str, int, float, a tuple of allowed values, a range
+# of allowed ints, or [kind] for a repeatable flag.  The default is a
+# literal, a _Cfg path into the run's ExperimentConfig, or _REQUIRED.  The
+# parser, the defaults and the checks on values replayed from a manifest's
+# args all come from these rows: a value is taken from the command line,
+# else the manifest, else the default, and then passes the same checks
+# whatever its source.
 
 
 class _Cfg(NamedTuple):
@@ -157,7 +158,7 @@ class _Cfg(NamedTuple):
 
 
 _REQUIRED = object()
-_SEED = ("seed", int, _Cfg("seed"), "run seed")
+_SEED = ("seed", range(rng.SEED_BOUND), _Cfg("seed"), "run seed in [0, 2**64)")
 _COMMANDS: dict = {}
 
 
@@ -180,6 +181,13 @@ def _check(label: str, kind, value):
         if value not in kind:
             raise InvalidInputError(f"{label} must be one of {', '.join(kind)}, got {value!r}")
         return value
+    if isinstance(kind, range):
+        converted = _check(label, int, value)
+        if converted not in kind:
+            raise InvalidInputError(
+                f"{label} must be an int from {kind.start} to {kind.stop - 1}, got {value!r}"
+            )
+        return converted
     accepted = {str: str, int: (str, int), float: (str, int, float)}[kind]
     try:
         if isinstance(value, bool) or not isinstance(value, accepted):

@@ -22,6 +22,7 @@ from .errors import InvalidInputError
 from .geodesic import SpeedParams
 from .levelset import EnergyWeights, HeavisideParams
 from .par import ParParams
+from .rng import SEED_BOUND
 
 SCHEMA_VERSION = 1
 # (section, key) -> the one value older documents hold; the numerical
@@ -121,9 +122,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - set(_SECTIONS) - {"schema_version", "seed"}
     if unknown:
         raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
-    kwargs: dict = {"seed": doc.get("seed", 0)}
-    if not _fits(int, kwargs["seed"]):
-        raise InvalidInputError(f"config seed expects int, got {kwargs['seed']!r}")
+    seed = doc.get("seed", 0)
+    if not (_fits(int, seed) and 0 <= seed < SEED_BOUND):
+        raise InvalidInputError(f"config seed expects an int in [0, 2**64), got {seed!r}")
+    kwargs: dict = {"seed": seed}
     for name in _SECTIONS:
         section = doc.get(name, {})
         if not isinstance(section, dict):

@@ -397,35 +397,38 @@ def sample(
     t_steps = np.arange(sched.T, 0, -1)
     accum = np.zeros(shape)
 
-    for member in range(ensemble):
-        y = rng.normals(rng.derive_key(seed, _MEMBER_TAG, member, _INIT_TAG), shape)
-        dist = None
-        for step_index, t in enumerate(t_steps):
-            t = int(t)
-            eps_hat = as_field(provider.eps_hat(y, t, sched), "eps_hat")
-            needs_energy = guided or member == 0
-            if needs_energy and step_index % cfg.distance_refresh == 0:
-                y0_est = np.clip(predict_y0(y, eps_hat, t, sched), 0.0, 1.0)
-                dist = _distance_or_zeros(image, y0_est, cfg)
-            if member == 0:
-                trace[step_index] = _trace_row(image, y, eps_hat, t, sched, cfg, dist)
-            if guided:
-                g = chain_rule_grad(y, eps_hat, t, sched, image, cfg, dist=dist)
-                if guidance_space == "noise":
-                    eps_use = guided_eps(eps_hat, g, t, sched, gp)
+    # Members whose clean estimates land on one mask share its distance map.
+    with geodesic.reuse_solves():
+        for member in range(ensemble):
+            y = rng.normals(rng.derive_key(seed, _MEMBER_TAG, member, _INIT_TAG), shape)
+            dist = None
+            for step_index, t in enumerate(t_steps):
+                t = int(t)
+                eps_hat = as_field(provider.eps_hat(y, t, sched), "eps_hat")
+                needs_energy = guided or member == 0
+                if needs_energy and step_index % cfg.distance_refresh == 0:
+                    y0_est = np.clip(predict_y0(y, eps_hat, t, sched), 0.0, 1.0)
+                    dist = _distance_or_zeros(image, y0_est, cfg)
+                if member == 0:
+                    trace[step_index] = _trace_row(image, y, eps_hat, t, sched, cfg, dist)
+                if guided:
+                    g = chain_rule_grad(y, eps_hat, t, sched, image, cfg, dist=dist)
+                    if guidance_space == "noise":
+                        eps_use = guided_eps(eps_hat, g, t, sched, gp)
+                    else:
+                        gamma_eps = guidance_scale(gp, t, sched)
+                        gamma_st = gamma_eps / float(np.sqrt(1.0 - sched.alpha_bar[t - 1]))
+                        s = eps_to_score(eps_hat, t, sched)
+                        eps_use = score_to_eps(guided_score(s, g, gamma_st), t, sched)
                 else:
-                    gamma_eps = guidance_scale(gp, t, sched)
-                    gamma_st = gamma_eps / float(np.sqrt(1.0 - sched.alpha_bar[t - 1]))
-                    s = eps_to_score(eps_hat, t, sched)
-                    eps_use = score_to_eps(guided_score(s, g, gamma_st), t, sched)
-            else:
-                eps_use = eps_hat
-            if t > 1:
-                xi = rng.normals(rng.derive_key(seed, _MEMBER_TAG, member, _STEP_TAG, t), shape)
-            else:
-                xi = np.zeros(shape)
-            y = reverse_step(y, eps_use, t, sched, xi)
-        accum += y
+                    eps_use = eps_hat
+                if t > 1:
+                    key = rng.derive_key(seed, _MEMBER_TAG, member, _STEP_TAG, t)
+                    xi = rng.normals(key, shape)
+                else:
+                    xi = np.zeros(shape)
+                y = reverse_step(y, eps_use, t, sched, xi)
+            accum += y
 
     mask = np.clip(accum / ensemble, 0.0, 1.0)
     return SampleResult(mask=mask, trace=trace, t_steps=t_steps)

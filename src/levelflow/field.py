@@ -122,8 +122,8 @@ class PhantomSpec:
             raise InvalidInputError("foreground and background intensities must differ")
         if not 0 <= self.noise_sigma < math.inf:
             raise InvalidInputError("noise_sigma must be non-negative and finite")
-        if self.seed < 0:
-            raise InvalidInputError("seed must be non-negative")
+        if not 0 <= self.seed < rng.SEED_BOUND:
+            raise InvalidInputError("seed must be in [0, 2**64)")
 
 
 def _disk(rows, cols, cy, cx, r):

@@ -21,7 +21,10 @@ import numpy as np
 
 ALGORITHM_ID = "ctr-splitmix64-boxmuller/1"
 
-_MASK = (1 << 64) - 1
+# derive_key folds a seed modulo 2**64, so only seeds below this bound
+# name distinct streams; the CLI and the config accept no others.
+SEED_BOUND = 1 << 64
+_MASK = SEED_BOUND - 1
 _GOLDEN_INT = 0x9E3779B97F4A7C15
 _MIX1_INT = 0xBF58476D1CE4E5B9
 _MIX2_INT = 0x94D049BB133111EB
@@ -33,9 +36,13 @@ _TWO_POW_NEG53 = 2.0 ** -53
 
 
 def _finalize(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    """The SplitMix64 avalanche of every word of ``z``, in place."""
+    z ^= z >> np.uint64(30)
+    z *= _MIX1
+    z ^= z >> np.uint64(27)
+    z *= _MIX2
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _finalize_int(z: int) -> int:
@@ -60,8 +67,10 @@ def derive_key(seed: int, *tags: int) -> int:
 
 def raw_words(key: int, count: int, start: int = 0) -> np.ndarray:
     """``count`` raw uint64 words of the stream ``key``, counters ``start..``."""
-    counters = np.arange(start, start + count, dtype=np.uint64)
-    return _finalize(np.uint64(key & _MASK) + _GOLDEN * counters)
+    z = np.arange(start, start + count, dtype=np.uint64)
+    z *= _GOLDEN
+    z += np.uint64(key & _MASK)
+    return _finalize(z)
 
 
 def uniforms(key: int, count: int, start: int = 0) -> np.ndarray:
@@ -75,15 +84,18 @@ def normals(key: int, shape: tuple[int, ...] | int) -> np.ndarray:
     if n == 0:
         return np.zeros(shape, dtype=np.float64)
     pairs = (n + 1) // 2
-    # u1 shifted into (0, 1] so log() is always finite.
-    u1 = (
-        (raw_words(key, pairs, 0) >> np.uint64(11)).astype(np.float64) + 1.0
-    ) * _TWO_POW_NEG53
-    u2 = uniforms(key, pairs, pairs)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = (2.0 * np.pi) * u2
-    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-    return z.reshape(shape)
+    # Words 0..pairs-1 give u1, the next pairs give u2; the cosines fill the
+    # first half of the output and the sines the second.
+    u = (raw_words(key, 2 * pairs) >> np.uint64(11)) * _TWO_POW_NEG53
+    # u1 = u + 2**-53 lies in (0, 1], so log() is always finite; the sum is
+    # exact, the same bits as (word + 1) * 2**-53.
+    r = np.sqrt(-2.0 * np.log(u[:pairs] + _TWO_POW_NEG53))
+    theta = (2.0 * np.pi) * u[pairs:]
+    z = np.empty((2, pairs))
+    np.cos(theta, out=z[0])
+    np.sin(theta, out=z[1])
+    z *= r
+    return z.ravel()[:n].reshape(shape)
 
 
 def integers(key: int, count: int, upper: int, start: int = 0) -> np.ndarray:

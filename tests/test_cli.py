@@ -694,3 +694,144 @@ class TestManifestArgsFuzz:
                 with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
                     listed = json.load(fh)["artifacts"]
                 assert listed == {rel: cli._sha256(os.path.join(out, rel)) for rel in listed}
+
+
+@pytest.fixture(scope="module")
+def small_fields(tmp_path_factory):
+    """A 16x16 image and mask that every field flag accepts."""
+    root = tmp_path_factory.mktemp("small_fields")
+    mask = np.zeros((16, 16))
+    mask[4:12, 4:12] = 1.0
+    image = mask + 0.05 * np.cos(np.arange(16))
+    paths = {"image": str(root / "image.lsf1"), "mask": str(root / "mask.lsf1")}
+    lf.save_field(image, paths["image"])
+    lf.save_field(mask, paths["mask"])
+    return paths
+
+
+SMALL_SCHEDULE = ("--steps", "3", "--beta1", "0.01", "--betaT", "0.3")
+
+
+class TestSeedRange:
+    """A seed names one rng stream: only 0 <= seed < 2**64 is accepted."""
+
+    SEEDED = {
+        "sample": ("sample", "--image", "{image}", "--mode-mask", "{mask}", *SMALL_SCHEDULE),
+        "losses": ("losses", "--image", "{image}", "--mask", "{mask}", "--t", "2",
+                   *SMALL_SCHEDULE),
+        "td-verify": ("td-verify", "--image", "{image}", "--mask", "{mask}", "--samples", "3"),
+    }
+
+    def argv(self, small_fields, command, out):
+        return [a.format(**small_fields) for a in self.SEEDED[command]] + ["--out", str(out)]
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_seed_flag_outside_range_exits_1(self, small_fields, tmp_path, capsys, command, seed):
+        out = tmp_path / "out"
+        assert main([*self.argv(small_fields, command, out), "--seed", str(seed)]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_largest_seed_accepted(self, small_fields, tmp_path, command):
+        out = tmp_path / "out"
+        assert main([*self.argv(small_fields, command, out), "--seed", str(2**64 - 1)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 2**64 - 1
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("command", sorted(SEEDED))
+    def test_replayed_seed_outside_range_exits_1(self, small_fields, tmp_path, capsys, command,
+                                                 seed):
+        first = tmp_path / "first"
+        assert main([*self.argv(small_fields, command, first), "--seed", "5"]) == 0
+        doc = json.loads((first / "manifest.json").read_text())
+        doc["args"]["seed"] = seed
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "again")]) == 1
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_config_seed_outside_range_exits_1(self, small_fields, tmp_path, capsys, seed):
+        doc = {**ExperimentConfig().to_dict(), "seed": seed}
+        with pytest.raises(InvalidInputError, match="config seed"):
+            config_from_dict(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        argv = self.argv(small_fields, "losses", tmp_path / "out")
+        assert main([*argv, "--config", str(path)]) == 1
+        assert "config seed" in capsys.readouterr().err
+        # a seed flag does not excuse the config's seed
+        assert main([*argv, "--config", str(path), "--seed", "1"]) == 1
+
+    def test_config_seed_at_the_bound_accepted(self):
+        doc = {**ExperimentConfig().to_dict(), "seed": 2**64 - 1}
+        assert config_from_dict(doc).seed == 2**64 - 1
+
+
+# Every field flag of every subcommand that reads fields, as rows of one
+# valid run: (command, field flags, other flags).  --mode-mask and
+# --frozen-eps exclude each other, so sample has a row for each.
+FIELD_RUNS = (
+    ("energy", ("image", "mask", "dist"), ()),
+    ("evolve", ("image", "init", "gt", "dist"), ("--steps", "2")),
+    ("td-verify", ("image", "mask"), ("--samples", "3")),
+    ("geodesic", ("image", "mask", "d-e"), ()),
+    ("par", ("image", "mask", "gt"), ("--tau", "1")),
+    ("sample", ("image", "mode-mask"), SMALL_SCHEDULE),
+    ("sample", ("frozen-eps", "image"), SMALL_SCHEDULE),
+    ("metrics", ("pred", "gt"), ()),
+    ("losses", ("image", "mask", "eps-hat"), ("--t", "2", *SMALL_SCHEDULE)),
+)
+
+
+def _write_bad_field(kind, root, small_fields) -> str:
+    """A path to hand a field flag that must end the run with exit 1."""
+    path = root / f"{kind}.lsf1"
+    if kind == "another-size":
+        lf.save_field(np.full((12, 12), 0.5), path)
+    elif kind == "truncated-lsf1":
+        path.write_bytes(open(small_fields["mask"], "rb").read()[:-5])
+    elif kind == "empty-file":
+        path.write_bytes(b"")
+    elif kind == "short-pgm-raster":
+        path = root / "short.pgm"
+        path.write_bytes(b"P5\n16 16\n255\n" + bytes(100))
+    elif kind == "directory":
+        path.mkdir()
+    return str(path)  # "missing-path" leaves nothing there
+
+
+BAD_FIELD_FILES = ("another-size", "truncated-lsf1", "empty-file", "short-pgm-raster",
+                   "missing-path", "directory")
+
+
+def _field_argv(row, small_fields, swap=None):
+    """The row's valid argv, or with ``swap = (flag, path)`` one field replaced."""
+    command, flags, extra = row
+    paths = {f: small_fields["image" if f == "image" else "mask"] for f in flags}
+    paths.update([swap] if swap else [])
+    return [command, *extra, *(a for f in flags for a in (f"--{f}", paths[f]))]
+
+
+# Each (command, field flag) once, with a row that gives it a valid run.
+FIELD_FLAGS = {(row[0], flag): row for row in FIELD_RUNS for flag in row[1]}
+
+
+class TestFieldFlagFuzz:
+    @pytest.mark.parametrize("row", FIELD_RUNS, ids=lambda row: f"{row[0]}-{row[1][0]}")
+    def test_valid_run_exits_0(self, small_fields, tmp_path, row):
+        assert main([*_field_argv(row, small_fields), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("kind", BAD_FIELD_FILES)
+    @pytest.mark.parametrize("command, flag", list(FIELD_FLAGS))
+    def test_bad_field_file_exits_1(self, small_fields, tmp_path, capsys, command, flag, kind):
+        bad = _write_bad_field(kind, tmp_path, small_fields)
+        out = tmp_path / "out"
+        argv = _field_argv(FIELD_FLAGS[command, flag], small_fields, swap=(flag, bad))
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("levelflow: invalid input:")
+        assert "Traceback" not in err
+        assert not (out / "manifest.json").exists()

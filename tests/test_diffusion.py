@@ -1,8 +1,11 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 import levelflow as lf
 from levelflow import diffusion as dif
+from levelflow import geodesic
 from levelflow import levelset as ls
 from levelflow.errors import InvalidInputError
 
@@ -403,6 +406,32 @@ class TestSampler:
                     modes[g0] += 1
         assert np.mean(stats[0.3]) < np.mean(stats[0.0])
         assert modes[0.3] >= modes[0.0]
+
+    def test_reused_solves_are_bit_identical(self, monkeypatch):
+        # members whose clean estimates fall onto one mode ask for the same
+        # distance map; answering from memory must change no bit
+        image, sched, prov, cfg = self._setup()
+        cfg = dif.GuidanceConfig(area=cfg.area, distance_refresh=10)
+        gp = dif.GuidancePolicy(gamma0=0.3)
+        inits = []
+        original = geodesic._exact_init
+
+        def counting(*args):
+            inits.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(geodesic, "_exact_init", counting)
+        runs = []
+        for scope in (geodesic.reuse_solves, contextlib.nullcontext):
+            monkeypatch.setattr(geodesic, "reuse_solves", scope)
+            inits.clear()
+            runs.append((dif.sample(image, prov, sched, gp, seed=7, ensemble=4, cfg=cfg),
+                         len(inits)))
+        (reused, n_reused), (fresh, n_fresh) = runs
+        assert n_fresh == 4 * 4  # every member refreshes at steps 40, 30, 20, 10
+        assert n_reused < n_fresh
+        assert reused.mask.tobytes() == fresh.mask.tobytes()
+        assert reused.trace.tobytes() == fresh.trace.tobytes()
 
     def test_bad_ensemble(self):
         image, sched, prov, cfg = self._setup()

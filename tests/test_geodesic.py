@@ -260,6 +260,169 @@ class TestSolveEikonal:
         assert np.all(dmap.raw[seed] == 0.0)
         assert np.all(dmap.raw[~seed] > 0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_tol_must_be_positive_and_finite(self, tol, monkeypatch):
+        # used to spin 10 000 iterations, then raise DivergenceError
+        monkeypatch.setattr(geo, "_solve", lambda *a: pytest.fail("solved a bad problem"))
+        seed = np.zeros((32, 32), dtype=bool)
+        seed[4, 4] = True
+        with pytest.raises(InvalidInputError, match="tol"):
+            geo.solve_eikonal(np.ones((32, 32)), seed, tol=tol)
+
+    @pytest.mark.parametrize("radius", [2.5, True, -3, "8", None])
+    def test_init_radius_must_be_a_non_negative_int(self, radius, monkeypatch):
+        # 2.5 and True raised a bare TypeError; -3 ran the bare scheme
+        monkeypatch.setattr(geo, "_solve", lambda *a: pytest.fail("solved a bad problem"))
+        seed = np.zeros((16, 16), dtype=bool)
+        seed[4, 4] = True
+        with pytest.raises(InvalidInputError, match="exact_init_radius"):
+            geo.solve_eikonal(np.ones((16, 16)), seed, exact_init_radius=radius)
+
+    def test_numpy_int_radius_accepted(self):
+        seed = np.zeros((16, 16), dtype=bool)
+        seed[4, 4] = True
+        a = geo.solve_eikonal(np.ones((16, 16)), seed, exact_init_radius=np.int64(3))
+        b = geo.solve_eikonal(np.ones((16, 16)), seed, exact_init_radius=3)
+        assert np.array_equal(a.raw, b.raw)
+
+
+def reuse_problem(shape=(12, 20)):
+    speed = 0.5 + uniform_field((52, 1), shape)
+    seed = np.zeros(shape, dtype=bool)
+    seed[3, 4] = True
+    return speed, seed
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts the solves that actually run (memo misses and unscoped calls)."""
+    calls = []
+    original = geo._solve
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(geo, "_solve", counting)
+    return calls
+
+
+class TestReuseSolves:
+    def test_repeat_in_scope_returns_the_same_map(self, solves):
+        speed, seed = reuse_problem()
+        with geo.reuse_solves():
+            a = geo.solve_eikonal(speed, seed)
+            b = geo.solve_eikonal(speed.copy(), seed.copy())
+        assert b is a
+        assert len(solves) == 1
+        assert np.array_equal(a.raw, geo.solve_eikonal(speed, seed).raw)
+
+    def test_outside_a_scope_every_call_solves_and_maps_are_read_only(self, solves):
+        speed, seed = reuse_problem()
+        a = geo.solve_eikonal(speed, seed)
+        b = geo.solve_eikonal(speed, seed)
+        assert b is not a and len(solves) == 2
+        for dmap in (a, b):
+            for arr in (dmap.values, dmap.raw):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] = 1.0
+
+    def test_maps_in_a_scope_are_read_only(self):
+        speed, seed = reuse_problem()
+        with geo.reuse_solves():
+            dmap = geo.solve_eikonal(speed, seed)
+        assert not dmap.values.flags.writeable and not dmap.raw.flags.writeable
+
+    @pytest.mark.parametrize(
+        "change",
+        ["tol", "radius", "transposed-shape", "speed-bit", "seed-pixel", "strided-view"],
+    )
+    def test_any_change_of_the_problem_misses(self, solves, change):
+        speed, seed = reuse_problem()
+        kwargs = {}
+        if change == "tol":
+            kwargs["tol"] = 2e-6
+        elif change == "radius":
+            kwargs["exact_init_radius"] = 7
+        elif change == "transposed-shape":
+            # the same C-order bytes under the transposed dimensions
+            speed, seed = speed.reshape(speed.shape[::-1]), seed.reshape(seed.shape[::-1])
+        elif change == "speed-bit":
+            speed = speed.copy()
+            speed.view(np.uint64)[7, 9] ^= np.uint64(1)
+        elif change == "seed-pixel":
+            seed = seed.copy()
+            seed[8, 15] = True
+        else:
+            # a strided view of a wider array: its values, not its buffer, count
+            wide_speed, wide_seed = reuse_problem((12, 40))
+            speed, seed = wide_speed[:, ::2], wide_seed[:, ::2]
+        with geo.reuse_solves():
+            first = geo.solve_eikonal(*reuse_problem())
+            second = geo.solve_eikonal(speed, seed, **kwargs)
+        assert second is not first and len(solves) == 2
+        assert np.array_equal(
+            second.raw, geo.solve_eikonal(speed.copy(), seed.copy(), **kwargs).raw
+        )
+
+    def test_strided_view_hits_its_contiguous_copy(self, solves):
+        wide_speed, wide_seed = reuse_problem((12, 40))
+        speed, seed = wide_speed[:, ::2], wide_seed[:, ::2]
+        with geo.reuse_solves():
+            a = geo.solve_eikonal(speed, seed)
+            b = geo.solve_eikonal(np.ascontiguousarray(speed), np.ascontiguousarray(seed))
+        assert b is a and len(solves) == 1
+
+    def test_memo_holds_at_most_reuse_max_solves(self, solves):
+        speed, _ = reuse_problem()
+        seeds = []
+        for k in range(geo._REUSE_MAX + 3):
+            seed = np.zeros(speed.shape, dtype=bool)
+            seed[k % 12, k] = True
+            seeds.append(seed)
+        with geo.reuse_solves():
+            for seed in seeds[:-1]:
+                geo.solve_eikonal(speed, seed)
+                assert len(geo._reuse.get()) <= geo._REUSE_MAX
+            oldest_kept = seeds[-1 - geo._REUSE_MAX]
+            n = len(solves)
+            geo.solve_eikonal(speed, oldest_kept)  # a hit makes it the newest
+            geo.solve_eikonal(speed, seeds[-1])  # evicts the least recently used
+            assert len(solves) == n + 1
+            geo.solve_eikonal(speed, oldest_kept)
+            assert len(solves) == n + 1
+            geo.solve_eikonal(speed, seeds[-geo._REUSE_MAX])
+            assert len(solves) == n + 2
+            assert len(geo._reuse.get()) == geo._REUSE_MAX
+
+    def test_scope_is_reset_after_an_exception(self):
+        speed, seed = reuse_problem()
+        with pytest.raises(RuntimeError):
+            with geo.reuse_solves():
+                geo.solve_eikonal(speed, seed)
+                raise RuntimeError("boom")
+        assert geo._reuse.get() is None
+
+    def test_failed_solve_is_not_stored(self, monkeypatch):
+        speed, seed = reuse_problem()
+        with geo.reuse_solves():
+            monkeypatch.setattr(geo, "_MAX_ITERATIONS", 1)
+            with pytest.raises(lf.DivergenceError):
+                geo.solve_eikonal(speed, seed)
+            assert len(geo._reuse.get()) == 0
+            monkeypatch.undo()
+            geo.solve_eikonal(speed, seed)
+            assert len(geo._reuse.get()) == 1
+
+    def test_inner_scope_starts_empty_and_outer_memo_survives(self, solves):
+        speed, seed = reuse_problem()
+        with geo.reuse_solves():
+            a = geo.solve_eikonal(speed, seed)
+            with geo.reuse_solves():
+                assert geo.solve_eikonal(speed, seed) is not a
+            assert geo.solve_eikonal(speed, seed) is a
+        assert len(solves) == 2
+
 
 @st.composite
 def eikonal_problems(draw, max_side=20):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from levelflow import rng
 
@@ -45,3 +46,36 @@ class TestStreams:
         z = rng.normals(rng.derive_key(11), (3, 5))
         assert z.shape == (3, 5)
         assert np.isfinite(z).all()
+
+
+def normals_reference(key, shape):
+    """The Box-Muller formula as first written: two draws, then concatenate."""
+    n = int(np.prod(shape))
+    if n == 0:
+        return np.zeros(shape, dtype=np.float64)
+    pairs = (n + 1) // 2
+    u1 = (
+        (rng.raw_words(key, pairs, 0) >> np.uint64(11)).astype(np.float64) + 1.0
+    ) * rng._TWO_POW_NEG53
+    u2 = rng.uniforms(key, pairs, pairs)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = (2.0 * np.pi) * u2
+    z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+    return z.reshape(shape)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (128, 128), (7, 9), (1, 1), 5, 0, (3, 0)])
+def test_normals_bytes_equal_the_reference_formula(shape):
+    for k in range(20):
+        key = rng.derive_key(k, 3)
+        got, want = rng.normals(key, shape), normals_reference(key, shape)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def test_u1_offset_is_exact_at_the_extreme_words():
+    # normals forms u1 as word * 2**-53 + 2**-53, which must equal the
+    # reference's (word + 1) * 2**-53 for every 53-bit word
+    w = np.array([0, 1, 2**52, 2**53 - 2, 2**53 - 1], dtype=np.uint64)
+    t = rng._TWO_POW_NEG53
+    assert ((w * t) + t).tobytes() == ((w.astype(np.float64) + 1.0) * t).tobytes()
