@@ -124,14 +124,21 @@ def _final(trace) -> dict:
     return {k: None if math.isnan(v) else v for k, v in zip(_TERMS, trace[-1])}
 
 
-def _load_input(path, name: str):
-    """The field at ``path``; None when the optional flag is unset."""
+def _load_input(path, name: str, like=None, like_flag: str = "image"):
+    """The field at ``path``, None when the flag is unset.  It must have the
+    shape of ``like``, the field of flag ``like_flag``; subcommands read every
+    input this way before any compute."""
     if path is None:
         return None
     try:
-        return load_field(path)
+        f = load_field(path)
     except OSError as exc:
         raise InvalidInputError(f"cannot read {name} file {path}: {exc}") from None
+    if like is not None and f.shape != like.shape:
+        raise InvalidInputError(
+            f"--{name} has shape {f.shape}, but --{like_flag} has shape {like.shape}"
+        )
+    return f
 
 
 def _area_prior(n_pixels: int, a1, fallback_a1) -> levelset.AreaPrior:
@@ -278,8 +285,8 @@ def _cmd_phantom(a, cfg: ExperimentConfig, run: _Run):
 )
 def _cmd_energy(a, cfg: ExperimentConfig, run: _Run):
     image = _load_input(a.image, "image")
-    mask = _load_input(a.mask, "mask")
-    dist = _load_input(a.dist, "dist")
+    mask = _load_input(a.mask, "mask", image)
+    dist = _load_input(a.dist, "dist", image)
     if dist is None:
         dist = geodesic.distance_for_mask(image, mask, cfg.speed).values
         run.add_field("fields/distance.lsf1", dist)
@@ -319,13 +326,13 @@ def _cmd_evolve(a, cfg: ExperimentConfig, run: _Run):
     image = _load_input(a.image, "image")
     if (a.init is None) == (a.init_box is None):
         raise InvalidInputError("provide exactly one of --init or --init-box")
-    if a.init is not None:
-        phi0 = _load_input(a.init, "init")
-    else:
+    phi0 = _load_input(a.init, "init", image)
+    dist = _load_input(a.dist, "dist", image)
+    gt = _load_input(a.gt, "gt", image)
+    if phi0 is None:
         r0, c0, r1, c1 = _parse_box(a.init_box)
         phi0 = np.full(image.shape, -0.5)
         phi0[r0:r1, c0:c1] = 0.5
-    dist = _load_input(a.dist, "dist")
     if dist is None:
         dist = geodesic.distance_for_mask(image, (phi0 > 0).astype(float), cfg.speed).values
     prior = _area_prior(image.size, cfg.area.a1_target, float((phi0 > 0).sum()))
@@ -351,7 +358,6 @@ def _cmd_evolve(a, cfg: ExperimentConfig, run: _Run):
         "final": _final(trace),
         "mask-area": float(mask_final.sum()),
     }
-    gt = _load_input(a.gt, "gt")
     if gt is not None:
         doc["dice"] = metrics.dice_score(mask_final, gt)
     run.add_json("reports/evolve.json", doc)
@@ -368,7 +374,7 @@ def _cmd_evolve(a, cfg: ExperimentConfig, run: _Run):
 )
 def _cmd_td_verify(a, cfg: ExperimentConfig, run: _Run):
     image = _load_input(a.image, "image")
-    mask = _load_input(a.mask, "mask")
+    mask = _load_input(a.mask, "mask", image)
     report = topo.verify_td(
         image, mask, model=a.model, samples=a.samples, radius=a.radius, seed=a.seed
     )
@@ -389,9 +395,10 @@ def _cmd_td_verify(a, cfg: ExperimentConfig, run: _Run):
 )
 def _cmd_geodesic(a, cfg: ExperimentConfig, run: _Run):
     image = _load_input(a.image, "image")
-    mask = _load_input(a.mask, "mask")
+    mask = _load_input(a.mask, "mask", image)
+    d_e = _load_input(a.d_e, "d-e", image)
     sp = geodesic.SpeedParams(eps_d=a.eps_d, beta_g=a.beta_g, nu=a.nu)
-    dmap = geodesic.distance_for_mask(image, mask, sp, d_e=_load_input(a.d_e, "d-e"))
+    dmap = geodesic.distance_for_mask(image, mask, sp, d_e=d_e)
     run.add_field("fields/distance.lsf1", dmap.values)
     run.add_json(
         "reports/geodesic.json",
@@ -414,13 +421,13 @@ def _cmd_geodesic(a, cfg: ExperimentConfig, run: _Run):
 )
 def _cmd_par(a, cfg: ExperimentConfig, run: _Run):
     image = _load_input(a.image, "image")
-    mask = _load_input(a.mask, "mask")
+    mask = _load_input(a.mask, "mask", image)
+    gt = _load_input(a.gt, "gt", image)
     kernel = par.affinity_kernel(image)
     refined = par.refine(mask, kernel, a.tau)
     loss = par.par_loss(mask, refined)
     run.add_field("fields/refined.lsf1", refined)
     doc = {"tau": a.tau, "l-par": loss, "l-par-mean": loss / mask.size}
-    gt = _load_input(a.gt, "gt")
     if gt is not None:
         doc["dice-before"] = metrics.dice_score(mask, gt)
         doc["dice-after"] = metrics.dice_score(refined, gt)
@@ -457,10 +464,10 @@ def _cmd_sample(a, cfg: ExperimentConfig, run: _Run):
     if (a.frozen_eps is None) == (not a.mode_mask):
         raise InvalidInputError("provide either --mode-mask (repeatable) or --frozen-eps")
     if a.frozen_eps is not None:
-        provider = diffusion.FrozenFieldProvider(_load_input(a.frozen_eps, "frozen-eps"))
+        provider = diffusion.FrozenFieldProvider(_load_input(a.frozen_eps, "frozen-eps", image))
         n_modes = 0
     else:
-        masks = tuple(_load_input(p, "mode-mask") for p in a.mode_mask)
+        masks = tuple(_load_input(p, "mode-mask", image) for p in a.mode_mask)
         weights = a.mode_weight or [1.0 / len(masks)] * len(masks)
         provider = diffusion.MixtureMaskProvider(
             masks=masks, weights=tuple(weights), noise_scale=a.noise_scale
@@ -503,7 +510,8 @@ def _cmd_sample(a, cfg: ExperimentConfig, run: _Run):
     ("threshold", float, 0.5, "binarization threshold"),
 )
 def _cmd_metrics(a, cfg: ExperimentConfig, run: _Run):
-    c = metrics.confusion(_load_input(a.pred, "pred"), _load_input(a.gt, "gt"), a.threshold)
+    pred = _load_input(a.pred, "pred")
+    c = metrics.confusion(pred, _load_input(a.gt, "gt", pred, "pred"), a.threshold)
     row = {**asdict(metrics.scores(c)), **asdict(c)}
     run.add_json("reports/metrics.json", {**row, "threshold": a.threshold})
     run.add_csv("reports/metrics.csv", row, [row.values()])
@@ -523,11 +531,11 @@ def _cmd_metrics(a, cfg: ExperimentConfig, run: _Run):
 )
 def _cmd_losses(a, cfg: ExperimentConfig, run: _Run):
     image = _load_input(a.image, "image")
-    mask = _load_input(a.mask, "mask")
+    mask = _load_input(a.mask, "mask", image)
+    eps_hat = _load_input(a.eps_hat, "eps-hat", image)
     sched = diffusion.make_schedule(a.steps, a.beta1, a.betaT)
     eps_true = rng.normals(rng.derive_key(a.seed, _LOSS_NOISE_TAG), image.shape)
     yt = diffusion.forward_sample(mask, a.t, sched, eps_true)
-    eps_hat = _load_input(a.eps_hat, "eps-hat")
     if eps_hat is None:
         eps_hat = eps_true
     l_dpm = diffusion.dpm_loss(eps_true, eps_hat, a.w_t)

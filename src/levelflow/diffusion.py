@@ -294,8 +294,8 @@ class MixtureMaskProvider:
             raise InvalidInputError("mixture weights must be positive and finite")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise InvalidInputError("mixture weights must sum to 1")
-        if not 0 <= self.noise_scale < math.inf:
-            raise InvalidInputError("noise scale must be non-negative and finite")
+        if not (0 <= self.noise_scale and self.noise_scale * self.noise_scale < math.inf):
+            raise InvalidInputError("noise scale must be non-negative, with a finite square")
 
     def marginal_variance(self, t: int, sched: DiffusionSchedule) -> float:
         i = _check_t(t, sched)

@@ -113,8 +113,8 @@ class PhantomSpec:
             raise InvalidInputError(
                 f"unknown phantom kind {self.kind!r}, expected one of {PHANTOM_KINDS}"
             )
-        if self.size < 32:
-            raise InvalidInputError("phantom size must be at least 32")
+        if not 32 <= self.size <= 2**14:  # bounded, so numpy never sees a huge size
+            raise InvalidInputError(f"phantom size must be from 32 to {2**14}, got {self.size}")
         for name in ("fg", "bg"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidInputError(f"{name} must be finite")

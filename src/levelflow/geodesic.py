@@ -1,4 +1,4 @@
-"""Edge-aware speed fields and geodesic distance maps via fast sweeping.
+"""Edge-aware speed fields and geodesic distance maps.
 
 The distance map D solves the eikonal problem |grad D| = f outside the
 seed region with D = 0 on it, where the speed (cost) field
@@ -9,27 +9,17 @@ makes homogeneous regions cheap and image edges expensive.  D_E is an
 optional externally supplied extra cost (zero by default).  Maps are
 normalized to [0, 1] by their maximum.
 
-The solver is the standard Godunov upwind discretization driven by fast
-sweeping: four alternating sweep orders, iterated until the largest
-update drops below ``tol * max(D)``.  The four sequential orders (rows
-and columns ascending; rows ascending, columns descending; rows
-descending, columns ascending; both descending) are replayed as one
-cached schedule of diagonals: i+j ascending, i-j ascending, i-j
-descending, i+j descending.  The neighbours a pixel reads already
-updated in the sequential order lie on earlier diagonals of that sweep,
-the others on later ones, and no two pixels of one diagonal are
-neighbours, so updating a whole diagonal at once with numpy is
-bit-identical to the sequential Gauss-Seidel pixel order.  In the flat
-padded grid a diagonal is an arithmetic progression (step w+1 for i+j,
-w+3 for i-j), so its pixels, their four neighbours and their speeds are
-strided-slice views, not gathered copies.
-
-A diagonal whose neighbour diagonals did not change since its last
-visit is skipped.  This is exact: its candidates would be the same bits
-as at that visit, and its values, which only ever decrease, are already
-no larger than those candidates.  Each family (i+j and i-j) keeps one
-dirty flag per diagonal; a pixel that drops flags the diagonals of its
-four neighbours in both families.
+The solver is the standard Godunov upwind discretization, iterated as a
+Jacobi fixed point on an active set (the Fast Iterative Method of Jeong
+and Whitaker, 2008).  Each iteration computes the candidates of every
+active pixel from the previous values at once and writes those that
+drop; the next active set is the 4-neighbours of the dropped pixels,
+seeds excluded.  The loop stops when no pixel drops, which is the exact
+fixed point of the scheme: a pixel with no changed neighbour would
+compute the same candidate again.  Values only ever decrease, and
+information travels one pixel per iteration, so a solve needs about one
+iteration per pixel along its longest characteristic; more than
+``h * w + 1`` iterations raises ``DivergenceError``.
 
 The near-seed initialization sums speed samples along straight segments
 in a fixed order, so offsets whose sample lists share a prefix share the
@@ -37,8 +27,8 @@ partial sum bit for bit.  A cached plan per radius walks the offsets in
 the order of their sample lists and computes each partial sum once.
 
 Inside a ``with reuse_solves():`` scope, a repeated solve is answered from
-memory: a call whose shape, ``tol``, ``exact_init_radius``, speed bytes and
-seed pixels all match one of the last ``_REUSE_MAX`` solves of the scope
+memory: a call whose shape, ``exact_init_radius``, speed bytes and seed
+pixels all match one of the last ``_REUSE_MAX`` solves of the scope
 returns that solve's ``DistanceMap`` itself.  ``sample`` opens one scope
 per call, where ensemble members whose clean estimates fall onto the same
 mask ask for the same map again.  Outside a scope every call solves.  The
@@ -62,8 +52,6 @@ import numpy as np
 from .errors import DivergenceError, InvalidInputError
 from .field import as_field, binarize, check_same_shape, gradient
 
-EIKONAL_TOL_DEFAULT = 1e-6
-_MAX_ITERATIONS = 10_000
 _REUSE_MAX = 8
 # The solves of the innermost open reuse_solves() scope, least recently
 # used first; None outside any scope.
@@ -114,31 +102,6 @@ def speed_field(image: np.ndarray, sp: SpeedParams, d_e: np.ndarray | None = Non
         check_same_shape(image, d_e)
         f = f + sp.nu * d_e
     return f
-
-
-@lru_cache(maxsize=8)
-def _schedule(shape: tuple[int, int]):
-    """The four sequential sweeps as (family, step, diagonals) triples.
-
-    Family 0 holds the diagonals i+j = d, family 1 the diagonals i-j = d.
-    In the flat (h+2, w+2) padded grid a diagonal is the strided slice
-    ``lo:hi:step`` with step w+1 (family 0) or w+3 (family 1).  Each
-    diagonal is ``(k, lo, hi, s, n)``: ``k`` its dirty-flag index in its
-    own family, ``n`` its pixel count, and pixel m's neighbours lie on the
-    other family's diagonals with flag indices s-1+2m and s+1+2m.
-    """
-    h, w = shape
-    stride = w + 2
-    plus, minus = [], []
-    for d in range(h + w - 1):  # i + j = d, rows i0..i1
-        i0, i1 = max(0, d - w + 1), min(d, h - 1)
-        lo = (i0 + 1) * stride + d - i0 + 1
-        plus.append((d + 1, lo, lo + (i1 - i0) * (w + 1) + 1, 2 * i0 - d + w, i1 - i0 + 1))
-    for d in range(1 - w, h):  # i - j = d, rows i0..i1
-        i0, i1 = max(0, d), min(h - 1, d + w - 1)
-        lo = (i0 + 1) * stride + i0 - d + 1
-        minus.append((d + w, lo, lo + (i1 - i0) * (w + 3) + 1, 2 * i0 - d + 1, i1 - i0 + 1))
-    return (0, w + 1, plus), (1, w + 3, minus), (1, w + 3, minus[::-1]), (0, w + 1, plus[::-1])
 
 
 def _shared(a, b) -> int:
@@ -198,7 +161,7 @@ def _exact_init(dist, speed, seed, radius):
     # pixel is its length times the mean speed sampled along it (a discrete
     # line integral, nearest-neighbor sampling at <= 1 px spacing): exact
     # for uniform speed, and any particular path only ever upper-bounds the
-    # geodesic distance, so the sweeps remain free to lower these values.
+    # geodesic distance, so the iteration remains free to lower these values.
     # Samples are summed from 0 in list order, so offsets whose lists share
     # a prefix share its partial sum bit for bit; ``stack[d]`` holds the
     # sum of the first d samples, over the seeds' bounding box grown by the
@@ -249,23 +212,16 @@ def _digest(a: np.ndarray) -> bytes:
     return hashlib.blake2b(np.ascontiguousarray(a)).digest()
 
 
-def solve_eikonal(
-    speed: np.ndarray,
-    seed: np.ndarray,
-    tol: float = EIKONAL_TOL_DEFAULT,
-    exact_init_radius: int = 8,
-) -> DistanceMap:
+def solve_eikonal(speed: np.ndarray, seed: np.ndarray, exact_init_radius: int = 8) -> DistanceMap:
     """Solve |grad D| = speed with D = 0 on the seed set, then normalize.
 
-    ``tol`` is the stopping threshold relative to max(D) and must be
-    positive.  ``exact_init_radius`` controls how far around the seed set
-    initial straight-segment costs are planted before sweeping (see
+    The result is the exact fixed point of the discrete scheme.
+    ``exact_init_radius`` controls how far around the seed set initial
+    straight-segment costs are planted before iterating (see
     ``_exact_init``); 0 disables it and runs the bare Godunov scheme,
     whose near-source error for point seeds is O(1) relative.  Inside a
     ``reuse_solves`` scope a repeated problem returns the earlier map.
     """
-    if not 0 < tol < math.inf:
-        raise InvalidInputError(f"tol must be positive and finite, got {tol!r}")
     radius = exact_init_radius
     if isinstance(radius, bool) or not isinstance(radius, Integral) or radius < 0:
         raise InvalidInputError(f"exact_init_radius must be an int >= 0, got {radius!r}")
@@ -288,65 +244,56 @@ def solve_eikonal(
     # pins work instead of calls (ROADMAP item 1).
     memo = _reuse.get()
     if memo is None:
-        return _solve(speed, seed_bin, tol, radius)
-    key = (speed.shape, tol, radius, _digest(speed), _digest(np.packbits(seed_bin)))
+        return _solve(speed, seed_bin, radius)
+    key = (speed.shape, radius, _digest(speed), _digest(np.packbits(seed_bin)))
     if key in memo:
         memo.move_to_end(key)
         return memo[key]
-    dmap = memo[key] = _solve(speed, seed_bin, tol, radius)
+    dmap = memo[key] = _solve(speed, seed_bin, radius)
     if len(memo) > _REUSE_MAX:
         memo.popitem(last=False)
     return dmap
 
 
-def _solve(speed, seed, tol, radius) -> DistanceMap:
-    """The fast-sweeping solve of checked inputs (``seed`` boolean)."""
+def _solve(speed, seed, radius) -> DistanceMap:
+    """The Jacobi fixed-point solve of checked inputs (``seed`` boolean)."""
     h, w = speed.shape
+    stride = w + 2
     padded = np.full((h + 2, w + 2), np.inf)
     dist = padded[1:-1, 1:-1]
     dist[seed] = 0.0
     if radius > 0:
         _exact_init(dist, speed, seed, radius)
 
-    # Seeds hold 0 and every Godunov candidate is >= 0, so they never change.
-    # An unreached (inf) neighbour, or two, makes |a - b| inf or nan, and
-    # the comparison then selects the one-sided update min(a, b) + f.
+    # Flat indices into the padded grid.  Seeds hold 0 and padding holds
+    # inf; neither is ever active.  An unreached (inf) neighbour, or two,
+    # makes |a - b| inf or nan, and the comparison then selects the
+    # one-sided update min(a, b) + f.
     p = padded.ravel()
-    stride = w + 2
     f1 = np.pad(speed, 1).ravel()
-    f2 = 2.0 * f1 * f1
-    # One dirty flag per diagonal per family, padded by one at each end.
-    flags = np.ones((2, h + w + 1), dtype=bool)
+    free = np.pad(~seed, 1).ravel()
+    mark = np.zeros_like(free)
+    active = np.flatnonzero(free)
     with np.errstate(invalid="ignore"):
-        for _ in range(_MAX_ITERATIONS):
-            prev = dist.copy()
-            for family, st, diagonals in _schedule(speed.shape):
-                own, other = flags[family], flags[1 - family]
-                for k, lo, hi, s, n in diagonals:
-                    if not own[k]:  # no neighbour changed since the last visit
-                        continue
-                    own[k] = False
-                    cur = p[lo:hi:st]
-                    a = np.minimum(p[lo - 1 : hi - 1 : st], p[lo + 1 : hi + 1 : st])
-                    b = np.minimum(
-                        p[lo - stride : hi - stride : st], p[lo + stride : hi + stride : st]
-                    )
-                    f = f1[lo:hi:st]
-                    diff = np.abs(a - b)
-                    two_sided = 0.5 * (a + b + np.sqrt(f2[lo:hi:st] - diff * diff))
-                    cand = np.where(diff < f, two_sided, np.minimum(a, b) + f)
-                    drop = cand < cur
-                    if drop.any():
-                        np.copyto(cur, cand, where=drop)
-                        own[k - 1] = own[k + 1] = True
-                        other[s - 1 : s - 1 + 2 * n : 2] |= drop
-                        other[s + 1 : s + 1 + 2 * n : 2] |= drop
-            # dist never increases, so prev - dist is the largest update
-            scale = tol * max(float(dist.max()), 1e-300)
-            if np.isfinite(dist).all() and (prev - dist).max() < scale:
+        for _ in range(h * w + 1):
+            a = np.minimum(p[active - 1], p[active + 1])
+            b = np.minimum(p[active - stride], p[active + stride])
+            f = f1[active]
+            diff = np.abs(a - b)
+            two_sided = 0.5 * (a + b + np.sqrt(2.0 * f * f - diff * diff))
+            cand = np.where(diff < f, two_sided, np.minimum(a, b) + f)
+            drop = cand < p[active]
+            if not drop.any():
                 break
+            dropped = active[drop]
+            p[dropped] = cand[drop]
+            for offset in (-1, 1, -stride, stride):
+                mark[dropped + offset] = True
+            mark &= free
+            active = np.flatnonzero(mark)
+            mark[active] = False
         else:
-            raise DivergenceError("fast sweeping did not converge", step=_MAX_ITERATIONS)
+            raise DivergenceError("eikonal iteration did not converge", step=h * w + 1)
 
     raw = dist.copy()
     max_raw = float(raw.max())

@@ -190,8 +190,9 @@ def energy_region(
 
 def energy_length(phi: np.ndarray, p: HeavisideParams) -> float:
     """Perimeter surrogate: sum of |grad H(phi)| over the grid (pixel area 1)."""
+    # H lies in [0, 1], so squaring cannot overflow; sqrt is within 1 ulp of np.hypot
     gx, gy = gradient(heaviside(phi, p))
-    return float(np.hypot(gx, gy).sum())
+    return float(np.sqrt(gx * gx + gy * gy).sum())
 
 
 def energy_area(phi: np.ndarray, p: HeavisideParams, prior: AreaPrior) -> float:
@@ -257,7 +258,7 @@ def _grad_energy_wrt_phi(
         grad_h += w.lambda1 * (e1 - e2)
     if w.lambda2 != 0.0:
         gx, gy = gradient(h)
-        norm = np.maximum(np.hypot(gx, gy), GRAD_FLOOR)
+        norm = np.maximum(np.sqrt(gx * gx + gy * gy), GRAD_FLOOR)
         grad_h += w.lambda2 * gradient_adjoint(gx / norm, gy / norm)
     if w.lambda3 != 0.0:
         prior.check_domain(phi.size)

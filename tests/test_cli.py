@@ -835,3 +835,122 @@ class TestFieldFlagFuzz:
         assert err.startswith("levelflow: invalid input:")
         assert "Traceback" not in err
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("kind", ["missing-path", "truncated-lsf1", "another-size"])
+    @pytest.mark.parametrize("command", ["evolve", "par"])
+    def test_bad_gt_exits_1_before_any_compute(self, small_fields, tmp_path, monkeypatch,
+                                               command, kind):
+        # a bad --gt costs no evolve step and no refine iteration
+        calls = []
+        for module, name in [(cli.levelset, "evolve"), (cli.geodesic, "distance_for_mask"),
+                             (cli.par, "affinity_kernel"), (cli.par, "refine")]:
+            monkeypatch.setattr(module, name, lambda *a, name=name, **k: calls.append(name))
+        bad = _write_bad_field(kind, tmp_path, small_fields)
+        argv = _field_argv(FIELD_FLAGS[command, "gt"], small_fields, swap=("gt", bad))
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert calls == []
+
+
+# Valid argument lists of every subcommand on the 16x16 fields, as the
+# subcommand name and (flag, value) pairs; {image} and {mask} are paths.
+ARGV_BASES = {
+    "phantom": [("--kind", "two-disks"), ("--size", "32")],
+    "energy": [("--image", "{image}"), ("--mask", "{mask}")],
+    "evolve": [("--image", "{image}"), ("--init-box", "4,4,12,12"), ("--gt", "{mask}"),
+               ("--steps", "3")],
+    "td-verify": [("--image", "{image}"), ("--mask", "{mask}"), ("--samples", "3")],
+    "geodesic": [("--image", "{image}"), ("--mask", "{mask}")],
+    "par": [("--image", "{image}"), ("--mask", "{mask}"), ("--gt", "{mask}"), ("--tau", "2")],
+    "sample": [("--image", "{image}"), ("--mode-mask", "{mask}"), ("--steps", "3"),
+               ("--beta1", "0.01"), ("--betaT", "0.3"), ("--ensemble", "2"),
+               ("--gamma0", "0.2")],
+    "metrics": [("--pred", "{mask}"), ("--gt", "{mask}")],
+    "losses": [("--image", "{image}"), ("--mask", "{mask}"), ("--t", "2"), ("--steps", "3"),
+               ("--beta1", "0.01"), ("--betaT", "0.3")],
+}
+# A huge loop count makes a run long, not wrong: these draw small values only.
+LOOP_COUNTS = ("--ensemble", "--tau", "--steps", "--samples")
+SMALL_VALUES = st.sampled_from(["-1", "0", "1", "2"])
+FLAG_VALUES = st.one_of(
+    SMALL_VALUES,
+    st.sampled_from([str(10**15), str(2**64), "nan", "-inf", "1e999", "1e300", "0.5", "abc", "",
+                     "4,4,12", "two-rects", "{image}"]),
+)
+
+
+@st.composite
+def mutated_argv(draw):
+    """A valid argument list with one to three mutations: a flag dropped,
+    repeated or moved, values swapped between flags, a value replaced, an
+    unknown flag, or a typo in the subcommand name."""
+    command = draw(st.sampled_from(sorted(ARGV_BASES)))
+    pairs = list(ARGV_BASES[command])
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "repeat", "move", "swap", "value", "unknown",
+                                   "typo"]))
+        i = draw(st.integers(0, len(pairs) - 1)) if pairs else None
+        j = draw(st.integers(0, len(pairs))) if pairs else 0
+        if op == "typo":
+            k = draw(st.integers(0, len(command) - 1))
+            command = draw(st.sampled_from([
+                command[:k] + command[k + 1:],
+                command[:k] + command[k] + command[k:],
+                command[:k] + "x" + command[k + 1:],
+            ]))
+        elif op == "unknown":
+            pairs.insert(j, ("--turbo", draw(SMALL_VALUES)))
+        elif i is None:
+            continue
+        elif op == "drop":
+            del pairs[i]
+        elif op == "repeat":
+            pairs.insert(j, pairs[i])
+        elif op == "move":
+            pairs.insert(j, pairs.pop(i))
+        elif op == "swap":
+            k = draw(st.integers(0, len(pairs) - 1))
+            (fi, vi), (fk, vk) = pairs[i], pairs[k]
+            pairs[i], pairs[k] = (fi, vk), (fk, vi)
+        else:
+            flag = pairs[i][0]
+            pairs[i] = (flag, draw(SMALL_VALUES if flag in LOOP_COUNTS else FLAG_VALUES))
+    return [command, *(token for pair in pairs for token in pair)]
+
+
+class TestArgvFuzz:
+    @settings(max_examples=100)
+    @given(argv=mutated_argv())
+    def test_mutated_argv_exits_0_1_or_2_with_standard_json(self, small_fields, argv):
+        argv = [token.format(**small_fields) for token in argv]
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "out")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main([*argv, "--out", out])
+            assert rc in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if rc != 0:
+                return
+            with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+                listed = json.load(fh)["artifacts"]
+            assert listed == {rel: cli._sha256(os.path.join(out, rel)) for rel in listed}
+            for rel in listed:
+                if rel.endswith(".json"):
+                    with open(os.path.join(out, rel), encoding="utf-8") as fh:
+                        json.load(fh, parse_constant=lambda c: pytest.fail(f"non-standard {c}"))
+
+    @pytest.mark.parametrize(
+        "argv, culprit",
+        [
+            (["phantom", "--kind", "two-disks", "--size", str(10**15)], "size"),
+            (["phantom", "--kind", "two-disks", "--size", str(2**64)], "size"),
+            (["sample", "--image", "{image}", "--mode-mask", "{mask}", *SMALL_SCHEDULE,
+              "--noise-scale", "1e300"], "noise scale"),
+        ],
+        ids=["size-1e15", "size-2**64", "noise-scale-1e300"],
+    )
+    def test_overflowing_value_exits_1(self, small_fields, tmp_path, capsys, argv, culprit):
+        # a size numpy cannot allocate, and a scale whose square overflows
+        argv = [token.format(**small_fields) for token in argv]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert culprit in capsys.readouterr().err

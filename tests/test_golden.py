@@ -32,9 +32,9 @@ GOLDEN = {
         "fields/phi_final.lsf1":
             "57ee93261dcbb85212d7851647e39570098a5599a9aaed05820311af5dd2b428",
         "reports/evolve.json":
-            "11f9e2a54862402221b98fa08b12760c0ab2a19c4dca87edd0f9c66c7086b2b2",
+            "8fe5f1352d283885404226686a316873b8be6d84bc10afca19ff9bf56c2bbdd5",
         "traces/energy.csv":
-            "53eab8ba92d78af429c02728f24d233559af2fbb60a400a4d80e6dfc3284bf6a",
+            "a45d14454ec388a135ee1884fa516be1552283c7229a85a0d9d4e552174fe701",
     },
     "geodesic": {
         "fields/distance.lsf1":
