@@ -15,6 +15,8 @@ runtime failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -36,6 +38,33 @@ _LOSS_NOISE_TAG = 0x4C4F5353  # "LOSS"
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NUMERICAL = 2
+
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Stop glibc from handing freed heap back to the kernel after each step.
+
+    By default glibc trims the top of the heap once about two 128 KiB arrays
+    are free, so every step of a 128x128 run faults its temporaries in again.
+    Setting the trim threshold alone would also freeze glibc's dynamic mmap
+    threshold where it stands, possibly at its 128 KiB start, where every
+    128x128 float64 array is mmapped and unmapped on each allocation; so the
+    mmap threshold is set too.  Only where memory comes from and goes back to
+    changes, never a value.  Where there is no ``mallopt`` (a C library other
+    than glibc) nothing is done.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # the most glibc's dynamic threshold reaches
 
 
 class _Parser(argparse.ArgumentParser):
@@ -568,6 +597,7 @@ def _cmd_losses(a, cfg: ExperimentConfig, run: _Run):
 
 
 def main(argv=None) -> int:
+    _keep_freed_heap()
     try:
         ns = build_parser().parse_args(argv)
         if ns.config is not None:

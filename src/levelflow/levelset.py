@@ -229,7 +229,7 @@ def energy_total(
     phi = as_field(phi, "phi")
     dist = as_field(dist, "dist")
     if stats is None:
-        stats = region_stats(image, phi, p)
+        stats = region_stats_from_weights(image, heaviside(phi, p))
     e_region = energy_region(image, phi, p, stats)
     e_length = energy_length(phi, p)
     e_area = energy_area(phi, p, prior)
@@ -243,14 +243,15 @@ def energy_total(
 def _grad_energy_wrt_phi(
     image: np.ndarray,
     phi: np.ndarray,
+    h: np.ndarray,
     p: HeavisideParams,
     w: EnergyWeights,
     prior: AreaPrior,
     dist: np.ndarray,
     stats: RegionStats,
 ) -> np.ndarray:
-    """Exact gradient of the weighted discrete energy with frozen statistics."""
-    h = heaviside(phi, p)
+    """Exact gradient of the weighted discrete energy with frozen statistics;
+    ``h`` is ``heaviside(phi, p)``."""
     d = dirac(phi, p)
     grad_h = np.zeros_like(phi)
     if w.lambda1 != 0.0:
@@ -292,10 +293,11 @@ def grad_energy_wrt_mask(
     check_same_shape(image, y, dist)
     _check_distance(dist)
     phi = mask_to_levelset(y)
+    h = heaviside(phi, p)
     if stats is None:
-        stats = region_stats(image, phi, p)
+        stats = region_stats_from_weights(image, h)
     # d(phi)/dy = 1
-    return _grad_energy_wrt_phi(image, phi, p, w, prior, dist, stats)
+    return _grad_energy_wrt_phi(image, phi, h, p, w, prior, dist, stats)
 
 
 def evolve(
@@ -333,7 +335,7 @@ def evolve(
     for n in range(steps):
         if n % stats_refresh == 0:
             stats = region_stats(image, phi, p)
-        g = _grad_energy_wrt_phi(image, phi, p, w, prior, dist, stats)
+        g = _grad_energy_wrt_phi(image, phi, heaviside(phi, p), p, w, prior, dist, stats)
         phi = phi - dt * g
         if not np.all(np.isfinite(phi)):
             raise DivergenceError("level set function became non-finite", step=n)

@@ -100,6 +100,25 @@ def test_entry_point_rejects_bad_field(name, arg, bad):
         ENTRY_POINTS[name](**fields)
 
 
+@pytest.mark.parametrize(
+    "name, arg, culprit",
+    [
+        ("energy_total", "image", "image"),
+        ("energy_total", "phi", "phi"),
+        ("energy_total", "dist", "dist"),
+        ("grad_energy_wrt_mask", "image", "image"),
+        ("grad_energy_wrt_mask", "y", "mask"),
+        ("grad_energy_wrt_mask", "dist", "distance"),
+    ],
+)
+def test_non_finite_field_is_named(name, arg, culprit):
+    # Statistics and H are computed from fields these entry points checked
+    # once; a NaN still stops the call with the field's own name.
+    fields = {a: _with_nan(MASK) if a == arg else MASK.copy() for a in FIELDS[name]}
+    with pytest.raises(InvalidInputError, match=f"^{culprit}"):
+        ENTRY_POINTS[name](**fields)
+
+
 @pytest.fixture
 def as_field_calls(monkeypatch):
     """Count ``as_field`` calls through every ``levelflow`` module binding it."""
@@ -154,6 +173,7 @@ def test_evolve_step_validates_a_fixed_number_of_fields(as_field_calls):
         lf.evolve(IMAGE, MASK - 0.5, P, W, PRIOR, Z, steps=steps)
         counts.append(len(as_field_calls))
     # evolve checks its 3 fields once; each step re-enters the region_stats
-    # and energy_total entry points (2 + 3 + 2 fields)
-    assert counts[0] <= 10
-    assert (counts[1] - counts[0]) / 2 <= 7
+    # and energy_total entry points (2 + 3 fields), and energy_total computes
+    # its statistics without re-entering region_stats
+    assert counts[0] <= 8
+    assert (counts[1] - counts[0]) / 2 <= 5

@@ -3,6 +3,9 @@ import hashlib
 import io
 import json
 import os
+import platform
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -562,6 +565,59 @@ class TestOtherCommands:
         ):
             assert main(args + ["--out", str(tmp_path / name)]) == 0
         assert (image_path.read_bytes(), mask_path.read_bytes()) == before
+
+
+# A child interpreter makes a 128x128 phantom, runs a 20-step unguided
+# sample on it twice and prints the minor page faults of the second run.
+FAULTS_CHILD = """
+import resource, sys, tempfile
+from levelflow.cli import main
+d = tempfile.mkdtemp()
+assert main(["phantom", "--kind", "two-disks", "--size", "128", "--out", d + "/p"]) == 0
+argv = ["sample", "--image", d + "/p/fields/image.lsf1", "--mode-mask",
+        d + "/p/fields/gt_mask.lsf1", "--steps", "20", "--gamma0", "0", "--out", d + "/s"]
+assert main(argv) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+assert main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestAllocatorPolicy:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt policy is glibc's")
+    def test_repeated_sample_keeps_its_heap(self):
+        # Trimming the heap after each step costs about 4 800 faults here.
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        child = subprocess.run([sys.executable, "-c", FAULTS_CHILD], env=env,
+                               capture_output=True, text=True, check=True)
+        assert int(child.stdout) < 500
+
+    @pytest.mark.parametrize("lookup", ["raises", "no-mallopt"])
+    def test_policy_is_optional(self, phantom_dir, tmp_path, monkeypatch, capsys, lookup):
+        argv = ["sample", "--image", str(phantom_dir / "fields/image.lsf1"),
+                "--mode-mask", str(phantom_dir / "fields/gt_mask.lsf1"),
+                "--steps", "5", "--gamma0", "0", "--seed", "2", "--out"]
+        assert main(argv + [str(tmp_path / "plain")]) == 0
+        capsys.readouterr()
+        calls = []
+
+        def cdll(name):
+            calls.append(name)
+            if lookup == "raises":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        cli._keep_freed_heap.cache_clear()
+        try:
+            assert main(argv + [str(tmp_path / "patched")]) == 0
+        finally:
+            cli._keep_freed_heap.cache_clear()
+        assert calls == [None]
+        assert capsys.readouterr().err == ""
+        manifests = [(tmp_path / d / "manifest.json").read_bytes() for d in ("plain", "patched")]
+        assert manifests[0] == manifests[1]
 
 
 # Number tokens a strict config reader must refuse; the strategy stores a
