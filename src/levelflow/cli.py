@@ -263,7 +263,9 @@ def _help(text: str, default, cfg: ExperimentConfig) -> str:
     return text if default is None else f"{text} (default: {default})"
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The CLI's parser, built once per process; parse_args leaves it unchanged."""
     parser = _Parser(prog="levelflow", description=__doc__)
     parser.add_argument("--version", action="version", version=f"levelflow {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -149,11 +149,16 @@ def region_stats_from_weights(image: np.ndarray, w_in: np.ndarray) -> RegionStat
         raise DegenerateRegionError(
             f"region mass too small (in={mass_in:.3e}, out={mass_out:.3e}, n={n})"
         )
-    mean_in = float((w_in * image).sum() / mass_in)
-    mean_out = float((w_out * image).sum() / mass_out)
+    scratch = w_in * image  # reused for every weighted sum below
+    mean_in = float(scratch.sum() / mass_in)
+    mean_out = float(np.multiply(w_out, image, out=scratch).sum() / mass_out)
     with np.errstate(over="ignore"):  # extreme intensities saturate to inf; guards downstream
-        var_in = float((w_in * (image - mean_in) ** 2).sum() / mass_in)
-        var_out = float((w_out * (image - mean_out) ** 2).sum() / mass_out)
+        np.square(np.subtract(image, mean_in, out=scratch), out=scratch)
+        scratch *= w_in
+        var_in = float(scratch.sum() / mass_in)
+        np.square(np.subtract(image, mean_out, out=scratch), out=scratch)
+        scratch *= w_out
+        var_out = float(scratch.sum() / mass_out)
     return RegionStats(
         mean_in=mean_in,
         mean_out=mean_out,

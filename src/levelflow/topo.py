@@ -13,12 +13,15 @@ and for the two-phase Gaussian energy
 Both formulas describe hard set membership, so the statistics here are
 computed on the mask binarized at 0.5 rather than on Heaviside-smoothed
 weights; the oracle below flips hard disks the same way and recomputes
-all statistics exactly, which makes it an independent check of the
-first-order fields rather than a restatement of them.
+every statistic after the flip exactly, which makes it an independent
+check of the first-order fields rather than a restatement of them.  Only
+the unflipped energy is shared: ``verify_td`` computes it once per call
+and hands it to each probe.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,11 +81,18 @@ def _disk_pixels(shape, probe: NucleationProbe) -> np.ndarray:
             f"probe disk (center ({probe.row}, {probe.col}), radius {r}) "
             f"does not fit inside a {h}x{w} grid"
         )
+    disk = np.zeros(shape, dtype=bool)
+    disk[probe.row - r : probe.row + r + 1, probe.col - r : probe.col + r + 1] = _footprint(r)
+    return disk
+
+
+@functools.lru_cache(maxsize=8)
+def _footprint(r: int) -> np.ndarray:
+    """Read-only (2r+1)x(2r+1) boolean disk of radius r."""
     rows, cols = np.mgrid[-r : r + 1, -r : r + 1]
     inside = rows * rows + cols * cols <= r * r
-    disk = np.zeros(shape, dtype=bool)
-    disk[probe.row - r : probe.row + r + 1, probe.col - r : probe.col + r + 1] = inside
-    return disk
+    inside.flags.writeable = False
+    return inside
 
 
 def _hard_energy(image, mask_bin, model) -> float:
@@ -101,6 +111,8 @@ def nucleation_delta(
     mask: np.ndarray,
     probe: NucleationProbe,
     model: str = "cv",
+    *,
+    before_energy: float | None = None,
 ) -> float:
     """Exact energy change per flipped pixel for a hard disk flip.
 
@@ -108,6 +120,11 @@ def nucleation_delta(
     direction and the region statistics are fully recomputed afterwards,
     so the returned value contains every finite-size correction the
     first-order TD fields drop.
+
+    ``before_energy`` is the hard energy of the unflipped mask,
+    ``_hard_energy(image, binarize(mask), model)``; any other value gives a
+    wrong delta.  ``verify_td`` computes it once per call and passes it to
+    every probe.  When it is None it is computed here.
     """
     if model not in TD_MODELS:
         raise InvalidInputError(f"unknown energy model {model!r}, expected one of {TD_MODELS}")
@@ -123,12 +140,13 @@ def nucleation_delta(
     else:
         flipped = disk & ~before
         after[disk] = True
-    n_flipped = int(flipped.sum())
+    n_flipped = int(np.count_nonzero(flipped))
     if n_flipped == 0:
         raise InvalidInputError("probe disk lies entirely in its target region; nothing to flip")
-    e_before = _hard_energy(image, before, model)
+    if before_energy is None:
+        before_energy = _hard_energy(image, before, model)
     e_after = _hard_energy(image, after, model)
-    return (e_after - e_before) / n_flipped
+    return (e_after - before_energy) / n_flipped
 
 
 @dataclass(frozen=True)
@@ -177,6 +195,8 @@ def verify_td(
 
     tie_threshold = tie_factor * float(np.abs(t).max())
     mask_bin = binarize(mask)
+    # td_field has validated both fields; this is as_field's coercion
+    before_energy = _hard_energy(np.asarray(image, dtype=np.float64), mask_bin, model)
 
     key = rng.derive_key(seed, _PROBE_TAG)
     rows = radius + rng.integers(key, samples, h - 2 * radius, start=0)
@@ -188,7 +208,7 @@ def verify_td(
         inside = bool(mask_bin[r, c])
         direction = "remove-from-inside" if inside else "add-to-inside"
         probe = NucleationProbe(row=int(r), col=int(c), radius=radius, direction=direction)
-        delta = nucleation_delta(image, mask, probe, model)
+        delta = nucleation_delta(image, mask, probe, model, before_energy=before_energy)
         expected = float(t[r, c]) if inside else -float(t[r, c])
         if abs(t[r, c]) < tie_threshold:
             continue

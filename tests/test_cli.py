@@ -620,6 +620,63 @@ class TestAllocatorPolicy:
         assert manifests[0] == manifests[1]
 
 
+# A child interpreter runs the argument lists given as JSON in argv[1] in
+# order and fails on a non-zero exit.
+FRESH_CHILD = """
+import json, sys
+from levelflow.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+"""
+
+
+class TestParserReuse:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_manifests_match_a_fresh_interpreter(self, phantom_dir, tmp_path):
+        image = str(phantom_dir / "fields/image.lsf1")
+        gt = str(phantom_dir / "fields/gt_mask.lsf1")
+        runs = [
+            ["evolve", "--image", image, "--init-box", "13,13,51,51", "--steps", "5",
+             "--out", str(tmp_path / "evolve")],
+            ["sample", "--image", image, "--mode-mask", gt, "--steps", "5", "--seed", "4",
+             "--out", str(tmp_path / "sample")],
+            ["metrics", "--pred", str(tmp_path / "sample/fields/mask.lsf1"), "--gt", gt,
+             "--out", str(tmp_path / "metrics")],
+        ]
+        manifests = [tmp_path / argv[0] / "manifest.json" for argv in runs]
+        for argv in runs:
+            assert main(argv) == 0
+        here = [m.read_bytes() for m in manifests]
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        subprocess.run([sys.executable, "-c", FRESH_CHILD, json.dumps(runs)],
+                       env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert here == [m.read_bytes() for m in manifests]
+
+    @pytest.mark.parametrize("bad, flag", [
+        (["--threshold"], "--threshold"),
+        (["--bogus", "1"], "--bogus"),
+    ])
+    def test_bad_argv_after_a_success(self, phantom_dir, tmp_path, capsys, bad, flag):
+        argv = ["metrics", "--pred", str(phantom_dir / "fields/gt_mask.lsf1"),
+                "--gt", str(phantom_dir / "fields/gt_mask.lsf1"), "--out", str(tmp_path / "m")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + bad) == 1
+        assert flag in capsys.readouterr().err
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_help_is_the_same_on_every_call(self, capsys, command):
+        outs = []
+        for _ in range(2):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+
+
 # Number tokens a strict config reader must refuse; the strategy stores a
 # placeholder string and swaps the bare token in after encoding.
 RAW_NUMBERS = ("NaN", "Infinity", "-Infinity", "1e999", "9" * 4301)

@@ -5,6 +5,7 @@ import levelflow as lf
 from levelflow import levelset as ls
 from levelflow import topo
 from levelflow.errors import DegenerateRegionError, InvalidInputError
+from levelflow.field import binarize
 
 from conftest import normal_field
 
@@ -148,6 +149,20 @@ class TestNucleationDelta:
                 image, gt, topo.NucleationProbe(5, 32, 2, "remove-from-inside"), "cv"
             )
 
+    @pytest.mark.parametrize("model", topo.TD_MODELS)
+    @pytest.mark.parametrize("probe", [
+        topo.NucleationProbe(43, 42, 2, "remove-from-inside"),
+        topo.NucleationProbe(5, 32, 2, "add-to-inside"),
+    ])
+    def test_shared_before_energy_is_bit_identical(self, two_disks_64, model, probe):
+        image, gt = two_disks_64
+        image = image + 0.1 * normal_field((41, 0), image.shape)
+        before = topo._hard_energy(image, binarize(gt), model)
+        shared = topo.nucleation_delta(image, gt, probe, model, before_energy=before)
+        default = topo.nucleation_delta(image, gt, probe, model)
+        assert type(shared) is float
+        assert shared == default
+
     def test_size_scaling_of_statistics_correction(self):
         # doubling the pixel count roughly halves the oracle-vs-field gap
         def gap(size):
@@ -183,6 +198,22 @@ class TestVerifyTd:
         assert rep.n_used == 0
         assert rep.sign_agreement_rate is None
         assert rep.median_rel_err is None
+
+    @pytest.mark.parametrize("model", topo.TD_MODELS)
+    def test_unflipped_energy_computed_once(self, two_disks_64, monkeypatch, model):
+        # one hard energy for the unflipped mask, then one per probe
+        image, gt = two_disks_64
+        image = image + 0.1 * normal_field((42, 0), image.shape)
+        calls = []
+        hard_energy = topo._hard_energy
+
+        def counted(*args):
+            calls.append(None)
+            return hard_energy(*args)
+
+        monkeypatch.setattr(topo, "_hard_energy", counted)
+        topo.verify_td(image, gt, model=model, samples=50, radius=2, seed=3)
+        assert len(calls) == 51
 
     def test_deterministic(self, two_disks_64):
         image, gt = two_disks_64
