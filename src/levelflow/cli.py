@@ -1,12 +1,12 @@
 """Command-line front end wiring the modules into reproducible experiments.
 
-Every subcommand writes its numeric artifacts under ``--out`` in a fixed
-layout (``fields/`` for LSF1/PGM rasters, ``reports/`` for JSON,
-``traces/`` for CSV) plus a ``manifest.json`` recording the tool version,
-RNG algorithm, resolved configuration, resolved arguments, and a sha256
-per artifact.  Runs are pure functions of (config, args, seed): rerunning
-a subcommand with ``--config <manifest.json>`` reproduces every artifact
-bit for bit.
+Every subcommand reads and shape-checks its input fields before anything
+else, then writes its numeric artifacts under ``--out`` (``fields/`` for
+LSF1/PGM rasters, ``reports/`` for JSON, ``traces/`` for CSV) plus a
+``manifest.json`` recording the tool version, RNG algorithm, resolved
+configuration, resolved arguments, and a sha256 per artifact.  Runs are
+pure functions of (config, args, seed): rerunning a subcommand with
+``--config <manifest.json>`` reproduces every artifact bit for bit.
 
 Exit codes: 0 success, 1 invalid input or configuration, 2 numerical or
 runtime failure.
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import __version__, diffusion, geodesic, levelset, metrics, par, rng, topo
 from .config import ExperimentConfig, load_config_document
-from .errors import InvalidInputError, LevelflowError
+from .errors import FieldFormatError, InvalidInputError, LevelflowError
 from .field import PHANTOM_KINDS, PhantomSpec, binarize, load_field, make_phantom, save_field
 
 _LOSS_NOISE_TAG = 0x4C4F5353  # "LOSS"
@@ -92,19 +92,30 @@ def _dashed(obj) -> dict:
 
 
 class _Run:
-    """Output directory layout plus artifact bookkeeping for one invocation."""
+    """Output directory layout plus artifact bookkeeping for one invocation.
+    A directory is made only when a file is written into it."""
 
     def __init__(self, out_dir: str):
+        if os.path.exists(out_dir) and not os.path.isdir(out_dir):
+            raise InvalidInputError(f"--out {out_dir} exists and is not a directory")
         self.out_dir = out_dir
         self.artifacts: list[str] = []
-        for sub in ("fields", "reports", "traces"):
-            os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
 
     def path(self, rel: str) -> str:
         return os.path.join(self.out_dir, rel)
 
-    def add_field(self, rel: str, arr) -> None:
-        save_field(arr, self.path(rel))
+    def add(self, rel: str, content) -> None:
+        """Write ``content``, a field or text, to ``rel`` and list it."""
+        path = self.path(rel)
+        try:
+            os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+            if isinstance(content, str):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(content)
+            else:
+                save_field(content, path)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {path} under --out: {exc}") from None
         self.artifacts.append(rel)
 
     def add_json(self, rel: str, obj) -> None:
@@ -112,16 +123,11 @@ class _Run:
             text = _dump_json(obj)
         except ValueError as exc:  # a NaN or inf that no validator caught
             raise LevelflowError(f"{rel} would hold a non-finite number: {exc}") from None
-        with open(self.path(rel), "w", encoding="utf-8") as fh:
-            fh.write(text)
-        self.artifacts.append(rel)
+        self.add(rel, text)
 
     def add_csv(self, rel: str, columns, rows) -> None:
-        with open(self.path(rel), "w", encoding="utf-8") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        self.artifacts.append(rel)
+        lines = [",".join(columns), *(",".join(f"{v:.17g}" for v in row) for row in rows)]
+        self.add(rel, "\n".join(lines) + "\n")
 
     def add_trace(self, rel: str, steps, trace) -> None:
         rows = ([s, *row] for s, row in zip(steps, trace))
@@ -141,8 +147,7 @@ class _Run:
             "args": args,
             "artifacts": {rel: _sha256(self.path(rel)) for rel in sorted(self.artifacts)},
         }
-        with open(self.path("manifest.json"), "w", encoding="utf-8") as fh:
-            fh.write(_dump_json(manifest))
+        self.add("manifest.json", _dump_json(manifest))
 
 
 _TERMS = tuple(c.removeprefix("e_") for c in levelset.TRACE_COLUMNS)
@@ -153,23 +158,6 @@ def _final(trace) -> dict:
     return {k: None if math.isnan(v) else v for k, v in zip(_TERMS, trace[-1])}
 
 
-def _load_input(path, name: str, like=None, like_flag: str = "image"):
-    """The field at ``path``, None when the flag is unset.  It must have the
-    shape of ``like``, the field of flag ``like_flag``; subcommands read every
-    input this way before any compute."""
-    if path is None:
-        return None
-    try:
-        f = load_field(path)
-    except OSError as exc:
-        raise InvalidInputError(f"cannot read {name} file {path}: {exc}") from None
-    if like is not None and f.shape != like.shape:
-        raise InvalidInputError(
-            f"--{name} has shape {f.shape}, but --{like_flag} has shape {like.shape}"
-        )
-    return f
-
-
 def _area_prior(n_pixels: int, a1, fallback_a1) -> levelset.AreaPrior:
     return levelset.AreaPrior.from_a1(fallback_a1 if a1 is None else a1, n_pixels)
 
@@ -178,13 +166,13 @@ def _area_prior(n_pixels: int, a1, fallback_a1) -> levelset.AreaPrior:
 # Flags
 # ---------------------------------------------------------------------------
 # Each subcommand declares its flags once, as rows (name, kind, default,
-# help).  The kind is str, int, float, a tuple of allowed values, a range
-# of allowed ints, or [kind] for a repeatable flag.  The default is a
-# literal, a _Cfg path into the run's ExperimentConfig, or _REQUIRED.  The
-# parser, the defaults and the checks on values replayed from a manifest's
-# args all come from these rows: a value is taken from the command line,
-# else the manifest, else the default, and then passes the same checks
-# whatever its source.
+# help).  The kind is str, int, float, _FIELD (the path of a field file,
+# which main reads), a tuple of allowed values, a range of allowed ints, or
+# [kind] for a repeatable flag.  The default is a literal, a _Cfg path into
+# the run's ExperimentConfig, or _REQUIRED.  The parser, the defaults and
+# the checks on values replayed from a manifest's args all come from these
+# rows: a value is taken from the command line, else the manifest, else the
+# default, and then passes the same checks whatever its source.
 
 
 class _Cfg(NamedTuple):
@@ -194,6 +182,7 @@ class _Cfg(NamedTuple):
 
 
 _REQUIRED = object()
+_FIELD = object()
 _SEED = ("seed", range(rng.SEED_BOUND), _Cfg("seed"), "run seed in [0, 2**64)")
 _COMMANDS: dict = {}
 
@@ -224,6 +213,7 @@ def _check(label: str, kind, value):
                 f"{label} must be an int from {kind.start} to {kind.stop - 1}, got {value!r}"
             )
         return converted
+    kind = str if kind is _FIELD else kind  # args keep the path
     accepted = {str: str, int: (str, int), float: (str, int, float)}[kind]
     try:
         if isinstance(value, bool) or not isinstance(value, accepted):
@@ -251,6 +241,30 @@ def _resolve(rows, ns: argparse.Namespace, saved: dict, cfg: ExperimentConfig) -
             raise InvalidInputError(f"missing required argument --{name}")
         args[name] = None if value is None else _check(label, kind, value)
     return args
+
+
+def _read_fields(rows, args: dict) -> dict:
+    """The field of every field flag that is set (a list for a repeatable
+    one), each checked against the shape of the first field read."""
+    fields, first = {}, None
+    for name, kind, _, _ in rows:
+        if kind not in (_FIELD, [_FIELD]) or args[name] is None:
+            continue
+        fields[name] = []
+        for path in args[name] if kind == [_FIELD] else [args[name]]:
+            try:
+                f = load_field(path)
+            except (OSError, FieldFormatError) as exc:
+                raise InvalidInputError(f"cannot read {name} file {path}: {exc}") from None
+            first = first or (name, f.shape)
+            if f.shape != first[1]:
+                raise InvalidInputError(
+                    f"--{name} has shape {f.shape}, but --{first[0]} has shape {first[1]}"
+                )
+            fields[name].append(f)
+        if kind is _FIELD:
+            fields[name] = fields[name][0]
+    return fields
 
 
 def _help(text: str, default, cfg: ExperimentConfig) -> str:
@@ -301,67 +315,65 @@ def build_parser() -> _Parser:
 def _cmd_phantom(a, cfg: ExperimentConfig, run: _Run):
     spec = PhantomSpec(a.kind, a.size, a.fg, a.bg, a.noise_sigma, a.seed)
     image, gt = make_phantom(spec)
-    run.add_field("fields/image.lsf1", image)
-    run.add_field("fields/gt_mask.lsf1", gt)
-    run.add_field("fields/image.pgm", image)
+    run.add("fields/image.lsf1", image)
+    run.add("fields/gt_mask.lsf1", gt)
+    run.add("fields/image.pgm", image)
     run.add_json("reports/phantom.json", {**_dashed(spec), "mask-area": float(gt.sum())})
 
 
 @_command(
     "energy",
     "evaluate the four-term energy of (image, mask)",
-    ("image", str, _REQUIRED, "image field"),
-    ("mask", str, _REQUIRED, "soft mask field in [0, 1]"),
-    ("dist", str, None, "precomputed distance field (else computed from the mask)"),
+    ("image", _FIELD, _REQUIRED, "image field"),
+    ("mask", _FIELD, _REQUIRED, "soft mask field in [0, 1]"),
+    ("dist", _FIELD, None, "precomputed distance field (else computed from the mask)"),
 )
 def _cmd_energy(a, cfg: ExperimentConfig, run: _Run):
-    image = _load_input(a.image, "image")
-    mask = _load_input(a.mask, "mask", image)
-    dist = _load_input(a.dist, "dist", image)
-    if dist is None:
-        dist = geodesic.distance_for_mask(image, mask, cfg.speed).values
-        run.add_field("fields/distance.lsf1", dist)
-    phi = levelset.mask_to_levelset(mask)
-    prior = _area_prior(image.size, cfg.area.a1_target, float(binarize(mask).sum()))
-    stats = levelset.region_stats(image, phi, cfg.heaviside)
+    if a.dist is None:
+        a.dist = geodesic.distance_for_mask(a.image, a.mask, cfg.speed).values
+        run.add("fields/distance.lsf1", a.dist)
+    phi = levelset.mask_to_levelset(a.mask)
+    prior = _area_prior(a.image.size, cfg.area.a1_target, float(binarize(a.mask).sum()))
+    stats = levelset.region_stats(a.image, phi, cfg.heaviside)
     report = levelset.energy_total(
-        image, phi, cfg.heaviside, cfg.weights, prior, dist, stats=stats
+        a.image, phi, cfg.heaviside, cfg.weights, prior, a.dist, stats=stats
     )
     doc = {**dict(zip(_TERMS, report.as_row())), "weights": asdict(cfg.weights)}
     run.add_json("reports/energy.json", {**doc, "stats": _dashed(stats)})
 
 
-def _parse_box(text: str):
+def _parse_box(text: str, shape):
+    """``--init-box`` as (r0, c0, r1, c1): a non-empty box inside ``shape``."""
     try:
         r0, c0, r1, c1 = (int(v) for v in text.split(","))
     except ValueError:
         raise InvalidInputError(f"--init-box expects 'r0,c0,r1,c1', got {text!r}") from None
-    if r0 >= r1 or c0 >= c1:
-        raise InvalidInputError("--init-box bounds must satisfy r0 < r1 and c0 < c1")
+    h, w = shape
+    if not (0 <= r0 < r1 <= h and 0 <= c0 < c1 <= w):
+        raise InvalidInputError(
+            f"--init-box {text!r} must satisfy 0 <= r0 < r1 <= {h} and 0 <= c0 < c1 <= {w}"
+        )
     return r0, c0, r1, c1
 
 
 @_command(
     "evolve",
     "gradient-flow evolution of a level set function",
-    ("image", str, _REQUIRED, "image field"),
-    ("init", str, None, "initial level set field"),
+    ("image", _FIELD, _REQUIRED, "image field"),
+    ("init", _FIELD, None, "initial level set field"),
     ("init-box", str, None, "box initialization 'r0,c0,r1,c1'"),
-    ("gt", str, None, "ground truth for a Dice report"),
-    ("dist", str, None, "precomputed distance field"),
+    ("gt", _FIELD, None, "ground truth for a Dice report"),
+    ("dist", _FIELD, None, "precomputed distance field"),
     ("dt", float, _Cfg("evolve.dt"), "explicit Euler time step"),
     ("steps", int, _Cfg("evolve.steps"), "number of evolution steps"),
     ("stats-refresh", int, _Cfg("evolve.stats_refresh"), "recompute region stats every N steps"),
 )
 def _cmd_evolve(a, cfg: ExperimentConfig, run: _Run):
-    image = _load_input(a.image, "image")
-    if (a.init is None) == (a.init_box is None):
+    image, phi0, dist = a.image, a.init, a.dist
+    if (phi0 is None) == (a.init_box is None):
         raise InvalidInputError("provide exactly one of --init or --init-box")
-    phi0 = _load_input(a.init, "init", image)
-    dist = _load_input(a.dist, "dist", image)
-    gt = _load_input(a.gt, "gt", image)
     if phi0 is None:
-        r0, c0, r1, c1 = _parse_box(a.init_box)
+        r0, c0, r1, c1 = _parse_box(a.init_box, image.shape)
         phi0 = np.full(image.shape, -0.5)
         phi0[r0:r1, c0:c1] = 0.5
     if dist is None:
@@ -379,8 +391,8 @@ def _cmd_evolve(a, cfg: ExperimentConfig, run: _Run):
         stats_refresh=a.stats_refresh,
     )
     mask_final = (phi > 0).astype(float)
-    run.add_field("fields/phi_final.lsf1", phi)
-    run.add_field("fields/mask_final.lsf1", mask_final)
+    run.add("fields/phi_final.lsf1", phi)
+    run.add("fields/mask_final.lsf1", mask_final)
     run.add_trace("traces/energy.csv", np.arange(1, a.steps + 1), trace)
     doc = {
         "steps": a.steps,
@@ -389,54 +401,49 @@ def _cmd_evolve(a, cfg: ExperimentConfig, run: _Run):
         "final": _final(trace),
         "mask-area": float(mask_final.sum()),
     }
-    if gt is not None:
-        doc["dice"] = metrics.dice_score(mask_final, gt)
+    if a.gt is not None:
+        doc["dice"] = metrics.dice_score(mask_final, a.gt)
     run.add_json("reports/evolve.json", doc)
 
 
 @_command(
     "td-verify",
     "validate TD fields against the nucleation oracle",
-    ("image", str, _REQUIRED, "image field"),
-    ("mask", str, _REQUIRED, "mask field defining the two regions"),
+    ("image", _FIELD, _REQUIRED, "image field"),
+    ("mask", _FIELD, _REQUIRED, "mask field defining the two regions"),
     ("model", topo.TD_MODELS, "cv", "energy model"),
     ("radius", int, 2, "probe disk radius in pixels"),
     ("samples", int, 200, "number of probe pixels"),
 )
 def _cmd_td_verify(a, cfg: ExperimentConfig, run: _Run):
-    image = _load_input(a.image, "image")
-    mask = _load_input(a.mask, "mask", image)
     report = topo.verify_td(
-        image, mask, model=a.model, samples=a.samples, radius=a.radius, seed=a.seed
+        a.image, a.mask, model=a.model, samples=a.samples, radius=a.radius, seed=a.seed
     )
-    td = topo.td_field(image, mask, a.model)
-    run.add_field("fields/td_field.lsf1", td)
+    td = topo.td_field(a.image, a.mask, a.model)
+    run.add("fields/td_field.lsf1", td)
     run.add_json("reports/td_verify.json", _dashed(report))
 
 
 @_command(
     "geodesic",
     "edge-aware geodesic distance map from a mask",
-    ("image", str, _REQUIRED, "image field"),
-    ("mask", str, _REQUIRED, "seed region mask"),
-    ("d-e", str, None, "optional extra-cost field"),
+    ("image", _FIELD, _REQUIRED, "image field"),
+    ("mask", _FIELD, _REQUIRED, "seed region mask"),
+    ("d-e", _FIELD, None, "optional extra-cost field"),
     ("eps-d", float, _Cfg("speed.eps_d"), "baseline speed"),
     ("beta-g", float, _Cfg("speed.beta_g"), "gradient-magnitude weight"),
     ("nu", float, _Cfg("speed.nu"), "extra-cost weight"),
 )
 def _cmd_geodesic(a, cfg: ExperimentConfig, run: _Run):
-    image = _load_input(a.image, "image")
-    mask = _load_input(a.mask, "mask", image)
-    d_e = _load_input(a.d_e, "d-e", image)
     sp = geodesic.SpeedParams(eps_d=a.eps_d, beta_g=a.beta_g, nu=a.nu)
-    dmap = geodesic.distance_for_mask(image, mask, sp, d_e=d_e)
-    run.add_field("fields/distance.lsf1", dmap.values)
+    dmap = geodesic.distance_for_mask(a.image, a.mask, sp, d_e=a.d_e)
+    run.add("fields/distance.lsf1", dmap.values)
     run.add_json(
         "reports/geodesic.json",
         {
             "max-raw": dmap.max_raw,
             "flat": dmap.flat,
-            "seed-pixels": int(binarize(mask).sum()),
+            "seed-pixels": int(binarize(a.mask).sum()),
             **_dashed(sp),
         },
     )
@@ -445,23 +452,20 @@ def _cmd_geodesic(a, cfg: ExperimentConfig, run: _Run):
 @_command(
     "par",
     "pixel-adaptive refinement of a mask",
-    ("image", str, _REQUIRED, "image the affinities are built from"),
-    ("mask", str, _REQUIRED, "mask to refine"),
+    ("image", _FIELD, _REQUIRED, "image the affinities are built from"),
+    ("mask", _FIELD, _REQUIRED, "mask to refine"),
     ("tau", int, _Cfg("par.tau"), "number of refinement iterations"),
-    ("gt", str, None, "ground truth for Dice before/after"),
+    ("gt", _FIELD, None, "ground truth for Dice before/after"),
 )
 def _cmd_par(a, cfg: ExperimentConfig, run: _Run):
-    image = _load_input(a.image, "image")
-    mask = _load_input(a.mask, "mask", image)
-    gt = _load_input(a.gt, "gt", image)
-    kernel = par.affinity_kernel(image)
-    refined = par.refine(mask, kernel, a.tau)
-    loss = par.par_loss(mask, refined)
-    run.add_field("fields/refined.lsf1", refined)
-    doc = {"tau": a.tau, "l-par": loss, "l-par-mean": loss / mask.size}
-    if gt is not None:
-        doc["dice-before"] = metrics.dice_score(mask, gt)
-        doc["dice-after"] = metrics.dice_score(refined, gt)
+    kernel = par.affinity_kernel(a.image)
+    refined = par.refine(a.mask, kernel, a.tau)
+    loss = par.par_loss(a.mask, refined)
+    run.add("fields/refined.lsf1", refined)
+    doc = {"tau": a.tau, "l-par": loss, "l-par-mean": loss / a.mask.size}
+    if a.gt is not None:
+        doc["dice-before"] = metrics.dice_score(a.mask, a.gt)
+        doc["dice-after"] = metrics.dice_score(refined, a.gt)
     run.add_json("reports/par.json", doc)
 
 
@@ -475,10 +479,10 @@ _SCHEDULE_FLAGS = (
 @_command(
     "sample",
     "energy-guided reverse diffusion sampling",
-    ("image", str, _REQUIRED, "conditioning image for the energy"),
-    ("mode-mask", [str], None, "reference mask (repeatable)"),
+    ("image", _FIELD, _REQUIRED, "conditioning image for the energy"),
+    ("mode-mask", [_FIELD], None, "reference mask (repeatable)"),
     ("mode-weight", [float], None, "mixture weight (repeatable; default uniform)"),
-    ("frozen-eps", str, None, "fixed noise-prediction field instead of a mixture"),
+    ("frozen-eps", _FIELD, None, "fixed noise-prediction field instead of a mixture"),
     ("noise-scale", float, _Cfg("sampler.noise_scale"), "mixture component spread"),
     ("gamma0", float, _Cfg("guidance.gamma0"), "guidance strength"),
     ("gamma-schedule", diffusion.GUIDANCE_SCHEDULES, _Cfg("guidance.schedule"),
@@ -491,33 +495,31 @@ _SCHEDULE_FLAGS = (
      "area-prior target for the inside region (half the domain when unset)"),
 )
 def _cmd_sample(a, cfg: ExperimentConfig, run: _Run):
-    image = _load_input(a.image, "image")
     if (a.frozen_eps is None) == (not a.mode_mask):
         raise InvalidInputError("provide either --mode-mask (repeatable) or --frozen-eps")
     if a.frozen_eps is not None:
-        provider = diffusion.FrozenFieldProvider(_load_input(a.frozen_eps, "frozen-eps", image))
+        provider = diffusion.FrozenFieldProvider(a.frozen_eps)
         n_modes = 0
     else:
-        masks = tuple(_load_input(p, "mode-mask", image) for p in a.mode_mask)
-        weights = a.mode_weight or [1.0 / len(masks)] * len(masks)
+        n_modes = len(a.mode_mask)
+        weights = a.mode_weight or [1.0 / n_modes] * n_modes
         provider = diffusion.MixtureMaskProvider(
-            masks=masks, weights=tuple(weights), noise_scale=a.noise_scale
+            masks=tuple(a.mode_mask), weights=tuple(weights), noise_scale=a.noise_scale
         )
-        n_modes = len(masks)
     sched = diffusion.make_schedule(a.steps, a.beta1, a.betaT)
     gp = diffusion.GuidancePolicy(gamma0=a.gamma0, schedule=a.gamma_schedule)
     gcfg = diffusion.GuidanceConfig(
         heaviside=cfg.heaviside,
         weights=cfg.weights,
-        area=None if a.a1 is None else levelset.AreaPrior.from_a1(a.a1, image.size),
+        area=None if a.a1 is None else levelset.AreaPrior.from_a1(a.a1, a.image.size),
         speed=cfg.speed,
         distance_refresh=cfg.sampler.distance_refresh,
     )
     result = diffusion.sample(
-        image, provider, sched, gp, seed=a.seed, ensemble=a.ensemble, cfg=gcfg,
+        a.image, provider, sched, gp, seed=a.seed, ensemble=a.ensemble, cfg=gcfg,
         guidance_space=a.guidance_space,
     )
-    run.add_field("fields/mask.lsf1", result.mask)
+    run.add("fields/mask.lsf1", result.mask)
     run.add_trace("traces/energy.csv", result.t_steps, result.trace)
     run.add_json(
         "reports/sample.json",
@@ -536,13 +538,12 @@ def _cmd_sample(a, cfg: ExperimentConfig, run: _Run):
 @_command(
     "metrics",
     "confusion-count metrics of pred vs gt",
-    ("pred", str, _REQUIRED, "predicted mask field"),
-    ("gt", str, _REQUIRED, "binary ground-truth field"),
+    ("pred", _FIELD, _REQUIRED, "predicted mask field"),
+    ("gt", _FIELD, _REQUIRED, "binary ground-truth field"),
     ("threshold", float, 0.5, "binarization threshold"),
 )
 def _cmd_metrics(a, cfg: ExperimentConfig, run: _Run):
-    pred = _load_input(a.pred, "pred")
-    c = metrics.confusion(pred, _load_input(a.gt, "gt", pred, "pred"), a.threshold)
+    c = metrics.confusion(a.pred, a.gt, a.threshold)
     row = {**asdict(metrics.scores(c)), **asdict(c)}
     run.add_json("reports/metrics.json", {**row, "threshold": a.threshold})
     run.add_csv("reports/metrics.csv", row, [row.values()])
@@ -551,24 +552,21 @@ def _cmd_metrics(a, cfg: ExperimentConfig, run: _Run):
 @_command(
     "losses",
     "assemble the diffusion + energy + consistency losses",
-    ("image", str, _REQUIRED, "conditioning image"),
-    ("mask", str, _REQUIRED, "clean mask the noise is added to"),
+    ("image", _FIELD, _REQUIRED, "conditioning image"),
+    ("mask", _FIELD, _REQUIRED, "clean mask the noise is added to"),
     ("t", int, _REQUIRED, "diffusion step to evaluate at"),
-    ("eps-hat", str, None, "noise-prediction field (defaults to the true noise)"),
+    ("eps-hat", _FIELD, None, "noise-prediction field (defaults to the true noise)"),
     ("w-t", float, _Cfg("losses.w_t"), "diffusion-loss weight"),
     ("eta1", float, _Cfg("losses.eta1"), "energy-loss weight"),
     ("eta2", float, _Cfg("losses.eta2"), "consistency-loss weight"),
     *_SCHEDULE_FLAGS,
 )
 def _cmd_losses(a, cfg: ExperimentConfig, run: _Run):
-    image = _load_input(a.image, "image")
-    mask = _load_input(a.mask, "mask", image)
-    eps_hat = _load_input(a.eps_hat, "eps-hat", image)
+    image, mask = a.image, a.mask
     sched = diffusion.make_schedule(a.steps, a.beta1, a.betaT)
     eps_true = rng.normals(rng.derive_key(a.seed, _LOSS_NOISE_TAG), image.shape)
     yt = diffusion.forward_sample(mask, a.t, sched, eps_true)
-    if eps_hat is None:
-        eps_hat = eps_true
+    eps_hat = eps_true if a.eps_hat is None else a.eps_hat
     l_dpm = diffusion.dpm_loss(eps_true, eps_hat, a.w_t)
 
     yhat0 = np.clip(diffusion.predict_y0(yt, eps_hat, a.t, sched), 0.0, 1.0)
@@ -608,8 +606,9 @@ def main(argv=None) -> int:
             cfg, saved = ExperimentConfig(), None
         fn, _, rows = _COMMANDS[ns.command]
         args = _resolve(rows, ns, saved or {}, cfg)
+        values = {**args, **_read_fields(rows, args)}
         run = _Run(ns.out)
-        fn(argparse.Namespace(**{k.replace("-", "_"): v for k, v in args.items()}), cfg, run)
+        fn(argparse.Namespace(**{k.replace("-", "_"): v for k, v in values.items()}), cfg, run)
         run.finish(ns.command, cfg, args)
         return EXIT_OK
     except InvalidInputError as exc:

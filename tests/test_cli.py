@@ -1067,3 +1067,228 @@ class TestArgvFuzz:
         argv = [token.format(**small_fields) for token in argv]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 1
         assert culprit in capsys.readouterr().err
+
+
+# The first field flag of each subcommand, which the others' shapes must match.
+FIRST_FIELD_FLAG = {command: "pred" if command == "metrics" else "image"
+                    for command, *_ in FIELD_RUNS}
+
+MIXTURE_RUN = FIELD_FLAGS["sample", "mode-mask"]
+
+
+def _assert_rejected(capsys, rc, *culprits):
+    """Exit 1 with the package's message naming every culprit, no traceback."""
+    err = capsys.readouterr().err
+    assert rc == 1, err
+    assert err.startswith("levelflow: invalid input:")
+    assert "Traceback" not in err
+    for culprit in culprits:
+        assert culprit in err
+
+
+class TestFieldKind:
+    """Field flags are one kind in the flag table: main reads them all, and
+    checks each against the subcommand's first field flag, before a run
+    writes anything."""
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_every_field_flag_is_fuzzed(self, command):
+        rows = cli._COMMANDS[command][2]
+        field_flags = {name for name, kind, *_ in rows if kind in (cli._FIELD, [cli._FIELD])}
+        assert field_flags == {flag for cmd, flag in FIELD_FLAGS if cmd == command}
+
+    def test_manifest_args_hold_the_paths(self, small_fields, tmp_path):
+        out = tmp_path / "out"
+        assert main(_field_argv(MIXTURE_RUN, small_fields) + ["--out", str(out)]) == 0
+        args = json.loads((out / "manifest.json").read_text())["args"]
+        assert args["image"] == small_fields["image"]
+        assert args["mode-mask"] == [small_fields["mask"]]
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [key for key in FIELD_FLAGS if key[1] != FIRST_FIELD_FLAG[key[0]]],
+    )
+    def test_another_size_names_the_flag_and_the_first_field_flag(
+        self, small_fields, tmp_path, capsys, command, flag
+    ):
+        bad = _write_bad_field("another-size", tmp_path, small_fields)
+        out = tmp_path / "out"
+        argv = _field_argv(FIELD_FLAGS[command, flag], small_fields, swap=(flag, bad))
+        rc = main([*argv, "--out", str(out)])
+        first = FIRST_FIELD_FLAG[command]
+        _assert_rejected(capsys, rc, f"--{flag} has shape (12, 12), but --{first} has shape "
+                                     "(16, 16)")
+        assert not out.exists()
+
+    def test_second_mode_mask_of_another_size(self, small_fields, tmp_path, capsys):
+        bad = _write_bad_field("another-size", tmp_path, small_fields)
+        out = tmp_path / "out"
+        argv = _field_argv(MIXTURE_RUN, small_fields) + ["--mode-mask", bad]
+        rc = main([*argv, "--out", str(out)])
+        _assert_rejected(capsys, rc, "--mode-mask has shape (12, 12), but --image has shape")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "swap",
+        [("gt", "missing-path"), ("gt", "truncated-lsf1"), ("gt", "another-size"),
+         ("init-box", "2,2,100,100"), ("dist", "another-size")],
+        ids=lambda s: "-".join(s),
+    )
+    def test_rejected_run_leaves_no_output_tree(self, small_fields, tmp_path, capsys, swap):
+        flag, what = swap
+        argv = ["evolve", "--image", small_fields["image"], "--steps", "2",
+                "--init-box", "4,4,12,12" if flag != "init-box" else what]
+        if flag != "init-box":
+            argv += [f"--{flag}", _write_bad_field(what, tmp_path, small_fields)]
+        out = tmp_path / "out"
+        _assert_rejected(capsys, main([*argv, "--out", str(out)]), flag)
+        assert not out.exists()
+
+    def test_no_empty_directories(self, small_fields, tmp_path):
+        out = tmp_path / "out"
+        mask = small_fields["mask"]
+        assert main(["metrics", "--pred", mask, "--gt", mask, "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "reports"]
+
+
+class TestOutPath:
+    def test_existing_file_exits_1_before_any_compute(self, small_fields, tmp_path, capsys,
+                                                      monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.metrics, "confusion", lambda *a, **k: calls.append(a))
+        afile = tmp_path / "afile"
+        afile.write_text("keep me")
+        mask = small_fields["mask"]
+        rc = main(["metrics", "--pred", mask, "--gt", mask, "--out", str(afile)])
+        _assert_rejected(capsys, rc, f"--out {afile} exists and is not a directory")
+        assert calls == []
+        assert afile.read_text() == "keep me"
+
+    @pytest.mark.parametrize("where", ["subdirectory-is-a-file", "parent-is-a-file"])
+    def test_unwritable_output_tree_exits_1(self, small_fields, tmp_path, capsys, where):
+        if where == "subdirectory-is-a-file":
+            out = tmp_path / "out"
+            out.mkdir()
+            (out / "reports").write_text("")
+        else:
+            (tmp_path / "afile").write_text("")
+            out = tmp_path / "afile" / "out"
+        mask = small_fields["mask"]
+        rc = main(["metrics", "--pred", mask, "--gt", mask, "--out", str(out)])
+        _assert_rejected(capsys, rc, "cannot write", "under --out")
+
+
+class TestInitBox:
+    """--init-box must be a non-empty box inside the image: 0 <= r0 < r1 <= h
+    and 0 <= c0 < c1 <= w on the 16x16 image."""
+
+    @pytest.mark.parametrize("box", ["2,2,100,100", "20,20,30,30", "-2,4,8,8", "4,4,12,17",
+                                     "10,10,5,20", "4,4,4,12"])
+    @pytest.mark.parametrize("with_dist", [False, True], ids=["no-dist", "with-dist"])
+    def test_box_outside_or_empty_exits_1(self, small_fields, tmp_path, capsys, box, with_dist):
+        argv = ["evolve", "--image", small_fields["image"], f"--init-box={box}", "--steps", "2"]
+        if with_dist:
+            argv += ["--dist", small_fields["mask"]]
+        out = tmp_path / "out"
+        _assert_rejected(capsys, main([*argv, "--out", str(out)]), "--init-box",
+                         "0 <= r0 < r1 <= 16 and 0 <= c0 < c1 <= 16")
+        assert not out.exists()
+
+    def test_box_of_the_whole_image_runs(self, small_fields, tmp_path):
+        argv = ["evolve", "--image", small_fields["image"], "--init-box", "0,0,16,16",
+                "--steps", "2", "--dist", small_fields["mask"]]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+
+
+def _config_with(tmp_path, section, key, value):
+    doc = ExperimentConfig().to_dict()
+    doc[section][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestRejectionBranches:
+    """Each rejection of bad input that a CLI run can reach exits 1 and names
+    its culprit."""
+
+    def test_unknown_model(self, small_fields, tmp_path, capsys):
+        rc = main(["td-verify", "--image", small_fields["image"], "--mask", small_fields["mask"],
+                   "--model", "foo", "--out", str(tmp_path / "out")])
+        _assert_rejected(capsys, rc, "--model must be one of cv, gaussian, got 'foo'")
+
+    def test_replayed_mode_mask_not_a_list(self, small_fields, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(_field_argv(MIXTURE_RUN, small_fields) + ["--out", str(out)]) == 0
+        doc = json.loads((out / "manifest.json").read_text())
+        doc["args"]["mode-mask"] = small_fields["mask"]
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(doc))
+        rc = main(["sample", "--config", str(edited), "--out", str(tmp_path / "replay")])
+        _assert_rejected(capsys, rc, "--mode-mask expects a list")
+        assert not (tmp_path / "replay").exists()
+
+    def test_stats_refresh_zero(self, small_fields, tmp_path, capsys):
+        rc = main(["evolve", "--image", small_fields["image"], "--init-box", "4,4,12,12",
+                   "--steps", "2", "--stats-refresh", "0", "--out", str(tmp_path / "out")])
+        _assert_rejected(capsys, rc, "stats_refresh must be at least 1")
+
+    @pytest.mark.parametrize("flags, culprit", [(("--samples", "0"), "samples"),
+                                                (("--radius", "40"), "probe radius")])
+    def test_td_verify_probes(self, phantom_dir, tmp_path, capsys, flags, culprit):
+        rc = main(["td-verify", "--image", str(phantom_dir / "fields/image.lsf1"),
+                   "--mask", str(phantom_dir / "fields/gt_mask.lsf1"), *flags,
+                   "--out", str(tmp_path / "out")])
+        _assert_rejected(capsys, rc, culprit)
+
+    def test_mode_weights_do_not_pair_with_masks(self, small_fields, tmp_path, capsys):
+        mask = small_fields["mask"]
+        rc = main(["sample", "--image", small_fields["image"], "--mode-mask", mask,
+                   "--mode-mask", mask, "--mode-weight", "1.0", *SMALL_SCHEDULE,
+                   "--out", str(tmp_path / "out")])
+        _assert_rejected(capsys, rc, "mixture weights and masks must pair up")
+
+    @pytest.mark.parametrize(
+        "section, key, value, culprit",
+        [("guidance", "schedule", "x", "unknown guidance schedule 'x'"),
+         ("sampler", "distance_refresh", 0, "distance_refresh must be at least 1"),
+         ("par", "tau", -1, "tau must be non-negative")],
+        ids=["guidance-schedule", "distance-refresh", "par-tau"],
+    )
+    def test_config_value_out_of_range(self, small_fields, tmp_path, capsys, section, key, value,
+                                       culprit):
+        # distance_refresh is checked where the sampler reads it
+        argv = _field_argv(MIXTURE_RUN, small_fields)
+        rc = main([*argv, "--config", _config_with(tmp_path, section, key, value),
+                   "--out", str(tmp_path / "out")])
+        _assert_rejected(capsys, rc, culprit)
+
+    def test_config_document_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1]")
+        rc = main(["phantom", "--kind", "two-disks", "--config", str(path),
+                   "--out", str(tmp_path / "out")])
+        _assert_rejected(capsys, rc, "config document must be a JSON object")
+
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        rc = main(["phantom", "--kind", "two-disks", "--config", str(path),
+                   "--out", str(tmp_path / "out")])
+        _assert_rejected(capsys, rc, f"cannot read config {path}")
+
+    @pytest.mark.parametrize(
+        "name, blob, culprit",
+        [("nan.lsf1", lf.field.LSF1_MAGIC + np.array([1, 1], "<u4").tobytes()
+          + np.array([np.nan], "<f4").tobytes(), "payload contains non-finite values"),
+         ("huge.pgm", b"P5\n70000 70000\n255\n" + bytes(16), "dimension overflow: 70000x70000")],
+        ids=["lsf1-nan", "pgm-70000-squared"],
+    )
+    def test_malformed_field_file(self, small_fields, tmp_path, capsys, name, blob, culprit):
+        path = tmp_path / name
+        path.write_bytes(blob)
+        rc = main(["metrics", "--pred", small_fields["mask"], "--gt", str(path),
+                   "--out", str(tmp_path / "out")])
+        _assert_rejected(capsys, rc, culprit)

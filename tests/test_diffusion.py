@@ -360,6 +360,12 @@ class TestSampler:
         assert res.trace.shape == (40, 5)
         assert res.t_steps[0] == 40 and res.t_steps[-1] == 1
 
+    def test_unknown_guidance_space_rejected(self):
+        image, sched, prov, cfg = self._setup()
+        with pytest.raises(InvalidInputError, match="unknown guidance space 'x'"):
+            dif.sample(image, prov, sched, dif.GuidancePolicy(), seed=0, cfg=cfg,
+                       guidance_space="x")
+
     def test_twenty_member_ensemble_reproducible_bitwise(self):
         disk, ring = modes_32()
         image = disk[:16, :16]

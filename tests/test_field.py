@@ -114,6 +114,11 @@ class TestPhantoms:
         with pytest.raises(InvalidInputError):
             lf.PhantomSpec(kind="two-disks", size=64, fg=0.5, bg=0.5)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_range_rejected(self, seed):
+        with pytest.raises(InvalidInputError, match="seed must be in"):
+            lf.PhantomSpec(kind="two-disks", size=32, seed=seed)
+
 
 class TestFieldIO:
     def test_lsf1_round_trip_identity(self, tmp_path):
@@ -127,6 +132,12 @@ class TestFieldIO:
         # identity on the format: a second round trip is bit-exact
         assert np.array_equal(once, twice)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_pgm_of_a_constant_field(self, tmp_path):
+        p = tmp_path / "c.pgm"
+        lf.save_field(np.full((3, 5), 0.25), p)
+        assert p.read_bytes() == b"P5\n# constant field, value=0.25\n5 3\n255\n" + bytes(15)
+        assert np.array_equal(lf.load_field(p), np.zeros((3, 5)))
 
     def test_lsf1_float32_values_exact(self, tmp_path):
         f = normal_field((23, 1), (16, 16)).astype(np.float32).astype(np.float64)

@@ -47,6 +47,11 @@ class TestStreams:
         assert z.shape == (3, 5)
         assert np.isfinite(z).all()
 
+    @pytest.mark.parametrize("upper", [0, -3])
+    def test_integers_need_a_positive_upper_bound(self, upper):
+        with pytest.raises(ValueError, match="upper must be positive"):
+            rng.integers(rng.derive_key(1), 4, upper)
+
 
 def normals_reference(key, shape):
     """The Box-Muller formula as first written: two draws, then concatenate."""

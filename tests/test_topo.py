@@ -94,6 +94,23 @@ class TestTdFieldGaussian:
 
 
 class TestNucleationDelta:
+    @pytest.mark.parametrize(
+        "radius, direction, match",
+        [(0, "add-to-inside", "probe radius must be at least 1"),
+         (1, "sideways", "unknown probe direction 'sideways'")],
+    )
+    def test_bad_probe_rejected(self, radius, direction, match):
+        with pytest.raises(InvalidInputError, match=match):
+            topo.NucleationProbe(row=4, col=4, radius=radius, direction=direction)
+
+    def test_unknown_model_rejected(self):
+        image, mask = two_constant(16)
+        probe = topo.NucleationProbe(row=8, col=8, radius=1, direction="add-to-inside")
+        with pytest.raises(InvalidInputError, match="unknown energy model 'x'"):
+            topo.td_field(image, mask, "x")
+        with pytest.raises(InvalidInputError, match="unknown energy model 'x'"):
+            topo.nucleation_delta(image, mask, probe, "x")
+
     def test_interior_cv_delta_close_to_td(self, two_disks_64):
         image, gt = two_disks_64
         t = topo.td_field(image, gt, "cv")
