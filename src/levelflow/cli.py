@@ -30,8 +30,9 @@ import numpy as np
 
 from . import __version__, diffusion, geodesic, levelset, metrics, par, rng, topo
 from .config import ExperimentConfig, load_config_document
-from .errors import FieldFormatError, InvalidInputError, LevelflowError
-from .field import PHANTOM_KINDS, PhantomSpec, binarize, load_field, make_phantom, save_field
+from .errors import DivergenceError, FieldFormatError, InvalidInputError, LevelflowError
+from .field import PHANTOM_KINDS, PhantomSpec, binarize, load_field, make_phantom
+from .field import save_field, write_file
 
 _LOSS_NOISE_TAG = 0x4C4F5353  # "LOSS"
 
@@ -105,13 +106,12 @@ class _Run:
         return os.path.join(self.out_dir, rel)
 
     def add(self, rel: str, content) -> None:
-        """Write ``content``, a field or text, to ``rel`` and list it."""
+        """Write ``content``, a field or text, to ``rel`` and list it; a field
+        that cannot be encoded is rejected before any directory is made."""
         path = self.path(rel)
         try:
-            os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
             if isinstance(content, str):
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(content)
+                write_file(path, content.encode())
             else:
                 save_field(content, path)
         except OSError as exc:
@@ -379,17 +379,20 @@ def _cmd_evolve(a, cfg: ExperimentConfig, run: _Run):
     if dist is None:
         dist = geodesic.distance_for_mask(image, (phi0 > 0).astype(float), cfg.speed).values
     prior = _area_prior(image.size, cfg.area.a1_target, float((phi0 > 0).sum()))
-    phi, trace = levelset.evolve(
-        image,
-        phi0,
-        cfg.heaviside,
-        cfg.weights,
-        prior,
-        dist,
-        dt=a.dt,
-        steps=a.steps,
-        stats_refresh=a.stats_refresh,
-    )
+    try:
+        phi, trace = levelset.evolve(
+            image,
+            phi0,
+            cfg.heaviside,
+            cfg.weights,
+            prior,
+            dist,
+            dt=a.dt,
+            steps=a.steps,
+            stats_refresh=a.stats_refresh,
+        )
+    except DivergenceError as exc:
+        raise LevelflowError(f"{exc}; --dt {a.dt!r} may be too large") from None
     mask_final = (phi > 0).astype(float)
     run.add("fields/phi_final.lsf1", phi)
     run.add("fields/mask_final.lsf1", mask_final)

@@ -1,9 +1,10 @@
 """One JSON document carrying every module's parameters.
 
 The document is versioned, validated strictly (unknown keys anywhere are
-rejected so typos cannot silently fall back to defaults, and each value
-must have its field's annotated type), and reproduced verbatim into run
-manifests so any run can be repeated from its manifest alone.  Settings
+rejected so typos cannot silently fall back to defaults, each value must
+have its field's annotated type, and each section's dataclass checks its
+ranges, naming the key first), and reproduced verbatim into run manifests
+so any run can be repeated from its manifest alone.  Settings
 that are gone now (``_RETIRED``: ``schedule.kind``, the ``numerics``
 section, the area override and two ``par`` keys) are dropped at the one
 value they ever took, so older manifests still replay; any other value or
@@ -17,7 +18,7 @@ import math
 import typing
 from dataclasses import asdict, dataclass, field, fields
 
-from .diffusion import DISTANCE_REFRESH_DEFAULT, GuidancePolicy
+from .diffusion import DISTANCE_REFRESH_DEFAULT, GUIDANCE_SPACES, GuidancePolicy
 from .errors import InvalidInputError
 from .geodesic import SpeedParams
 from .levelset import EnergyWeights, HeavisideParams
@@ -41,11 +42,21 @@ _RETIRED = {
 }
 
 
+def _require(ok: bool, key: str, rule: str, value) -> None:
+    if not ok:
+        raise InvalidInputError(f"{key} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScheduleParams:
     steps: int = 1000
     beta1: float = 1e-4
     betaT: float = 0.02
+
+    def __post_init__(self):
+        _require(self.steps >= 1, "steps", "at least 1", self.steps)
+        _require(0 < self.beta1 < 1, "beta1", "in (0, 1)", self.beta1)
+        _require(self.beta1 <= self.betaT < 1, "betaT", "in [beta1, 1)", self.betaT)
 
 
 @dataclass(frozen=True)
@@ -53,6 +64,10 @@ class AreaParams:
     """Target a1 for the area prior; None means derive it from the run's mask."""
 
     a1_target: float | None = None
+
+    def __post_init__(self):
+        a1 = self.a1_target
+        _require(a1 is None or 0 <= a1 < math.inf, "a1_target", "null or finite and >= 0", a1)
 
 
 @dataclass(frozen=True)
@@ -62,6 +77,16 @@ class SamplerParams:
     noise_scale: float = 0.1
     guidance_space: str = "noise"
 
+    def __post_init__(self):
+        _require(self.ensemble >= 1, "ensemble", "at least 1", self.ensemble)
+        _require(self.distance_refresh >= 1, "distance_refresh", "at least 1",
+                 self.distance_refresh)
+        square = self.noise_scale * self.noise_scale
+        _require(self.noise_scale >= 0 and square < math.inf, "noise_scale",
+                 "non-negative, with a finite square", self.noise_scale)
+        _require(self.guidance_space in GUIDANCE_SPACES, "guidance_space",
+                 f"one of {', '.join(GUIDANCE_SPACES)}", self.guidance_space)
+
 
 @dataclass(frozen=True)
 class EvolveParams:
@@ -69,12 +94,22 @@ class EvolveParams:
     steps: int = 200
     stats_refresh: int = 1
 
+    def __post_init__(self):
+        _require(0 <= self.dt < math.inf, "dt", "non-negative and finite", self.dt)
+        _require(self.steps >= 1, "steps", "at least 1", self.steps)
+        _require(self.stats_refresh >= 1, "stats_refresh", "at least 1", self.stats_refresh)
+
 
 @dataclass(frozen=True)
 class LossParams:
     eta1: float = 0.5
     eta2: float = 0.005
     w_t: float = 1.0
+
+    def __post_init__(self):
+        _require(0 <= self.eta1 < math.inf, "eta1", "non-negative and finite", self.eta1)
+        _require(0 <= self.eta2 < math.inf, "eta2", "non-negative and finite", self.eta2)
+        _require(0 < self.w_t < math.inf, "w_t", "positive and finite", self.w_t)
 
 
 @dataclass(frozen=True)
@@ -148,7 +183,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                 text = cls.__annotations__[key]  # the annotation as written, e.g. "float | None"
                 raise InvalidInputError(f"config {name}.{key} expects {text}, got {value!r}")
         if cls:
-            kwargs[name] = cls(**live)
+            try:
+                kwargs[name] = cls(**live)
+            except InvalidInputError as exc:  # each section's range check names its key first
+                raise InvalidInputError(f"config {name}.{exc}") from None
     return ExperimentConfig(**kwargs)
 
 

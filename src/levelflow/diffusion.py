@@ -155,7 +155,7 @@ class GuidancePolicy:
             raise InvalidInputError("gamma0 must be non-negative and finite")
         if self.schedule not in GUIDANCE_SCHEDULES:
             raise InvalidInputError(
-                f"unknown guidance schedule {self.schedule!r}, "
+                f"schedule: unknown guidance schedule {self.schedule!r}, "
                 f"expected one of {GUIDANCE_SCHEDULES}"
             )
 
@@ -435,15 +435,14 @@ def sample(
 
 
 def _trace_row(image, y, eps_hat, t, sched, cfg, dist):
-    yc = np.clip(predict_y0(y, eps_hat, t, sched), 0.0, 1.0)
+    # sample checked image; dist is a solver map or zeros; phi is a clipped mask
+    phi = levelset.mask_to_levelset(np.clip(predict_y0(y, eps_hat, t, sched), 0.0, 1.0))
     try:
-        phi = levelset.mask_to_levelset(yc)
-        report = levelset.energy_total(
+        return levelset._energy_row(
             image, phi, cfg.heaviside, cfg.weights, cfg.area_prior(image.size), dist
         )
     except DegenerateRegionError:
         return np.full(5, np.nan)
-    return report.as_row()
 
 
 # ---------------------------------------------------------------------------

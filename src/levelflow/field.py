@@ -22,6 +22,7 @@ border derivative is ``(f[1] - f[0]) / 2``.
 from __future__ import annotations
 
 import math
+import os
 import re
 import struct
 from dataclasses import dataclass
@@ -179,12 +180,17 @@ _MAX_PIXELS = 1 << 31
 
 
 def save_field(f: np.ndarray, path) -> None:
-    """Write a field; dispatches on extension (.pgm -> PGM, else LSF1)."""
+    """Write a field; dispatches on extension (.pgm -> PGM, else LSF1).  Its
+    bytes are made and checked before the file or any directory is."""
     f = as_field(f)
-    if str(path).lower().endswith(".pgm"):
-        _save_pgm(f, path)
-    else:
-        _save_lsf1(f, path)
+    write_file(path, _encode_pgm(f) if str(path).lower().endswith(".pgm") else _encode_lsf1(f))
+
+
+def write_file(path, data: bytes) -> None:
+    """Write ``data`` to ``path``, making any missing parent directory first."""
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def load_field(path) -> np.ndarray:
@@ -194,7 +200,7 @@ def load_field(path) -> np.ndarray:
     return _load_lsf1(path)
 
 
-def _save_lsf1(f: np.ndarray, path) -> None:
+def _encode_lsf1(f: np.ndarray) -> bytes:
     h, w = f.shape
     with np.errstate(over="ignore"):
         samples = f.astype("<f4")
@@ -202,11 +208,7 @@ def _save_lsf1(f: np.ndarray, path) -> None:
         raise InvalidInputError(
             f"field values {float(f.min())!r}..{float(f.max())!r} exceed the float32 range of LSF1"
         )
-    payload = samples.tobytes(order="C")
-    with open(path, "wb") as fh:
-        fh.write(LSF1_MAGIC)
-        fh.write(struct.pack("<II", w, h))
-        fh.write(payload)
+    return LSF1_MAGIC + struct.pack("<II", w, h) + samples.tobytes(order="C")
 
 
 def _load_lsf1(path) -> np.ndarray:
@@ -234,7 +236,7 @@ def _load_lsf1(path) -> np.ndarray:
     return arr
 
 
-def _save_pgm(f: np.ndarray, path) -> None:
+def _encode_pgm(f: np.ndarray) -> bytes:
     lo = float(f.min())
     hi = float(f.max())
     if hi - lo == math.inf:
@@ -246,9 +248,7 @@ def _save_pgm(f: np.ndarray, path) -> None:
         gray = np.zeros_like(f, dtype=np.uint8)
         comment = f"# constant field, value={lo!r}"
     h, w = f.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{comment}\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(gray.tobytes(order="C"))
+    return f"P5\n{comment}\n{w} {h}\n255\n".encode("ascii") + gray.tobytes(order="C")
 
 
 def _load_pgm(path) -> np.ndarray:

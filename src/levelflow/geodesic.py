@@ -67,8 +67,9 @@ class SpeedParams:
     def __post_init__(self):
         if not 0 < self.eps_d < math.inf:
             raise InvalidInputError("eps_d must be positive and finite")
-        if not (0 <= self.beta_g < math.inf and 0 <= self.nu < math.inf):
-            raise InvalidInputError("beta_g and nu must be non-negative and finite")
+        for name in ("beta_g", "nu"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise InvalidInputError(f"{name} must be non-negative and finite")
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from .field import as_field, check_same_shape, gradient, gradient_adjoint
 
 VAR_FLOOR = 1e-6  # keeps log var and 1/var finite on a flat region
 GRAD_FLOOR = 1e-8  # keeps the unit normal grad H / |grad H| finite where H is flat
+PHI_MAX = float(np.finfo(np.float32).max)  # fields are saved as float32 (LSF1)
 
 TRACE_COLUMNS = ("e_region", "e_length", "e_area", "e_distance", "e_total")
 
@@ -51,7 +52,7 @@ class HeavisideParams:
 
     def __post_init__(self):
         if not 0 < self.epsilon < math.inf:
-            raise InvalidInputError("Heaviside epsilon must be positive and finite")
+            raise InvalidInputError("epsilon must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -230,6 +231,8 @@ def energy_total(
     stats: RegionStats | None = None,
 ) -> EnergyReport:
     """Evaluate all four terms; region statistics recomputed from phi unless given."""
+    # The reference _energy_row is held to; ROADMAP item 2 makes this a validating
+    # wrapper over that kernel once item 1 pins energy passes, not heaviside calls.
     image = as_field(image, "image")
     phi = as_field(phi, "phi")
     dist = as_field(dist, "dist")
@@ -243,6 +246,27 @@ def energy_total(
         w.lambda1 * e_region + w.lambda2 * e_length + w.lambda3 * e_area + w.lambda4 * e_distance
     )
     return EnergyReport(e_region, e_length, e_area, e_distance, e_total)
+
+
+def _energy_row(
+    image: np.ndarray, phi: np.ndarray, p: HeavisideParams, w: EnergyWeights,
+    prior: AreaPrior, dist: np.ndarray,
+) -> np.ndarray:
+    """``energy_total(...).as_row()`` bit for bit from one H, on trusted fields."""
+    h = heaviside(phi, p)
+    e1, e2 = nll_fields(image, region_stats_from_weights(image, h))
+    e_region = float((e1 * h + e2 * (1.0 - h)).sum())
+    del e1, e2
+    gx, gy = gradient(h)
+    e_length = float(np.sqrt(gx * gx + gy * gy).sum())
+    prior.check_domain(phi.size)
+    m_in = float(h.sum())
+    e_area = (m_in - prior.a1_target) ** 2 + (float(phi.size - m_in) - prior.a2_target) ** 2
+    e_distance = float((dist * h).sum())
+    e_total = (
+        w.lambda1 * e_region + w.lambda2 * e_length + w.lambda3 * e_area + w.lambda4 * e_distance
+    )
+    return np.array([e_region, e_length, e_area, e_distance, e_total])
 
 
 def _grad_energy_wrt_phi(
@@ -322,8 +346,9 @@ def evolve(
     minimization); with the default of 1 each refresh can only lower the
     energy, so the returned per-step trace is non-increasing for stable
     time steps.  Returns the final phi and a (steps, 5) trace with columns
-    ``TRACE_COLUMNS``.  Aborts with :class:`DivergenceError` if the energy
-    leaves the finite range.
+    ``TRACE_COLUMNS``.  Aborts with :class:`DivergenceError` if phi leaves
+    the float32 range every saved field holds, or the energy leaves the
+    finite range.
     """
     if not 0 <= dt < math.inf:
         raise InvalidInputError("dt must be non-negative and finite")
@@ -342,8 +367,8 @@ def evolve(
             stats = region_stats(image, phi, p)
         g = _grad_energy_wrt_phi(image, phi, heaviside(phi, p), p, w, prior, dist, stats)
         phi = phi - dt * g
-        if not np.all(np.isfinite(phi)):
-            raise DivergenceError("level set function became non-finite", step=n)
+        if not (phi.max() <= PHI_MAX and phi.min() >= -PHI_MAX):  # a NaN fails both
+            raise DivergenceError("level set function left the float32 range", step=n)
         report = energy_total(image, phi, p, w, prior, dist)
         trace[n] = report.as_row()
         if not np.isfinite(report.e_total):

@@ -148,6 +148,7 @@ KERNELS = {
     "energy_length": lambda: lf.energy_length(MASK - 0.5, P),
     "energy_area": lambda: lf.energy_area(MASK - 0.5, P, PRIOR),
     "energy_distance": lambda: lf.energy_distance(MASK - 0.5, P, Z),
+    "_energy_row": lambda: levelset._energy_row(IMAGE, MASK - 0.5, P, W, PRIOR, Z),
     "gradient": lambda: lf.gradient(IMAGE),
     "gradient_adjoint": lambda: lf.gradient_adjoint(IMAGE, MASK),
     "predict_y0": lambda: lf.predict_y0(MASK, Z, 3, SCHED),

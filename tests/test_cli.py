@@ -4,6 +4,7 @@ import io
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -717,7 +718,74 @@ def mutated_config_text(draw):
     return text
 
 
+# Values outside each settable key's range; its section's dataclass rejects
+# every one at load, whatever the subcommand.
+OUT_OF_RANGE = {
+    ("heaviside", "epsilon"): [0, -1.5],
+    ("weights", "lambda1"): [-0.01],
+    ("weights", "lambda2"): [-1],
+    ("weights", "lambda3"): [-1e-4],
+    ("weights", "lambda4"): [-2.0],
+    ("area", "a1_target"): [-1.0],
+    ("speed", "eps_d"): [0, -1e-3],
+    ("speed", "beta_g"): [-1],
+    ("speed", "nu"): [-0.5],
+    ("par", "tau"): [-1],
+    ("schedule", "steps"): [0, -5],
+    ("schedule", "beta1"): [0, -1e-4, 1, 2.5],
+    ("schedule", "betaT"): [1, 1e-5],
+    ("guidance", "gamma0"): [-0.3],
+    ("guidance", "schedule"): ["x", ""],
+    ("sampler", "ensemble"): [0, -1],
+    ("sampler", "distance_refresh"): [0, -50],
+    ("sampler", "noise_scale"): [-0.1, 1e200],
+    ("sampler", "guidance_space"): ["x", "Noise"],
+    ("evolve", "dt"): [-0.1],
+    ("evolve", "steps"): [0, -5],
+    ("evolve", "stats_refresh"): [0],
+    ("losses", "eta1"): [-0.5],
+    ("losses", "eta2"): [-1],
+    ("losses", "w_t"): [0, -1.0],
+}
+OUT_OF_RANGE_CASES = [(s, k, v) for (s, k), values in OUT_OF_RANGE.items() for v in values]
+
+
+class TestConfigRanges:
+    def test_every_section_key_has_out_of_range_values(self):
+        doc = ExperimentConfig().to_dict()
+        keys = {(s, k) for s, v in doc.items() if isinstance(v, dict) for k in v}
+        assert set(OUT_OF_RANGE) == keys
+
+    @pytest.mark.parametrize("section, key, value", OUT_OF_RANGE_CASES)
+    def test_out_of_range_value_rejected_naming_the_key(self, section, key, value):
+        doc = ExperimentConfig().to_dict()
+        doc[section][key] = value
+        with pytest.raises(InvalidInputError, match=rf"^config {section}\.{key}\b"):
+            config_from_dict(doc)
+
+
 class TestConfigFuzz:
+    @settings(max_examples=40)
+    @given(st.lists(st.sampled_from(OUT_OF_RANGE_CASES), min_size=1, max_size=3,
+                    unique_by=lambda case: case[:2]))
+    def test_out_of_range_values_exit_1_naming_one(self, cases):
+        doc = ExperimentConfig().to_dict()
+        for section, key, value in cases:
+            doc[section][key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = os.path.join(tmp, "cfg.json")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            out = os.path.join(tmp, "out")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(["phantom", "--kind", "two-disks", "--size", "32", "--config", cfg,
+                           "--out", out])
+            assert rc == 1
+            named = re.match(r"levelflow: invalid input: config (\w+\.\w+)\b", err.getvalue())
+            assert named and named[1] in [f"{s}.{k}" for s, k, _ in cases]
+            assert not os.path.exists(out)
+
     @settings(max_examples=50)
     @given(mutated_config_text())
     def test_mutated_config_exits_0_or_1_and_writes_standard_json(self, text):
@@ -1144,6 +1212,14 @@ class TestFieldKind:
         _assert_rejected(capsys, main([*argv, "--out", str(out)]), flag)
         assert not out.exists()
 
+    def test_field_that_cannot_be_written_leaves_no_output_tree(self, tmp_path, capsys):
+        # the first artifact exceeds LSF1's float32 range: no fields/ is made
+        out = tmp_path / "out"
+        rc = main(["phantom", "--kind", "two-disks", "--size", "32", "--fg", "1e39",
+                   "--out", str(out)])
+        _assert_rejected(capsys, rc, "exceed the float32 range of LSF1")
+        assert not out.exists()
+
     def test_no_empty_directories(self, small_fields, tmp_path):
         out = tmp_path / "out"
         mask = small_fields["mask"]
@@ -1198,6 +1274,22 @@ class TestInitBox:
         argv = ["evolve", "--image", small_fields["image"], "--init-box", "0,0,16,16",
                 "--steps", "2", "--dist", small_fields["mask"]]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+
+
+class TestEvolveBlowUp:
+    def test_huge_dt_exits_2_naming_the_step_and_dt(self, tmp_path, capsys):
+        # H saturates, so the energy stays finite; phi leaves the float32 range
+        image = tmp_path / "ramp.lsf1"
+        lf.save_field(np.tile(np.arange(16) / 15, (16, 1)), image)
+        out = tmp_path / "out"
+        rc = main(["evolve", "--image", str(image), "--init-box", "2,2,14,14", "--dt", "1e150",
+                   "--steps", "5", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("levelflow: numerical failure: level set function left the float32")
+        assert "(step 0)" in err and "--dt 1e+150" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 
 def _config_with(tmp_path, section, key, value):

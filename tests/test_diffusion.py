@@ -445,6 +445,26 @@ class TestSampler:
             dif.sample(image, prov, sched, dif.GuidancePolicy(), seed=0, ensemble=0, cfg=cfg)
 
 
+class TestTraceEnergyPasses:
+    """Each trace row is one energy pass: one H, and no public energy_total."""
+
+    @pytest.mark.parametrize("gamma0, ensemble", [(0.0, 1), (0.3, 3)], ids=["unguided", "guided"])
+    def test_heaviside_and_energy_total_calls(self, monkeypatch, gamma0, ensemble):
+        image, sched, prov, cfg = TestSampler()._setup()
+        calls = {"heaviside": 0, "energy_total": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(ls, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(ls, name, counting)
+        gp = dif.GuidancePolicy(gamma0=gamma0)
+        dif.sample(image, prov, sched, gp, seed=3, ensemble=ensemble, cfg=cfg)
+        # T trace rows, plus one H per guidance gradient of every member step
+        guided_steps = ensemble * sched.T if gamma0 > 0 else 0
+        assert calls == {"heaviside": sched.T + guided_steps, "energy_total": 0}
+
+
 class TestLosses:
     def test_perfect_prediction_zero(self):
         eps = normal_field((85, 0), (8, 8))

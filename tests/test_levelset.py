@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 import levelflow as lf
@@ -247,6 +249,51 @@ class TestEnergies:
         assert e1 == pytest.approx(e0, rel=1e-12)
 
 
+@st.composite
+def energy_row_inputs(draw):
+    """(image, phi, p, w, prior, dist) on grids from 2x2 to 40x40: phi smooth
+    or saturated to +-1e3, weights with zeros, dist zero or random."""
+    shape = (draw(st.integers(2, 40)), draw(st.integers(2, 40)))
+    key = draw(st.integers(0, 2**32))
+    image = normal_field((key, 0), shape, scale=draw(st.sampled_from([0.1, 1.0, 50.0])))
+    rows, cols = np.mgrid[0 : shape[0], 0 : shape[1]].astype(float)
+    freq = draw(st.floats(0.0, 2.0))
+    smooth = np.sin(freq * cols + key) + np.cos(freq * rows) + draw(st.floats(-2.5, 2.5))
+    scale = draw(st.sampled_from([0.5, 3.0, "saturated"]))
+    phi = np.where(smooth >= 0, 1e3, -1e3) if scale == "saturated" else scale * smooth
+    p = ls.HeavisideParams(draw(st.sampled_from([1.5, 0.05, 1e-14])))
+    lam = st.one_of(st.just(0.0), st.floats(1e-4, 10.0))
+    w = ls.EnergyWeights(draw(lam), draw(lam), draw(lam), draw(lam))
+    prior = ls.AreaPrior.from_a1(draw(st.floats(0.0, 1.0)) * phi.size, phi.size)
+    dist = uniform_field((key, 1), shape) if draw(st.booleans()) else np.zeros(shape)
+    return image, phi, p, w, prior, dist
+
+
+def _row_or_degenerate(row):
+    try:
+        return row().tobytes()
+    except DegenerateRegionError:
+        return "degenerate"
+
+
+class TestEnergyRow:
+    """The sampler's one-pass trace row is energy_total's row, bit for bit."""
+
+    @settings(max_examples=150)
+    @given(energy_row_inputs())
+    def test_equals_energy_total_bitwise(self, args):
+        row = _row_or_degenerate(lambda: ls._energy_row(*args))
+        assert row == _row_or_degenerate(lambda: ls.energy_total(*args).as_row())
+
+    def test_both_raise_on_a_degenerate_region(self):
+        phi = np.full((8, 8), 1e3)
+        args = (normal_field((91, 0), (8, 8)), phi, ls.HeavisideParams(1e-14), ls.EnergyWeights(),
+                ls.AreaPrior.from_a1(32.0, 64), np.zeros((8, 8)))
+        for row in (lambda: ls._energy_row(*args), lambda: ls.energy_total(*args).as_row()):
+            with pytest.raises(DegenerateRegionError):
+                row()
+
+
 class TestGradient:
     def test_all_zero_weights_zero_field(self, two_disks_64):
         image, gt = two_disks_64
@@ -364,6 +411,17 @@ class TestEvolve:
         phi, _ = ls.evolve(image, phi0, P, ls.EnergyWeights(), prior, dist,
                            dt=1.0, steps=300, stats_refresh=5)
         assert lf.dice_score((phi > 0).astype(float), gt) >= 0.98
+
+    def test_phi_beyond_float32_is_a_divergence(self):
+        # H saturates and the energy stays finite, but no saved field could hold phi
+        image = np.tile(np.arange(16) / 15, (16, 1))
+        phi0 = np.full((16, 16), -0.5)
+        phi0[2:14, 2:14] = 0.5
+        prior = ls.AreaPrior.from_a1(144.0, 256)
+        with pytest.raises(DivergenceError, match="float32") as exc:
+            ls.evolve(image, phi0, P, ls.EnergyWeights(), prior, np.zeros_like(image),
+                      dt=1e150, steps=5)
+        assert exc.value.step == 0
 
     def test_divergence_guard(self):
         image = np.zeros((16, 16))
