@@ -1,12 +1,14 @@
 """Command-line front end wiring the modules into reproducible experiments.
 
-Every subcommand reads and shape-checks its input fields before anything
-else, then writes its numeric artifacts under ``--out`` (``fields/`` for
-LSF1/PGM rasters, ``reports/`` for JSON, ``traces/`` for CSV) plus a
-``manifest.json`` recording the tool version, RNG algorithm, resolved
-configuration, resolved arguments, and a sha256 per artifact.  Runs are
-pure functions of (config, args, seed): rerunning a subcommand with
-``--config <manifest.json>`` reproduces every artifact bit for bit.
+Every subcommand returns its artifacts, and only after it has returned does
+``main`` write them under ``--out`` (``fields/`` for LSF1/PGM rasters,
+``reports/`` for JSON, ``traces/`` for CSV) plus a ``manifest.json``
+recording the tool version, RNG algorithm, resolved configuration, resolved
+arguments, and a sha256 per artifact.  A run that exits non-zero writes
+nothing under ``--out``, except when an ``OSError`` strikes partway through
+the writes.  Runs are pure functions of (config, args, seed): rerunning a
+subcommand with ``--config <manifest.json>`` reproduces every artifact bit
+for bit.
 
 Exit codes: 0 success, 1 invalid input or configuration, 2 numerical or
 runtime failure.
@@ -92,23 +94,28 @@ def _dashed(obj) -> dict:
     return {k.replace("_", "-"): v for k, v in asdict(obj).items()}
 
 
-class _Run:
-    """Output directory layout plus artifact bookkeeping for one invocation.
-    A directory is made only when a file is written into it."""
+def _csv(columns, rows) -> str:
+    lines = [",".join(columns), *(",".join(f"{v:.17g}" for v in row) for row in rows)]
+    return "\n".join(lines) + "\n"
 
-    def __init__(self, out_dir: str):
-        if os.path.exists(out_dir) and not os.path.isdir(out_dir):
-            raise InvalidInputError(f"--out {out_dir} exists and is not a directory")
-        self.out_dir = out_dir
-        self.artifacts: list[str] = []
 
-    def path(self, rel: str) -> str:
-        return os.path.join(self.out_dir, rel)
+def _trace_csv(steps, trace) -> str:
+    return _csv(("step", *levelset.TRACE_COLUMNS), ([s, *row] for s, row in zip(steps, trace)))
 
-    def add(self, rel: str, content) -> None:
-        """Write ``content``, a field or text, to ``rel`` and list it; a field
-        that cannot be encoded is rejected before any directory is made."""
-        path = self.path(rel)
+
+def _publish(out: str, command: str, cfg: ExperimentConfig, args: dict, files: dict) -> None:
+    """Write a finished run's artifacts under ``out`` in ``files``' order, every
+    report encoded as JSON before the first write, then ``manifest.json`` with
+    the sha256 of each file written.  A directory is made only to hold a file."""
+    encoded = {}
+    for rel, artifact in files.items():
+        try:
+            encoded[rel] = _dump_json(artifact) if isinstance(artifact, dict) else artifact
+        except ValueError as exc:  # a NaN or inf that no validator caught
+            raise LevelflowError(f"{rel} would hold a non-finite number: {exc}") from None
+
+    def write(rel: str, content) -> None:
+        path = os.path.join(out, rel)
         try:
             if isinstance(content, str):
                 write_file(path, content.encode())
@@ -116,38 +123,23 @@ class _Run:
                 save_field(content, path)
         except OSError as exc:
             raise InvalidInputError(f"cannot write {path} under --out: {exc}") from None
-        self.artifacts.append(rel)
 
-    def add_json(self, rel: str, obj) -> None:
-        try:
-            text = _dump_json(obj)
-        except ValueError as exc:  # a NaN or inf that no validator caught
-            raise LevelflowError(f"{rel} would hold a non-finite number: {exc}") from None
-        self.add(rel, text)
-
-    def add_csv(self, rel: str, columns, rows) -> None:
-        lines = [",".join(columns), *(",".join(f"{v:.17g}" for v in row) for row in rows)]
-        self.add(rel, "\n".join(lines) + "\n")
-
-    def add_trace(self, rel: str, steps, trace) -> None:
-        rows = ([s, *row] for s, row in zip(steps, trace))
-        self.add_csv(rel, ("step", *levelset.TRACE_COLUMNS), rows)
-
-    def finish(self, command: str, cfg: ExperimentConfig, args: dict) -> None:
-        cfg_doc = cfg.to_dict()
-        manifest = {
-            "schema_version": 1,
-            "tool": "levelflow",
-            "tool_version": __version__,
-            "rng_algorithm": rng.ALGORITHM_ID,
-            "command": command,
-            "seed": args["seed"],
-            "config": cfg_doc,
-            "config_sha256": hashlib.sha256(_dump_json(cfg_doc).encode()).hexdigest(),
-            "args": args,
-            "artifacts": {rel: _sha256(self.path(rel)) for rel in sorted(self.artifacts)},
-        }
-        self.add("manifest.json", _dump_json(manifest))
+    for rel, content in encoded.items():
+        write(rel, content)
+    cfg_doc = cfg.to_dict()
+    manifest = {
+        "schema_version": 1,
+        "tool": "levelflow",
+        "tool_version": __version__,
+        "rng_algorithm": rng.ALGORITHM_ID,
+        "command": command,
+        "seed": args["seed"],
+        "config": cfg_doc,
+        "config_sha256": hashlib.sha256(_dump_json(cfg_doc).encode()).hexdigest(),
+        "args": args,
+        "artifacts": {rel: _sha256(os.path.join(out, rel)) for rel in sorted(encoded)},
+    }
+    write("manifest.json", _dump_json(manifest))
 
 
 _TERMS = tuple(c.removeprefix("e_") for c in levelset.TRACE_COLUMNS)
@@ -312,13 +304,15 @@ def build_parser() -> _Parser:
     ("bg", float, PhantomSpec.bg, "background intensity"),
     ("noise-sigma", float, PhantomSpec.noise_sigma, "additive Gaussian noise level"),
 )
-def _cmd_phantom(a, cfg: ExperimentConfig, run: _Run):
+def _cmd_phantom(a, cfg: ExperimentConfig) -> dict:
     spec = PhantomSpec(a.kind, a.size, a.fg, a.bg, a.noise_sigma, a.seed)
     image, gt = make_phantom(spec)
-    run.add("fields/image.lsf1", image)
-    run.add("fields/gt_mask.lsf1", gt)
-    run.add("fields/image.pgm", image)
-    run.add_json("reports/phantom.json", {**_dashed(spec), "mask-area": float(gt.sum())})
+    return {
+        "fields/image.lsf1": image,
+        "fields/gt_mask.lsf1": gt,
+        "fields/image.pgm": image,
+        "reports/phantom.json": {**_dashed(spec), "mask-area": float(gt.sum())},
+    }
 
 
 @_command(
@@ -328,10 +322,11 @@ def _cmd_phantom(a, cfg: ExperimentConfig, run: _Run):
     ("mask", _FIELD, _REQUIRED, "soft mask field in [0, 1]"),
     ("dist", _FIELD, None, "precomputed distance field (else computed from the mask)"),
 )
-def _cmd_energy(a, cfg: ExperimentConfig, run: _Run):
+def _cmd_energy(a, cfg: ExperimentConfig) -> dict:
+    files = {}
     if a.dist is None:
         a.dist = geodesic.distance_for_mask(a.image, a.mask, cfg.speed).values
-        run.add("fields/distance.lsf1", a.dist)
+        files["fields/distance.lsf1"] = a.dist
     phi = levelset.mask_to_levelset(a.mask)
     prior = _area_prior(a.image.size, cfg.area.a1_target, float(binarize(a.mask).sum()))
     stats = levelset.region_stats(a.image, phi, cfg.heaviside)
@@ -339,7 +334,7 @@ def _cmd_energy(a, cfg: ExperimentConfig, run: _Run):
         a.image, phi, cfg.heaviside, cfg.weights, prior, a.dist, stats=stats
     )
     doc = {**dict(zip(_TERMS, report.as_row())), "weights": asdict(cfg.weights)}
-    run.add_json("reports/energy.json", {**doc, "stats": _dashed(stats)})
+    return {**files, "reports/energy.json": {**doc, "stats": _dashed(stats)}}
 
 
 def _parse_box(text: str, shape):
@@ -368,7 +363,7 @@ def _parse_box(text: str, shape):
     ("steps", int, _Cfg("evolve.steps"), "number of evolution steps"),
     ("stats-refresh", int, _Cfg("evolve.stats_refresh"), "recompute region stats every N steps"),
 )
-def _cmd_evolve(a, cfg: ExperimentConfig, run: _Run):
+def _cmd_evolve(a, cfg: ExperimentConfig) -> dict:
     image, phi0, dist = a.image, a.init, a.dist
     if (phi0 is None) == (a.init_box is None):
         raise InvalidInputError("provide exactly one of --init or --init-box")
@@ -394,9 +389,6 @@ def _cmd_evolve(a, cfg: ExperimentConfig, run: _Run):
     except DivergenceError as exc:
         raise LevelflowError(f"{exc}; --dt {a.dt!r} may be too large") from None
     mask_final = (phi > 0).astype(float)
-    run.add("fields/phi_final.lsf1", phi)
-    run.add("fields/mask_final.lsf1", mask_final)
-    run.add_trace("traces/energy.csv", np.arange(1, a.steps + 1), trace)
     doc = {
         "steps": a.steps,
         "dt": a.dt,
@@ -406,7 +398,12 @@ def _cmd_evolve(a, cfg: ExperimentConfig, run: _Run):
     }
     if a.gt is not None:
         doc["dice"] = metrics.dice_score(mask_final, a.gt)
-    run.add_json("reports/evolve.json", doc)
+    return {
+        "fields/phi_final.lsf1": phi,
+        "fields/mask_final.lsf1": mask_final,
+        "traces/energy.csv": _trace_csv(np.arange(1, a.steps + 1), trace),
+        "reports/evolve.json": doc,
+    }
 
 
 @_command(
@@ -418,13 +415,12 @@ def _cmd_evolve(a, cfg: ExperimentConfig, run: _Run):
     ("radius", int, 2, "probe disk radius in pixels"),
     ("samples", int, 200, "number of probe pixels"),
 )
-def _cmd_td_verify(a, cfg: ExperimentConfig, run: _Run):
+def _cmd_td_verify(a, cfg: ExperimentConfig) -> dict:
     report = topo.verify_td(
         a.image, a.mask, model=a.model, samples=a.samples, radius=a.radius, seed=a.seed
     )
     td = topo.td_field(a.image, a.mask, a.model)
-    run.add("fields/td_field.lsf1", td)
-    run.add_json("reports/td_verify.json", _dashed(report))
+    return {"fields/td_field.lsf1": td, "reports/td_verify.json": _dashed(report)}
 
 
 @_command(
@@ -437,19 +433,18 @@ def _cmd_td_verify(a, cfg: ExperimentConfig, run: _Run):
     ("beta-g", float, _Cfg("speed.beta_g"), "gradient-magnitude weight"),
     ("nu", float, _Cfg("speed.nu"), "extra-cost weight"),
 )
-def _cmd_geodesic(a, cfg: ExperimentConfig, run: _Run):
+def _cmd_geodesic(a, cfg: ExperimentConfig) -> dict:
     sp = geodesic.SpeedParams(eps_d=a.eps_d, beta_g=a.beta_g, nu=a.nu)
     dmap = geodesic.distance_for_mask(a.image, a.mask, sp, d_e=a.d_e)
-    run.add("fields/distance.lsf1", dmap.values)
-    run.add_json(
-        "reports/geodesic.json",
-        {
+    return {
+        "fields/distance.lsf1": dmap.values,
+        "reports/geodesic.json": {
             "max-raw": dmap.max_raw,
             "flat": dmap.flat,
             "seed-pixels": int(binarize(a.mask).sum()),
             **_dashed(sp),
         },
-    )
+    }
 
 
 @_command(
@@ -460,16 +455,15 @@ def _cmd_geodesic(a, cfg: ExperimentConfig, run: _Run):
     ("tau", int, _Cfg("par.tau"), "number of refinement iterations"),
     ("gt", _FIELD, None, "ground truth for Dice before/after"),
 )
-def _cmd_par(a, cfg: ExperimentConfig, run: _Run):
+def _cmd_par(a, cfg: ExperimentConfig) -> dict:
     kernel = par.affinity_kernel(a.image)
     refined = par.refine(a.mask, kernel, a.tau)
     loss = par.par_loss(a.mask, refined)
-    run.add("fields/refined.lsf1", refined)
     doc = {"tau": a.tau, "l-par": loss, "l-par-mean": loss / a.mask.size}
     if a.gt is not None:
         doc["dice-before"] = metrics.dice_score(a.mask, a.gt)
         doc["dice-after"] = metrics.dice_score(refined, a.gt)
-    run.add_json("reports/par.json", doc)
+    return {"fields/refined.lsf1": refined, "reports/par.json": doc}
 
 
 _SCHEDULE_FLAGS = (
@@ -497,7 +491,7 @@ _SCHEDULE_FLAGS = (
     ("a1", float, _Cfg("area.a1_target"),
      "area-prior target for the inside region (half the domain when unset)"),
 )
-def _cmd_sample(a, cfg: ExperimentConfig, run: _Run):
+def _cmd_sample(a, cfg: ExperimentConfig) -> dict:
     if (a.frozen_eps is None) == (not a.mode_mask):
         raise InvalidInputError("provide either --mode-mask (repeatable) or --frozen-eps")
     if a.frozen_eps is not None:
@@ -522,11 +516,10 @@ def _cmd_sample(a, cfg: ExperimentConfig, run: _Run):
         a.image, provider, sched, gp, seed=a.seed, ensemble=a.ensemble, cfg=gcfg,
         guidance_space=a.guidance_space,
     )
-    run.add("fields/mask.lsf1", result.mask)
-    run.add_trace("traces/energy.csv", result.t_steps, result.trace)
-    run.add_json(
-        "reports/sample.json",
-        {
+    return {
+        "fields/mask.lsf1": result.mask,
+        "traces/energy.csv": _trace_csv(result.t_steps, result.trace),
+        "reports/sample.json": {
             "ensemble": a.ensemble,
             "gamma0": gp.gamma0,
             "gamma-schedule": gp.schedule,
@@ -535,7 +528,7 @@ def _cmd_sample(a, cfg: ExperimentConfig, run: _Run):
             "modes": n_modes,
             "final": _final(result.trace),
         },
-    )
+    }
 
 
 @_command(
@@ -545,11 +538,13 @@ def _cmd_sample(a, cfg: ExperimentConfig, run: _Run):
     ("gt", _FIELD, _REQUIRED, "binary ground-truth field"),
     ("threshold", float, 0.5, "binarization threshold"),
 )
-def _cmd_metrics(a, cfg: ExperimentConfig, run: _Run):
+def _cmd_metrics(a, cfg: ExperimentConfig) -> dict:
     c = metrics.confusion(a.pred, a.gt, a.threshold)
     row = {**asdict(metrics.scores(c)), **asdict(c)}
-    run.add_json("reports/metrics.json", {**row, "threshold": a.threshold})
-    run.add_csv("reports/metrics.csv", row, [row.values()])
+    return {
+        "reports/metrics.json": {**row, "threshold": a.threshold},
+        "reports/metrics.csv": _csv(row, [row.values()]),
+    }
 
 
 @_command(
@@ -564,7 +559,7 @@ def _cmd_metrics(a, cfg: ExperimentConfig, run: _Run):
     ("eta2", float, _Cfg("losses.eta2"), "consistency-loss weight"),
     *_SCHEDULE_FLAGS,
 )
-def _cmd_losses(a, cfg: ExperimentConfig, run: _Run):
+def _cmd_losses(a, cfg: ExperimentConfig) -> dict:
     image, mask = a.image, a.mask
     sched = diffusion.make_schedule(a.steps, a.beta1, a.betaT)
     eps_true = rng.normals(rng.derive_key(a.seed, _LOSS_NOISE_TAG), image.shape)
@@ -584,9 +579,8 @@ def _cmd_losses(a, cfg: ExperimentConfig, run: _Run):
     l_par = par.par_loss(yhat0, refined)
 
     total = diffusion.total_loss(l_dpm, l_lsf, l_par, a.eta1, a.eta2)
-    run.add_json(
-        "reports/losses.json",
-        {
+    return {
+        "reports/losses.json": {
             "t": a.t,
             "w-t": a.w_t,
             "eta1": a.eta1,
@@ -596,7 +590,7 @@ def _cmd_losses(a, cfg: ExperimentConfig, run: _Run):
             "l-par": l_par,
             "total": total,
         },
-    )
+    }
 
 
 def main(argv=None) -> int:
@@ -610,9 +604,10 @@ def main(argv=None) -> int:
         fn, _, rows = _COMMANDS[ns.command]
         args = _resolve(rows, ns, saved or {}, cfg)
         values = {**args, **_read_fields(rows, args)}
-        run = _Run(ns.out)
-        fn(argparse.Namespace(**{k.replace("-", "_"): v for k, v in values.items()}), cfg, run)
-        run.finish(ns.command, cfg, args)
+        if os.path.exists(ns.out) and not os.path.isdir(ns.out):
+            raise InvalidInputError(f"--out {ns.out} exists and is not a directory")
+        a = argparse.Namespace(**{k.replace("-", "_"): v for k, v in values.items()})
+        _publish(ns.out, ns.command, cfg, args, fn(a, cfg))
         return EXIT_OK
     except InvalidInputError as exc:
         print(f"levelflow: invalid input: {exc}", file=sys.stderr)

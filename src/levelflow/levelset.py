@@ -98,6 +98,10 @@ class AreaPrior:
 
     @classmethod
     def from_a1(cls, a1_target: float, n_pixels: int) -> "AreaPrior":
+        if not 0 <= a1_target <= n_pixels:
+            raise InvalidInputError(
+                f"a1_target must be in [0, {n_pixels}], the pixel count, got {a1_target!r}"
+            )
         return cls(a1_target=float(a1_target), a2_target=float(n_pixels) - float(a1_target))
 
     def check_domain(self, n_pixels: int) -> None:

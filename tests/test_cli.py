@@ -799,7 +799,9 @@ class TestConfigFuzz:
             manifest = os.path.join(out, "manifest.json")
             assert rc in (0, 1)
             assert os.path.exists(manifest) == (rc == 0)
-            if rc == 0:
+            if rc != 0:
+                assert not os.path.exists(out)
+            else:
                 with open(manifest, encoding="utf-8") as fh:
                     json.load(fh, parse_constant=lambda c: pytest.fail(f"non-standard {c}"))
 
@@ -871,10 +873,12 @@ class TestManifestArgsFuzz:
                 rc = main([command, "--config", path, "--out", out])
             assert rc in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
-            if rc == 0:
-                with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
-                    listed = json.load(fh)["artifacts"]
-                assert listed == {rel: cli._sha256(os.path.join(out, rel)) for rel in listed}
+            if rc != 0:
+                assert not os.path.exists(out)
+                return
+            with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
+                listed = json.load(fh)["artifacts"]
+            assert listed == {rel: cli._sha256(os.path.join(out, rel)) for rel in listed}
 
 
 @pytest.fixture(scope="module")
@@ -1099,6 +1103,8 @@ def mutated_argv(draw):
 
 
 class TestArgvFuzz:
+    # a fuzzed sample run may threshold an all-empty mask mid-run
+    @pytest.mark.filterwarnings("ignore::levelflow.diffusion.GuidanceFallbackWarning")
     @settings(max_examples=100)
     @given(argv=mutated_argv())
     def test_mutated_argv_exits_0_1_or_2_with_standard_json(self, small_fields, argv):
@@ -1111,6 +1117,7 @@ class TestArgvFuzz:
             assert rc in (0, 1, 2)
             assert "Traceback" not in err.getvalue()
             if rc != 0:
+                assert not os.path.exists(out)
                 return
             with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
                 listed = json.load(fh)["artifacts"]
@@ -1212,6 +1219,28 @@ class TestFieldKind:
         _assert_rejected(capsys, main([*argv, "--out", str(out)]), flag)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, culprit",
+        [(["evolve", "--image", "{image}", "--init-box", "4,4,12,12", "--steps", "2",
+           "--gt", "{image}"], "ground truth must be binary"),
+         (["par", "--image", "{image}", "--mask", "{mask}", "--gt", "{image}"],
+          "ground truth must be binary"),
+         (["energy", "--image", "{image}", "--mask", "{mask}", "--config", "{cfg}"],
+          "a1_target must be in [0, 256]")],
+        ids=["evolve-noisy-gt", "par-noisy-gt", "energy-a1-beyond-the-image"],
+    )
+    def test_late_rejection_leaves_no_output_tree(self, small_fields, tmp_path, capsys, argv,
+                                                  culprit):
+        # each is rejected only after a field it would write has been computed
+        doc = ExperimentConfig().to_dict()
+        doc["area"]["a1_target"] = 1e9
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [a.format(cfg=cfg, **small_fields) for a in argv]
+        out = tmp_path / "out"
+        _assert_rejected(capsys, main([*argv, "--out", str(out)]), culprit)
+        assert not out.exists()
+
     def test_field_that_cannot_be_written_leaves_no_output_tree(self, tmp_path, capsys):
         # the first artifact exceeds LSF1's float32 range: no fields/ is made
         out = tmp_path / "out"
@@ -1225,6 +1254,34 @@ class TestFieldKind:
         mask = small_fields["mask"]
         assert main(["metrics", "--pred", mask, "--gt", mask, "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "reports"]
+
+
+class TestAreaTarget:
+    # energy's case is in TestFieldKind::test_late_rejection_leaves_no_output_tree
+    AREA_RUNS = {
+        "evolve": ("evolve", "--image", "{image}", "--init-box", "4,4,12,12", "--steps", "2"),
+        "losses": ("losses", "--image", "{image}", "--mask", "{mask}", "--t", "2",
+                   *SMALL_SCHEDULE),
+        "sample": ("sample", "--image", "{image}", "--mode-mask", "{mask}", *SMALL_SCHEDULE),
+    }
+
+    @pytest.mark.parametrize(
+        "command, source", [(c, "config") for c in sorted(AREA_RUNS)] + [("sample", "flag")]
+    )
+    def test_a1_beyond_the_pixel_count_names_a1(self, small_fields, tmp_path, capsys, command,
+                                                source):
+        argv = [a.format(**small_fields) for a in self.AREA_RUNS[command]]
+        if source == "flag":
+            argv += ["--a1", "257"]
+        else:
+            doc = ExperimentConfig().to_dict()
+            doc["area"]["a1_target"] = 1e9
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            argv += ["--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "out"
+        _assert_rejected(capsys, main([*argv, "--out", str(out)]),
+                         "a1_target must be in [0, 256], the pixel count")
+        assert not out.exists()
 
 
 class TestOutPath:

@@ -162,6 +162,15 @@ class TestEnergies:
         expect = (m_in - 77.0) ** 2 + ((256 - m_in) - 179.0) ** 2
         assert ls.energy_area(phi, P, prior) == pytest.approx(expect, rel=1e-12)
 
+    @pytest.mark.parametrize("a1", [-1.0, 256.5, 1e9, float("nan")])
+    def test_area_prior_a1_outside_the_domain_names_a1(self, a1):
+        with pytest.raises(InvalidInputError, match=r"^a1_target must be in \[0, 256\]"):
+            ls.AreaPrior.from_a1(a1, 256)
+
+    @pytest.mark.parametrize("a1", [0.0, 256.0])
+    def test_area_prior_a1_at_the_domain_bounds(self, a1):
+        assert ls.AreaPrior.from_a1(a1, 256).a2_target == 256.0 - a1
+
     def test_area_prior_domain_check(self):
         prior = ls.AreaPrior(10.0, 10.0)
         with pytest.raises(InvalidInputError):
