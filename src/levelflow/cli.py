@@ -512,10 +512,13 @@ def _cmd_sample(a, cfg: ExperimentConfig) -> dict:
         speed=cfg.speed,
         distance_refresh=cfg.sampler.distance_refresh,
     )
-    result = diffusion.sample(
-        a.image, provider, sched, gp, seed=a.seed, ensemble=a.ensemble, cfg=gcfg,
-        guidance_space=a.guidance_space,
-    )
+    try:
+        result = diffusion.sample(
+            a.image, provider, sched, gp, seed=a.seed, ensemble=a.ensemble, cfg=gcfg,
+            guidance_space=a.guidance_space,
+        )
+    except DivergenceError as exc:
+        raise LevelflowError(f"{exc}; --gamma0 {a.gamma0!r} may be too large") from None
     return {
         "fields/mask.lsf1": result.mask,
         "traces/energy.csv": _trace_csv(result.t_steps, result.trace),
@@ -598,7 +601,7 @@ def main(argv=None) -> int:
     try:
         ns = build_parser().parse_args(argv)
         if ns.config is not None:
-            cfg, saved = load_config_document(ns.config)
+            cfg, saved = load_config_document(ns.config, ns.command)
         else:
             cfg, saved = ExperimentConfig(), None
         fn, _, rows = _COMMANDS[ns.command]

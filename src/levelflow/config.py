@@ -1,14 +1,16 @@
 """One JSON document carrying every module's parameters.
 
-The document is versioned, validated strictly (unknown keys anywhere are
-rejected so typos cannot silently fall back to defaults, each value must
-have its field's annotated type, and each section's dataclass checks its
-ranges, naming the key first), and reproduced verbatim into run manifests
-so any run can be repeated from its manifest alone.  Settings
-that are gone now (``_RETIRED``: ``schedule.kind``, the ``numerics``
-section, the area override and two ``par`` keys) are dropped at the one
-value they ever took, so older manifests still replay; any other value or
-type of one is rejected.
+Each section is the dataclass of the module that reads it (only ``area``
+lives here), which checks its ranges, naming the key, whether a config, a
+flag or a library call supplies the value.  The document is versioned,
+validated strictly (unknown keys anywhere are rejected so typos cannot
+silently fall back to defaults; each value must have its field's annotated
+type) and reproduced verbatim into run manifests, so a run can be repeated
+from its manifest alone, by the same subcommand.  Settings that are gone
+now (``_RETIRED``: ``schedule.kind``, the ``numerics`` section, the area
+override and two ``par`` keys) are dropped at the one value they ever took,
+so older manifests still replay; any other value or type of one is
+rejected.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ import math
 import typing
 from dataclasses import asdict, dataclass, field, fields
 
-from .diffusion import DISTANCE_REFRESH_DEFAULT, GUIDANCE_SPACES, GuidancePolicy
-from .errors import InvalidInputError
+from .diffusion import GuidancePolicy, LossParams, SamplerParams, ScheduleParams
+from .errors import InvalidInputError, require
 from .geodesic import SpeedParams
-from .levelset import EnergyWeights, HeavisideParams
+from .levelset import EnergyWeights, EvolveParams, HeavisideParams
 from .par import ParParams
 from .rng import SEED_BOUND
 
@@ -42,23 +44,6 @@ _RETIRED = {
 }
 
 
-def _require(ok: bool, key: str, rule: str, value) -> None:
-    if not ok:
-        raise InvalidInputError(f"{key} must be {rule}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class ScheduleParams:
-    steps: int = 1000
-    beta1: float = 1e-4
-    betaT: float = 0.02
-
-    def __post_init__(self):
-        _require(self.steps >= 1, "steps", "at least 1", self.steps)
-        _require(0 < self.beta1 < 1, "beta1", "in (0, 1)", self.beta1)
-        _require(self.beta1 <= self.betaT < 1, "betaT", "in [beta1, 1)", self.betaT)
-
-
 @dataclass(frozen=True)
 class AreaParams:
     """Target a1 for the area prior; None means derive it from the run's mask."""
@@ -67,49 +52,7 @@ class AreaParams:
 
     def __post_init__(self):
         a1 = self.a1_target
-        _require(a1 is None or 0 <= a1 < math.inf, "a1_target", "null or finite and >= 0", a1)
-
-
-@dataclass(frozen=True)
-class SamplerParams:
-    ensemble: int = 1
-    distance_refresh: int = DISTANCE_REFRESH_DEFAULT
-    noise_scale: float = 0.1
-    guidance_space: str = "noise"
-
-    def __post_init__(self):
-        _require(self.ensemble >= 1, "ensemble", "at least 1", self.ensemble)
-        _require(self.distance_refresh >= 1, "distance_refresh", "at least 1",
-                 self.distance_refresh)
-        square = self.noise_scale * self.noise_scale
-        _require(self.noise_scale >= 0 and square < math.inf, "noise_scale",
-                 "non-negative, with a finite square", self.noise_scale)
-        _require(self.guidance_space in GUIDANCE_SPACES, "guidance_space",
-                 f"one of {', '.join(GUIDANCE_SPACES)}", self.guidance_space)
-
-
-@dataclass(frozen=True)
-class EvolveParams:
-    dt: float = 0.1
-    steps: int = 200
-    stats_refresh: int = 1
-
-    def __post_init__(self):
-        _require(0 <= self.dt < math.inf, "dt", "non-negative and finite", self.dt)
-        _require(self.steps >= 1, "steps", "at least 1", self.steps)
-        _require(self.stats_refresh >= 1, "stats_refresh", "at least 1", self.stats_refresh)
-
-
-@dataclass(frozen=True)
-class LossParams:
-    eta1: float = 0.5
-    eta2: float = 0.005
-    w_t: float = 1.0
-
-    def __post_init__(self):
-        _require(0 <= self.eta1 < math.inf, "eta1", "non-negative and finite", self.eta1)
-        _require(0 <= self.eta2 < math.inf, "eta2", "non-negative and finite", self.eta2)
-        _require(0 < self.w_t < math.inf, "w_t", "positive and finite", self.w_t)
+        require(a1 is None or 0 <= a1 < math.inf, "a1_target", "null or finite and >= 0", a1)
 
 
 @dataclass(frozen=True)
@@ -190,8 +133,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def load_config_document(path) -> tuple[ExperimentConfig, dict | None]:
-    """Load a config file; manifests are accepted and yield their saved args.
+def load_config_document(path, command: str) -> tuple[ExperimentConfig, dict | None]:
+    """Load a config file, or the manifest of a run of ``command`` (not of another).
 
     Returns (config, manifest_args) where manifest_args is None for plain
     config files.
@@ -213,6 +156,10 @@ def load_config_document(path) -> tuple[ExperimentConfig, dict | None]:
     if isinstance(doc, dict) and "artifacts" in doc and "command" in doc:
         if "config" not in doc:
             raise InvalidInputError(f"manifest {path} has no 'config' key")
+        if doc["command"] != command:
+            raise InvalidInputError(
+                f"manifest {path} replays only the {doc['command']!r} subcommand, not {command!r}"
+            )
         args = doc.get("args", {})
         if not isinstance(args, dict):
             raise InvalidInputError(f"manifest {path}: 'args' must be an object")

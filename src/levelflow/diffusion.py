@@ -20,6 +20,8 @@ as locally constant).  The identical update can be phrased on the score
 via ``score = -eps / sqrt(1 - abar_t)``; both formulations are provided
 and are algebraically equivalent.
 
+The config sections ``schedule``, ``guidance``, ``sampler`` and ``losses``
+live here, and the functions that read them build them to check arguments.
 ``sample``, ``chain_rule_grad``, ``forward_sample``, ``dpm_loss`` and the
 provider constructors validate their fields; ``predict_y0``,
 ``reverse_step``, the guidance updates and the provider methods are
@@ -35,21 +37,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geodesic, levelset, rng
-from .errors import DegenerateRegionError, InvalidInputError
+from .errors import DegenerateRegionError, DivergenceError, InvalidInputError, require
 from .field import as_field, binarize, check_same_shape
 
-GAMMA0_DEFAULT = 0.3
 GUIDANCE_SCHEDULES = ("constant", "noise-scaled")
 GUIDANCE_SPACES = ("noise", "score")
-DISTANCE_REFRESH_DEFAULT = 50
 
 _MEMBER_TAG = 0x4D454D42  # "MEMB"
 _INIT_TAG = 0x494E4954  # "INIT"
 _STEP_TAG = 0x53544550  # "STEP"
 
 
+def _require_known(key: str, what: str, value: str, choices: tuple) -> None:
+    if value not in choices:
+        raise InvalidInputError(f"{key}: unknown {what} {value!r}, expected one of {choices}")
+
+
 class GuidanceFallbackWarning(UserWarning):
     """Emitted when a guidance gradient falls back to zero (degenerate mask)."""
+
+
+@dataclass(frozen=True)
+class ScheduleParams:
+    steps: int = 1000
+    beta1: float = 1e-4
+    betaT: float = 0.02
+
+    def __post_init__(self):
+        require(self.steps >= 1, "steps", "at least 1", self.steps)
+        require(0 < self.beta1 < 1, "beta1", "in (0, 1)", self.beta1)
+        require(self.beta1 <= self.betaT < 1, "betaT", "in [beta1, 1)", self.betaT)
 
 
 @dataclass(frozen=True)
@@ -67,14 +84,11 @@ class DiffusionSchedule:
     sigma: np.ndarray
 
 
-def make_schedule(T: int, beta1: float = 1e-4, betaT: float = 0.02) -> DiffusionSchedule:
+def make_schedule(
+    T: int, beta1: float = ScheduleParams.beta1, betaT: float = ScheduleParams.betaT
+) -> DiffusionSchedule:
     """Linear variance schedule from beta1 to betaT over T steps."""
-    if T < 1:
-        raise InvalidInputError("T must be at least 1")
-    if not (0.0 < beta1 <= betaT < 1.0):
-        raise InvalidInputError(
-            f"betas must satisfy 0 < beta1 <= betaT < 1, got ({beta1}, {betaT})"
-        )
+    ScheduleParams(T, beta1, betaT)
     beta = np.linspace(beta1, betaT, T)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
@@ -147,17 +161,12 @@ class GuidancePolicy:
     the whole chain; ``constant`` applies gamma0 as is.
     """
 
-    gamma0: float = GAMMA0_DEFAULT
+    gamma0: float = 0.3
     schedule: str = "noise-scaled"
 
     def __post_init__(self):
-        if not 0 <= self.gamma0 < math.inf:
-            raise InvalidInputError("gamma0 must be non-negative and finite")
-        if self.schedule not in GUIDANCE_SCHEDULES:
-            raise InvalidInputError(
-                f"schedule: unknown guidance schedule {self.schedule!r}, "
-                f"expected one of {GUIDANCE_SCHEDULES}"
-            )
+        require(0 <= self.gamma0 < math.inf, "gamma0", "non-negative and finite", self.gamma0)
+        _require_known("schedule", "guidance schedule", self.schedule, GUIDANCE_SCHEDULES)
 
 
 def guidance_scale(gp: GuidancePolicy, t: int, sched: DiffusionSchedule) -> float:
@@ -186,6 +195,23 @@ def guided_score(score: np.ndarray, grad_lsf: np.ndarray, gamma_st: float) -> np
 
 
 @dataclass(frozen=True)
+class SamplerParams:
+    ensemble: int = 1
+    distance_refresh: int = 50
+    noise_scale: float = 0.1
+    guidance_space: str = "noise"
+
+    def __post_init__(self):
+        require(self.ensemble >= 1, "ensemble", "at least 1", self.ensemble)
+        require(self.distance_refresh >= 1, "distance_refresh", "at least 1",
+                self.distance_refresh)
+        square = self.noise_scale * self.noise_scale
+        require(self.noise_scale >= 0 and square < math.inf, "noise_scale",
+                "non-negative, with a finite square", self.noise_scale)
+        _require_known("guidance_space", "guidance space", self.guidance_space, GUIDANCE_SPACES)
+
+
+@dataclass(frozen=True)
 class GuidanceConfig:
     """Contour-energy configuration used inside guided sampling."""
 
@@ -193,11 +219,7 @@ class GuidanceConfig:
     weights: levelset.EnergyWeights = levelset.EnergyWeights()
     area: levelset.AreaPrior | None = None
     speed: geodesic.SpeedParams = geodesic.SpeedParams()
-    distance_refresh: int = DISTANCE_REFRESH_DEFAULT
-
-    def __post_init__(self):
-        if self.distance_refresh < 1:
-            raise InvalidInputError("distance_refresh must be at least 1")
+    distance_refresh: int = SamplerParams.distance_refresh
 
     def area_prior(self, n_pixels: int) -> levelset.AreaPrior:
         if self.area is not None:
@@ -371,9 +393,9 @@ def sample(
     sched: DiffusionSchedule,
     gp: GuidancePolicy,
     seed: int,
-    ensemble: int = 1,
+    ensemble: int = SamplerParams.ensemble,
     cfg: GuidanceConfig = GuidanceConfig(),
-    guidance_space: str = "noise",
+    guidance_space: str = SamplerParams.guidance_space,
 ) -> SampleResult:
     """Run guided reverse diffusion from pure noise, averaged over an ensemble.
 
@@ -382,14 +404,10 @@ def sample(
     the member means are averaged in fixed order and clamped to [0, 1].
     The energy trace follows member 0.  Identical (seed, config) inputs
     reproduce bit-identical results; gamma0 = 0 takes exactly the
-    unguided path.
+    unguided path.  Aborts with :class:`DivergenceError` once the noise
+    prediction turns non-finite (a guidance strength far too large).
     """
-    if ensemble < 1:
-        raise InvalidInputError("ensemble must be at least 1")
-    if guidance_space not in GUIDANCE_SPACES:
-        raise InvalidInputError(
-            f"unknown guidance space {guidance_space!r}, expected one of {GUIDANCE_SPACES}"
-        )
+    SamplerParams(ensemble, cfg.distance_refresh, guidance_space=guidance_space)
     image = as_field(image, "image")
     shape = image.shape
     guided = gp.gamma0 > 0
@@ -398,13 +416,22 @@ def sample(
     accum = np.zeros(shape)
 
     # Members whose clean estimates land on one mask share its distance map.
-    with geodesic.reuse_solves():
+    # An overflow is left to the divergence check on eps_hat below.
+    with geodesic.reuse_solves(), np.errstate(over="ignore", invalid="ignore"):
         for member in range(ensemble):
             y = rng.normals(rng.derive_key(seed, _MEMBER_TAG, member, _INIT_TAG), shape)
             dist = None
             for step_index, t in enumerate(t_steps):
                 t = int(t)
-                eps_hat = as_field(provider.eps_hat(y, t, sched), "eps_hat")
+                raw = provider.eps_hat(y, t, sched)
+                try:
+                    eps_hat = as_field(raw, "eps_hat")
+                except InvalidInputError:
+                    if np.isfinite(np.asarray(raw, dtype=np.float64)).all():
+                        raise  # a malformed prediction, not a blow-up
+                    raise DivergenceError(
+                        f"noise prediction became non-finite at t={t}", step=step_index
+                    ) from None
                 needs_energy = guided or member == 0
                 if needs_energy and step_index % cfg.distance_refresh == 0:
                     y0_est = np.clip(predict_y0(y, eps_hat, t, sched), 0.0, 1.0)
@@ -450,10 +477,21 @@ def _trace_row(image, y, eps_hat, t, sched, cfg, dist):
 # ---------------------------------------------------------------------------
 
 
-def dpm_loss(eps_true: np.ndarray, eps_hat: np.ndarray, w_t: float = 1.0) -> float:
+@dataclass(frozen=True)
+class LossParams:
+    eta1: float = 0.5
+    eta2: float = 0.005
+    w_t: float = 1.0
+
+    def __post_init__(self):
+        require(0 <= self.eta1 < math.inf, "eta1", "non-negative and finite", self.eta1)
+        require(0 <= self.eta2 < math.inf, "eta2", "non-negative and finite", self.eta2)
+        require(0 < self.w_t < math.inf, "w_t", "positive and finite", self.w_t)
+
+
+def dpm_loss(eps_true: np.ndarray, eps_hat: np.ndarray, w_t: float = LossParams.w_t) -> float:
     """Weighted mean squared error of the noise prediction."""
-    if w_t <= 0:
-        raise InvalidInputError("w_t must be positive")
+    LossParams(w_t=w_t)
     eps_true = as_field(eps_true, "eps_true")
     eps_hat = as_field(eps_hat, "eps_hat")
     check_same_shape(eps_true, eps_hat)
@@ -461,9 +499,9 @@ def dpm_loss(eps_true: np.ndarray, eps_hat: np.ndarray, w_t: float = 1.0) -> flo
 
 
 def total_loss(
-    l_dpm: float, l_lsf: float, l_par: float, eta1: float = 0.5, eta2: float = 0.005
+    l_dpm: float, l_lsf: float, l_par: float,
+    eta1: float = LossParams.eta1, eta2: float = LossParams.eta2,
 ) -> float:
     """Training-style total: l_dpm + eta1 * l_lsf + eta2 * l_par."""
-    if not (eta1 >= 0 and eta2 >= 0):
-        raise InvalidInputError(f"eta1 and eta2 must be non-negative, got {eta1}, {eta2}")
+    LossParams(eta1, eta2)
     return float(l_dpm + eta1 * l_lsf + eta2 * l_par)

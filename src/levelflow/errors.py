@@ -29,3 +29,9 @@ class DivergenceError(LevelflowError):
     def __init__(self, message: str, step: int):
         super().__init__(f"{message} (step {step})")
         self.step = step
+
+
+def require(ok: bool, key: str, rule: str, value) -> None:
+    """Reject a parameter that breaks its range rule, naming the key first."""
+    if not ok:
+        raise InvalidInputError(f"{key} must be {rule}, got {value!r}")

@@ -49,7 +49,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInputError
+from .errors import DivergenceError, InvalidInputError, require
 from .field import as_field, binarize, check_same_shape, gradient
 
 _REUSE_MAX = 8
@@ -65,11 +65,10 @@ class SpeedParams:
     nu: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.eps_d < math.inf:
-            raise InvalidInputError("eps_d must be positive and finite")
+        require(0 < self.eps_d < math.inf, "eps_d", "positive and finite", self.eps_d)
         for name in ("beta_g", "nu"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise InvalidInputError(f"{name} must be non-negative and finite")
+            value = getattr(self, name)
+            require(0 <= value < math.inf, name, "non-negative and finite", value)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ explicit Euler stepper descends that same discrete gradient, which is a
 consistent discretization of the classical curvature-based flow and keeps
 the per-step energy trace monotone.
 
+The config sections ``heaviside``, ``weights`` and ``evolve`` live here;
+``evolve`` checks its step settings by building ``EvolveParams``.
 ``evolve``, ``energy_total``, ``region_stats`` and ``grad_energy_wrt_mask``
 validate their fields; the other functions are kernels that trust theirs
 (see :mod:`levelflow.field`).
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRegionError, DivergenceError, InvalidInputError
+from .errors import DegenerateRegionError, DivergenceError, InvalidInputError, require
 from .field import as_field, check_same_shape, gradient, gradient_adjoint
 
 VAR_FLOOR = 1e-6  # keeps log var and 1/var finite on a flat region
@@ -51,8 +53,7 @@ class HeavisideParams:
     epsilon: float = 1.5
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise InvalidInputError("epsilon must be positive and finite")
+        require(0 < self.epsilon < math.inf, "epsilon", "positive and finite", self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ class EnergyWeights:
 
     def __post_init__(self):
         for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise InvalidInputError(f"{name} must be non-negative and finite")
+            value = getattr(self, name)
+            require(0 <= value < math.inf, name, "non-negative and finite", value)
 
 
 @dataclass(frozen=True)
@@ -333,6 +334,18 @@ def grad_energy_wrt_mask(
     return _grad_energy_wrt_phi(image, phi, h, p, w, prior, dist, stats)
 
 
+@dataclass(frozen=True)
+class EvolveParams:
+    dt: float = 0.1
+    steps: int = 200
+    stats_refresh: int = 1
+
+    def __post_init__(self):
+        require(0 <= self.dt < math.inf, "dt", "non-negative and finite", self.dt)
+        require(self.steps >= 1, "steps", "at least 1", self.steps)
+        require(self.stats_refresh >= 1, "stats_refresh", "at least 1", self.stats_refresh)
+
+
 def evolve(
     image: np.ndarray,
     phi0: np.ndarray,
@@ -340,9 +353,9 @@ def evolve(
     w: EnergyWeights,
     prior: AreaPrior,
     dist: np.ndarray,
-    dt: float = 0.1,
+    dt: float = EvolveParams.dt,
     steps: int = 1,
-    stats_refresh: int = 1,
+    stats_refresh: int = EvolveParams.stats_refresh,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Explicit Euler descent phi <- phi - dt * dE/dphi.
 
@@ -354,12 +367,7 @@ def evolve(
     the float32 range every saved field holds, or the energy leaves the
     finite range.
     """
-    if not 0 <= dt < math.inf:
-        raise InvalidInputError("dt must be non-negative and finite")
-    if steps < 1:
-        raise InvalidInputError("steps must be at least 1")
-    if stats_refresh < 1:
-        raise InvalidInputError("stats_refresh must be at least 1")
+    EvolveParams(dt, steps, stats_refresh)
     image = as_field(image, "image")
     phi = as_field(phi0, "phi0").copy()
     check_same_shape(image, phi)

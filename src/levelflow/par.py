@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require
 from .field import as_field, check_same_shape
 
 # Fixed neighbor order: row-major over the 3x3 window minus the center.
@@ -37,8 +37,7 @@ class ParParams:
     tau: int = 10
 
     def __post_init__(self):
-        if self.tau < 0:
-            raise InvalidInputError("tau must be non-negative")
+        require(self.tau >= 0, "tau", "non-negative", self.tau)
 
 
 @dataclass(frozen=True)
@@ -85,8 +84,7 @@ def affinity_kernel(image: np.ndarray) -> AffinityKernel:
 
 def refine(mask: np.ndarray, kernel: AffinityKernel, tau: int) -> np.ndarray:
     """Apply the kernel tau times; tau = 0 returns a copy of the mask."""
-    if tau < 0:
-        raise InvalidInputError("tau must be non-negative")
+    ParParams(tau)
     mask = as_field(mask, "mask")
     if kernel.weights.shape[:2] != mask.shape:
         raise InvalidInputError(

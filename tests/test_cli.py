@@ -43,6 +43,8 @@ BASE_KWARGS = {
         "prior": lf.AreaPrior(8.0, 8.0),
         "dist": np.zeros((4, 4)),
     },
+    lf.dpm_loss: {"eps_true": np.zeros((4, 4)), "eps_hat": np.zeros((4, 4))},
+    lf.total_loss: {"l_dpm": 1.0, "l_lsf": 2.0, "l_par": 3.0},
 }
 
 
@@ -80,7 +82,7 @@ class TestConfig:
             config_from_dict(doc)
 
     def test_manifest_detected(self, phantom_dir):
-        cfg, args = load_config_document(phantom_dir / "manifest.json")
+        cfg, args = load_config_document(phantom_dir / "manifest.json", "phantom")
         assert args is not None
         assert args["kind"] == "two-disks"
         assert cfg.seed == 0  # config seed untouched; run seed lives in args
@@ -91,8 +93,23 @@ class TestConfig:
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(InvalidInputError, match="config"):
-            load_config_document(path)
+            load_config_document(path, "phantom")
         assert main(["phantom", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+
+    def test_manifest_of_another_subcommand_rejected(self, phantom_dir, tmp_path, capsys):
+        # an evolve run's --steps, --image and --seed must not become a sample's
+        image = str(phantom_dir / "fields/image.lsf1")
+        gt = str(phantom_dir / "fields/gt_mask.lsf1")
+        evolve = tmp_path / "evolve"
+        assert main(["evolve", "--image", image, "--init-box", "8,8,56,56", "--steps", "7",
+                     "--out", str(evolve)]) == 0
+        manifest = evolve / "manifest.json"
+        with pytest.raises(InvalidInputError, match="only the 'evolve' subcommand, not 'sample'"):
+            load_config_document(manifest, "sample")
+        out = tmp_path / "sample"
+        rc = main(["sample", "--config", str(manifest), "--mode-mask", gt, "--out", str(out)])
+        _assert_rejected(capsys, rc, str(manifest), "'evolve'", "'sample'")
+        assert not out.exists()
 
     @pytest.mark.parametrize("args", ["abc", 5, [["seed", 1]]])
     def test_manifest_args_not_an_object(self, phantom_dir, tmp_path, args):
@@ -118,6 +135,9 @@ class TestConfig:
             (lf.PhantomSpec, "fg"),
             (lf.PhantomSpec, "bg"),
             (lf.evolve, "dt"),
+            (lf.dpm_loss, "w_t"),
+            (lf.total_loss, "eta1"),
+            (lf.total_loss, "eta2"),
         ],
         ids=lambda v: v if isinstance(v, str) else v.__name__,
     )
@@ -132,7 +152,7 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(text)
         with pytest.raises(InvalidInputError, match="non-finite"):
-            load_config_document(path)
+            load_config_document(path, "phantom")
         assert main(["phantom", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
 
 
@@ -750,11 +770,44 @@ OUT_OF_RANGE = {
 OUT_OF_RANGE_CASES = [(s, k, v) for (s, k), values in OUT_OF_RANGE.items() for v in values]
 
 
+def _sample_with(ensemble=1, distance_refresh=50, guidance_space="noise"):
+    return lf.sample(np.eye(8), lf.FrozenFieldProvider(np.zeros((8, 8))), lf.make_schedule(2),
+                     lf.GuidancePolicy(), seed=0, ensemble=ensemble,
+                     cfg=lf.GuidanceConfig(distance_refresh=distance_refresh),
+                     guidance_space=guidance_space)
+
+
+# For each key whose value a library function takes as an argument, a call of it.
+LIBRARY_CALLS = {
+    ("schedule", "steps"): lambda v: lf.make_schedule(v),
+    ("schedule", "beta1"): lambda v: lf.make_schedule(10, beta1=v),
+    ("schedule", "betaT"): lambda v: lf.make_schedule(10, betaT=v),
+    ("evolve", "dt"): lambda v: lf.evolve(**BASE_KWARGS[lf.evolve], dt=v),
+    ("evolve", "steps"): lambda v: lf.evolve(**BASE_KWARGS[lf.evolve], steps=v),
+    ("evolve", "stats_refresh"): lambda v: lf.evolve(**BASE_KWARGS[lf.evolve], stats_refresh=v),
+    ("losses", "eta1"): lambda v: lf.total_loss(1.0, 2.0, 3.0, eta1=v),
+    ("losses", "eta2"): lambda v: lf.total_loss(1.0, 2.0, 3.0, eta2=v),
+    ("losses", "w_t"): lambda v: lf.dpm_loss(**BASE_KWARGS[lf.dpm_loss], w_t=v),
+    ("sampler", "ensemble"): lambda v: _sample_with(ensemble=v),
+    ("sampler", "distance_refresh"): lambda v: _sample_with(distance_refresh=v),
+    ("sampler", "guidance_space"): lambda v: _sample_with(guidance_space=v),
+    ("par", "tau"): lambda v: lf.refine(np.zeros((4, 4)), lf.affinity_kernel(np.eye(4)), v),
+}
+
+
 class TestConfigRanges:
     def test_every_section_key_has_out_of_range_values(self):
         doc = ExperimentConfig().to_dict()
         keys = {(s, k) for s, v in doc.items() if isinstance(v, dict) for k in v}
         assert set(OUT_OF_RANGE) == keys
+        assert set(LIBRARY_CALLS) <= keys
+
+    @pytest.mark.parametrize(
+        "section, key, value", [case for case in OUT_OF_RANGE_CASES if case[:2] in LIBRARY_CALLS]
+    )
+    def test_library_rejects_what_the_config_rejects(self, section, key, value):
+        with pytest.raises(InvalidInputError, match=rf"^{key}\b"):
+            LIBRARY_CALLS[section, key](value)
 
     @pytest.mark.parametrize("section, key, value", OUT_OF_RANGE_CASES)
     def test_out_of_range_value_rejected_naming_the_key(self, section, key, value):
@@ -1345,6 +1398,23 @@ class TestEvolveBlowUp:
         assert rc == 2, err
         assert err.startswith("levelflow: numerical failure: level set function left the float32")
         assert "(step 0)" in err and "--dt 1e+150" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
+class TestSampleBlowUp:
+    @pytest.mark.parametrize("space", lf.diffusion.GUIDANCE_SPACES)
+    def test_huge_gamma0_exits_2_naming_the_step_and_gamma0(self, phantom_dir, tmp_path, capsys,
+                                                            space):
+        out = tmp_path / "out"
+        rc = main(["sample", "--image", str(phantom_dir / "fields/image.lsf1"),
+                   "--mode-mask", str(phantom_dir / "fields/gt_mask.lsf1"), "--steps", "20",
+                   "--beta1", "1e-3", "--betaT", "0.2", "--gamma0", "1e200",
+                   "--guidance-space", space, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("levelflow: numerical failure: noise prediction became non-finite")
+        assert "(step 1)" in err and "--gamma0 1e+200" in err
         assert "Traceback" not in err
         assert not out.exists()
 

@@ -7,7 +7,7 @@ import levelflow as lf
 from levelflow import diffusion as dif
 from levelflow import geodesic
 from levelflow import levelset as ls
-from levelflow.errors import InvalidInputError
+from levelflow.errors import DivergenceError, InvalidInputError
 
 from conftest import central_fd_grad, normal_field, rel_inf_err, uniform_field
 
@@ -366,6 +366,24 @@ class TestSampler:
             dif.sample(image, prov, sched, dif.GuidancePolicy(), seed=0, cfg=cfg,
                        guidance_space="x")
 
+    @pytest.mark.parametrize("space", dif.GUIDANCE_SPACES)
+    def test_blown_up_guidance_is_a_divergence(self, space):
+        image, sched, prov, cfg = self._setup()
+        with pytest.raises(DivergenceError, match="noise prediction became non-finite") as exc:
+            dif.sample(image, prov, sched, dif.GuidancePolicy(gamma0=1e200), seed=0, cfg=cfg,
+                       guidance_space=space)
+        assert exc.value.step == 1
+
+    def test_malformed_prediction_is_invalid_input(self):
+        image, sched, _, cfg = self._setup()
+
+        class Flat:
+            def eps_hat(self, yt, t, sched):
+                return yt.ravel()
+
+        with pytest.raises(InvalidInputError, match="eps_hat must be 2-D"):
+            dif.sample(image, Flat(), sched, dif.GuidancePolicy(gamma0=0.0), seed=0, cfg=cfg)
+
     def test_twenty_member_ensemble_reproducible_bitwise(self):
         disk, ring = modes_32()
         image = disk[:16, :16]
@@ -480,7 +498,7 @@ class TestLosses:
 
     @pytest.mark.parametrize("eta1, eta2", [(-1.0, 0.005), (0.5, -1e-9)])
     def test_negative_eta_rejected(self, eta1, eta2):
-        with pytest.raises(InvalidInputError, match="eta1 and eta2"):
+        with pytest.raises(InvalidInputError, match="^eta1 must" if eta1 < 0 else "^eta2 must"):
             dif.total_loss(1.0, 2.0, 10.0, eta1=eta1, eta2=eta2)
 
     def test_nonpositive_weight_rejected(self):
