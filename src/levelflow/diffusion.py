@@ -316,8 +316,7 @@ class MixtureMaskProvider:
             raise InvalidInputError("mixture weights must be positive and finite")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise InvalidInputError("mixture weights must sum to 1")
-        if not (0 <= self.noise_scale and self.noise_scale * self.noise_scale < math.inf):
-            raise InvalidInputError("noise scale must be non-negative, with a finite square")
+        SamplerParams(noise_scale=self.noise_scale)
 
     def marginal_variance(self, t: int, sched: DiffusionSchedule) -> float:
         i = _check_t(t, sched)

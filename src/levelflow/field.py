@@ -14,6 +14,14 @@ arrays with :class:`InvalidInputError`.  Kernels (``gradient``, ``heaviside``,
 the energy terms, ``reverse_step``, ...) trust their arrays and keep only
 the O(1) shape checks where two arrays meet.
 
+Kernels allocate their outputs and never write into an argument: an
+in-place operation (``out=``, ``*=``) is only ever applied to an array the
+kernel made itself.  Each keeps the operation order of the plain
+expression it stands for, so it returns the same bits.  A sum runs in the
+memory order of the array it reduces, and the product of a C-ordered and a
+Fortran-ordered array is C-ordered; a kernel whose array arguments share
+one memory order therefore reduces in the order the plain expressions did.
+
 Stencils use central differences in the interior and degrade to one-sided
 differences at the borders through replicate (Neumann) padding, i.e. the
 border derivative is ``(f[1] - f[0]) / 2``.
@@ -63,18 +71,36 @@ def binarize(f: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     return np.asarray(f) >= threshold
 
 
-def gradient(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centred first derivatives (d/dx, d/dy) with replicate boundaries."""
-    if f.shape[0] < 2 or f.shape[1] < 2:
+def _check_grid(f: np.ndarray) -> None:
+    if f.ndim != 2 or f.shape[0] < 2 or f.shape[1] < 2:
         raise InvalidInputError(f"gradient needs at least a 2x2 grid, got {f.shape}")
-    gx = np.empty_like(f)
-    gy = np.empty_like(f)
-    gx[:, 1:-1] = 0.5 * (f[:, 2:] - f[:, :-2])
-    gx[:, 0] = 0.5 * (f[:, 1] - f[:, 0])
-    gx[:, -1] = 0.5 * (f[:, -1] - f[:, -2])
-    gy[1:-1, :] = 0.5 * (f[2:, :] - f[:-2, :])
-    gy[0, :] = 0.5 * (f[1, :] - f[0, :])
-    gy[-1, :] = 0.5 * (f[-1, :] - f[-2, :])
+
+
+def gradient(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centred first derivatives (d/dx, d/dy) with replicate boundaries.
+
+    The derivatives are float64 and in the memory order of ``f`` (Fortran
+    order stays Fortran order, anything else is C order), which fixes the
+    summation order of any reduction over them.
+    """
+    f = np.asarray(f, dtype=np.float64)
+    _check_grid(f)
+    if np.isfortran(f):
+        gy, gx = gradient(f.T)
+        return gx.T, gy.T
+    f = np.ascontiguousarray(f)
+    gx = np.empty(f.shape)
+    # One pass over the flattened grid; the entries it takes across a row
+    # end are the border columns, which the next two lines overwrite.
+    np.subtract(f.reshape(-1)[2:], f.reshape(-1)[:-2], out=gx.reshape(-1)[1:-1])
+    np.subtract(f[:, 1], f[:, 0], out=gx[:, 0])
+    np.subtract(f[:, -1], f[:, -2], out=gx[:, -1])
+    gx *= 0.5
+    gy = np.empty(f.shape)
+    np.subtract(f[2:], f[:-2], out=gy[1:-1])
+    np.subtract(f[1], f[0], out=gy[0])
+    np.subtract(f[-1], f[-2], out=gy[-1])
+    gy *= 0.5
     return gx, gy
 
 
@@ -83,18 +109,31 @@ def gradient_adjoint(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
 
     Needed for discrete energy gradients that must match finite differences
     of the summed energy to rounding error; the continuous analogue is the
-    negative divergence.
+    negative divergence.  The result is a C-ordered float64 field.
     """
+    vx = np.ascontiguousarray(vx, dtype=np.float64)
+    vy = np.asarray(vy, dtype=np.float64)
     check_same_shape(vx, vy)
-    out = np.zeros_like(vx)
+    _check_grid(vx)
     # x-direction: column j receives +v[j-1]/2 and -v[j+1]/2, with the
-    # replicate-boundary rows folded into the first/last columns.
-    out[:, 1:-1] += 0.5 * (vx[:, :-2] - vx[:, 2:])
-    out[:, 0] += -0.5 * (vx[:, 0] + vx[:, 1])
-    out[:, -1] += 0.5 * (vx[:, -1] + vx[:, -2])
-    out[1:-1, :] += 0.5 * (vy[:-2, :] - vy[2:, :])
-    out[0, :] += -0.5 * (vy[0, :] + vy[1, :])
-    out[-1, :] += 0.5 * (vy[-1, :] + vy[-2, :])
+    # replicate-boundary rows folded into the first/last columns.  As in
+    # gradient, the border columns overwrite the flat pass's row-end entries.
+    out = np.empty(vx.shape)
+    np.subtract(vx.reshape(-1)[:-2], vx.reshape(-1)[2:], out=out.reshape(-1)[1:-1])
+    np.add(vx[:, 0], vx[:, 1], out=out[:, 0])
+    np.add(vx[:, -1], vx[:, -2], out=out[:, -1])
+    out *= 0.5
+    # -(0.5 * s) is -0.5 * s bit for bit; not np.negative(..., out=...), which
+    # numpy 2.4.6 gets wrong in place on a column of an 8-wide grid
+    out[:, 0] *= -1.0
+    out += 0.0  # the sum starts from +0.0, so an x part of -0.0 becomes +0.0
+    vy_part = np.empty(vx.shape)
+    np.subtract(vy[:-2], vy[2:], out=vy_part[1:-1])
+    np.add(vy[0], vy[1], out=vy_part[0])
+    np.add(vy[-1], vy[-2], out=vy_part[-1])
+    vy_part *= 0.5
+    vy_part[0] *= -1.0
+    out += vy_part
     return out
 
 

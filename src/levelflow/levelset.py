@@ -136,7 +136,9 @@ def heaviside(phi: np.ndarray, p: HeavisideParams) -> np.ndarray:
 
 def dirac(phi: np.ndarray, p: HeavisideParams) -> np.ndarray:
     """delta(s) = (1/pi) eps / (eps^2 + s^2) = dH/ds; peak 1/(pi eps) at 0."""
-    return (p.epsilon / np.pi) / (p.epsilon * p.epsilon + phi * phi)
+    d = np.multiply(phi, phi)
+    d += p.epsilon * p.epsilon
+    return np.divide(p.epsilon / np.pi, d, out=d)
 
 
 def mask_to_levelset(y: np.ndarray) -> np.ndarray:
@@ -185,9 +187,16 @@ def region_stats(image: np.ndarray, phi: np.ndarray, p: HeavisideParams) -> Regi
 def nll_fields(image: np.ndarray, stats: RegionStats) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel Gaussian negative log-likelihoods (e1, e2) for both regions."""
     with np.errstate(over="ignore", invalid="ignore"):  # saturation feeds the divergence guard
-        e1 = np.log(stats.var_in) + (image - stats.mean_in) ** 2 / stats.var_in
-        e2 = np.log(stats.var_out) + (image - stats.mean_out) ** 2 / stats.var_out
-    return e1, e2
+        return _nll(image, stats.mean_in, stats.var_in), _nll(image, stats.mean_out, stats.var_out)
+
+
+def _nll(image: np.ndarray, mean: float, var: float) -> np.ndarray:
+    """log var + (image - mean)^2 / var, built in one fresh array."""
+    e = np.subtract(image, mean)
+    np.square(e, out=e)
+    e /= var
+    e += np.log(var)
+    return e
 
 
 def energy_region(
@@ -196,14 +205,24 @@ def energy_region(
     check_same_shape(image, phi)
     h = heaviside(phi, p)
     e1, e2 = nll_fields(image, stats)
-    return float((e1 * h + e2 * (1.0 - h)).sum())
+    e1 *= h
+    e2 *= np.subtract(1.0, h, out=h)
+    e1 += e2
+    return float(e1.sum())
 
 
 def energy_length(phi: np.ndarray, p: HeavisideParams) -> float:
     """Perimeter surrogate: sum of |grad H(phi)| over the grid (pixel area 1)."""
     # H lies in [0, 1], so squaring cannot overflow; sqrt is within 1 ulp of np.hypot
-    gx, gy = gradient(heaviside(phi, p))
-    return float(np.sqrt(gx * gx + gy * gy).sum())
+    return float(_grad_norm(*gradient(heaviside(phi, p))).sum())
+
+
+def _grad_norm(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """sqrt(gx * gx + gy * gy), written into ``gx``; ``gy`` is squared in place."""
+    gx *= gx
+    gy *= gy
+    gx += gy
+    return np.sqrt(gx, out=gx)
 
 
 def energy_area(phi: np.ndarray, p: HeavisideParams, prior: AreaPrior) -> float:
@@ -223,7 +242,9 @@ def _check_distance(dist: np.ndarray) -> None:
 def energy_distance(phi: np.ndarray, p: HeavisideParams, dist: np.ndarray) -> float:
     check_same_shape(phi, dist)
     _check_distance(dist)
-    return float((dist * heaviside(phi, p)).sum())
+    h = heaviside(phi, p)
+    h *= dist
+    return float(h.sum())
 
 
 def energy_total(
@@ -260,14 +281,17 @@ def _energy_row(
     """``energy_total(...).as_row()`` bit for bit from one H, on trusted fields."""
     h = heaviside(phi, p)
     e1, e2 = nll_fields(image, region_stats_from_weights(image, h))
-    e_region = float((e1 * h + e2 * (1.0 - h)).sum())
+    e1 *= h
+    e2 *= 1.0 - h
+    e1 += e2
+    e_region = float(e1.sum())
     del e1, e2
-    gx, gy = gradient(h)
-    e_length = float(np.sqrt(gx * gx + gy * gy).sum())
+    e_length = float(_grad_norm(*gradient(h)).sum())
     prior.check_domain(phi.size)
     m_in = float(h.sum())
     e_area = (m_in - prior.a1_target) ** 2 + (float(phi.size - m_in) - prior.a2_target) ** 2
-    e_distance = float((dist * h).sum())
+    h *= dist
+    e_distance = float(h.sum())
     e_total = (
         w.lambda1 * e_region + w.lambda2 * e_length + w.lambda3 * e_area + w.lambda4 * e_distance
     )
@@ -290,11 +314,22 @@ def _grad_energy_wrt_phi(
     grad_h = np.zeros_like(phi)
     if w.lambda1 != 0.0:
         e1, e2 = nll_fields(image, stats)
-        grad_h += w.lambda1 * (e1 - e2)
+        e1 -= e2
+        e1 *= w.lambda1
+        grad_h += e1
+        del e1, e2
     if w.lambda2 != 0.0:
         gx, gy = gradient(h)
-        norm = np.maximum(np.sqrt(gx * gx + gy * gy), GRAD_FLOOR)
-        grad_h += w.lambda2 * gradient_adjoint(gx / norm, gy / norm)
+        norm = np.multiply(gx, gx)
+        norm += gy * gy
+        np.sqrt(norm, out=norm)
+        np.maximum(norm, GRAD_FLOOR, out=norm)
+        gx /= norm
+        gy /= norm
+        del norm
+        adjoint = gradient_adjoint(gx, gy)
+        adjoint *= w.lambda2
+        grad_h += adjoint
     if w.lambda3 != 0.0:
         prior.check_domain(phi.size)
         m_in = float(h.sum())
@@ -302,7 +337,8 @@ def _grad_energy_wrt_phi(
         grad_h += w.lambda3 * 2.0 * ((m_in - prior.a1_target) - (m_out - prior.a2_target))
     if w.lambda4 != 0.0:
         grad_h += w.lambda4 * dist
-    return d * grad_h
+    d *= grad_h
+    return d
 
 
 def grad_energy_wrt_mask(
@@ -368,17 +404,20 @@ def evolve(
     finite range.
     """
     EvolveParams(dt, steps, stats_refresh)
-    image = as_field(image, "image")
+    # phi is a C-ordered copy; the loop's other fields take its memory order
+    # too (see levelflow.field on kernels and memory order).
+    image = np.ascontiguousarray(as_field(image, "image"))
     phi = as_field(phi0, "phi0").copy()
     check_same_shape(image, phi)
-    dist = as_field(dist, "dist")
+    dist = np.ascontiguousarray(as_field(dist, "dist"))
     check_same_shape(image, dist)
     trace = np.empty((steps, 5), dtype=np.float64)
     for n in range(steps):
         if n % stats_refresh == 0:
             stats = region_stats(image, phi, p)
         g = _grad_energy_wrt_phi(image, phi, heaviside(phi, p), p, w, prior, dist, stats)
-        phi = phi - dt * g
+        g *= dt
+        phi -= g
         if not (phi.max() <= PHI_MAX and phi.min() >= -PHI_MAX):  # a NaN fails both
             raise DivergenceError("level set function left the float32 range", step=n)
         report = energy_total(image, phi, p, w, prior, dist)

@@ -135,7 +135,8 @@ def as_field_calls(monkeypatch):
     return calls
 
 
-STATS = lf.region_stats(IMAGE, MASK - 0.5, P)
+PHI = MASK - 0.5
+STATS = lf.region_stats(IMAGE, PHI, P)
 PROVIDER = lf.MixtureMaskProvider((MASK, 1.0 - MASK), (0.5, 0.5))
 Z = np.zeros(SHAPE)
 KERNELS = {
@@ -144,11 +145,14 @@ KERNELS = {
     "mask_to_levelset": lambda: lf.mask_to_levelset(MASK),
     "nll_fields": lambda: levelset.nll_fields(IMAGE, STATS),
     "region_stats_from_weights": lambda: levelset.region_stats_from_weights(IMAGE, MASK),
-    "energy_region": lambda: lf.energy_region(IMAGE, MASK - 0.5, P, STATS),
-    "energy_length": lambda: lf.energy_length(MASK - 0.5, P),
-    "energy_area": lambda: lf.energy_area(MASK - 0.5, P, PRIOR),
-    "energy_distance": lambda: lf.energy_distance(MASK - 0.5, P, Z),
-    "_energy_row": lambda: levelset._energy_row(IMAGE, MASK - 0.5, P, W, PRIOR, Z),
+    "energy_region": lambda: lf.energy_region(IMAGE, PHI, P, STATS),
+    "energy_length": lambda: lf.energy_length(PHI, P),
+    "energy_area": lambda: lf.energy_area(PHI, P, PRIOR),
+    "energy_distance": lambda: lf.energy_distance(PHI, P, Z),
+    "_energy_row": lambda: levelset._energy_row(IMAGE, PHI, P, W, PRIOR, Z),
+    "_grad_energy_wrt_phi": lambda: levelset._grad_energy_wrt_phi(
+        IMAGE, PHI, lf.heaviside(PHI, P), P, W, PRIOR, Z, STATS
+    ),
     "gradient": lambda: lf.gradient(IMAGE),
     "gradient_adjoint": lambda: lf.gradient_adjoint(IMAGE, MASK),
     "predict_y0": lambda: lf.predict_y0(MASK, Z, 3, SCHED),
@@ -165,6 +169,24 @@ KERNELS = {
 def test_kernel_trusts_its_arrays(as_field_calls, name):
     KERNELS[name]()
     assert as_field_calls == []
+
+
+@pytest.fixture
+def read_only_arguments():
+    """Every array the KERNELS calls take, made read-only for one test."""
+    arrays = [IMAGE, MASK, PHI, Z, *PROVIDER.masks, SCHED.beta, SCHED.alpha, SCHED.alpha_bar,
+              SCHED.sigma]
+    for a in arrays:
+        a.flags.writeable = False
+    yield
+    for a in arrays:
+        a.flags.writeable = True
+
+
+@pytest.mark.parametrize("name", sorted(KERNELS))
+def test_kernel_writes_into_no_argument(read_only_arguments, name):
+    # an in-place operation on a caller's array raises "read-only" here
+    KERNELS[name]()
 
 
 def test_evolve_step_validates_a_fixed_number_of_fields(as_field_calls):

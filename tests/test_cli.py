@@ -1186,7 +1186,7 @@ class TestArgvFuzz:
             (["phantom", "--kind", "two-disks", "--size", str(10**15)], "size"),
             (["phantom", "--kind", "two-disks", "--size", str(2**64)], "size"),
             (["sample", "--image", "{image}", "--mode-mask", "{mask}", *SMALL_SCHEDULE,
-              "--noise-scale", "1e300"], "noise scale"),
+              "--noise-scale", "1e300"], "noise_scale"),
         ],
         ids=["size-1e15", "size-2**64", "noise-scale-1e300"],
     )

@@ -318,6 +318,16 @@ class TestMixtureProvider:
         with pytest.raises(InvalidInputError):
             dif.MixtureMaskProvider(masks=(disk, ring), weights=(1.5, -0.5))
 
+    @pytest.mark.parametrize("scale", [-1.0, 1e300, float("nan")])
+    def test_noise_scale_rule_is_the_sampler_sections(self, scale):
+        disk, _ = modes_32()
+        with pytest.raises(InvalidInputError) as provider_error:
+            dif.MixtureMaskProvider(masks=(disk,), weights=(1.0,), noise_scale=scale)
+        with pytest.raises(InvalidInputError) as params_error:
+            dif.SamplerParams(noise_scale=scale)
+        assert str(provider_error.value) == str(params_error.value)
+        assert str(provider_error.value).startswith("noise_scale must be non-negative")
+
     def test_frozen_field_provider(self):
         sched = dif.make_schedule(10)
         eps = normal_field((84, 2), (8, 8))

@@ -45,10 +45,22 @@ class TestGradient:
         assert gx[8, 5] == pytest.approx(10.0, abs=0)
 
     def test_degenerate_grid_rejected(self):
-        with pytest.raises(InvalidInputError):
-            lf.gradient(np.zeros((1, 8)))
-        with pytest.raises(InvalidInputError):
-            lf.gradient(np.zeros((8, 1)))
+        for shape in [(1, 8), (8, 1), (1, 1), (8,)]:
+            with pytest.raises(InvalidInputError, match="gradient needs at least a 2x2 grid"):
+                lf.gradient(np.zeros(shape))
+            with pytest.raises(InvalidInputError, match="gradient needs at least a 2x2 grid"):
+                lf.gradient_adjoint(np.ones(shape), np.ones(shape))
+
+    def test_integer_input_gives_float_derivatives(self):
+        ints = np.array([[0, 1, 2], [0, 1, 2]])
+        gx, gy = lf.gradient(ints)
+        assert gx.dtype == gy.dtype == np.float64
+        assert gx.tolist() == [[0.5, 1.0, 0.5]] * 2
+        for got, want in zip((gx, gy), lf.gradient(ints.astype(float))):
+            assert got.tobytes() == want.tobytes()
+        adjoint = lf.gradient_adjoint(ints, ints)
+        assert adjoint.dtype == np.float64
+        assert adjoint.tobytes() == lf.gradient_adjoint(ints * 1.0, ints * 1.0).tobytes()
 
     def test_adjoint_identity(self):
         u = normal_field((21, 0), (13, 17))
