@@ -77,14 +77,6 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidInputError(message)
 
 
-def _sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
@@ -106,7 +98,7 @@ def _trace_csv(steps, trace) -> str:
 def _publish(out: str, command: str, cfg: ExperimentConfig, args: dict, files: dict) -> None:
     """Write a finished run's artifacts under ``out`` in ``files``' order, every
     report encoded as JSON before the first write, then ``manifest.json`` with
-    the sha256 of each file written.  A directory is made only to hold a file."""
+    the sha256 of each file's written bytes.  A directory is made only to hold a file."""
     encoded = {}
     for rel, artifact in files.items():
         try:
@@ -114,18 +106,18 @@ def _publish(out: str, command: str, cfg: ExperimentConfig, args: dict, files: d
         except ValueError as exc:  # a NaN or inf that no validator caught
             raise LevelflowError(f"{rel} would hold a non-finite number: {exc}") from None
 
-    def write(rel: str, content) -> None:
+    def write(rel: str, content) -> str:
         path = os.path.join(out, rel)
         try:
             if isinstance(content, str):
-                write_file(path, content.encode())
+                data = write_file(path, content.encode())
             else:
-                save_field(content, path)
+                data = save_field(content, path)
         except OSError as exc:
             raise InvalidInputError(f"cannot write {path} under --out: {exc}") from None
+        return hashlib.sha256(data).hexdigest()
 
-    for rel, content in encoded.items():
-        write(rel, content)
+    digests = {rel: write(rel, content) for rel, content in encoded.items()}
     cfg_doc = cfg.to_dict()
     manifest = {
         "schema_version": 1,
@@ -137,7 +129,7 @@ def _publish(out: str, command: str, cfg: ExperimentConfig, args: dict, files: d
         "config": cfg_doc,
         "config_sha256": hashlib.sha256(_dump_json(cfg_doc).encode()).hexdigest(),
         "args": args,
-        "artifacts": {rel: _sha256(os.path.join(out, rel)) for rel in sorted(encoded)},
+        "artifacts": dict(sorted(digests.items())),
     }
     write("manifest.json", _dump_json(manifest))
 

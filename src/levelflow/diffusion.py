@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geodesic, levelset, rng
-from .errors import DegenerateRegionError, DivergenceError, InvalidInputError, require
+from .errors import DegenerateRegionError, DivergenceError, InvalidInputError, require, require_ints
 from .field import as_field, binarize, check_same_shape
 
 GUIDANCE_SCHEDULES = ("constant", "noise-scaled")
@@ -64,6 +64,7 @@ class ScheduleParams:
     betaT: float = 0.02
 
     def __post_init__(self):
+        require_ints(steps=self.steps)
         require(self.steps >= 1, "steps", "at least 1", self.steps)
         require(0 < self.beta1 < 1, "beta1", "in (0, 1)", self.beta1)
         require(self.beta1 <= self.betaT < 1, "betaT", "in [beta1, 1)", self.betaT)
@@ -202,6 +203,7 @@ class SamplerParams:
     guidance_space: str = "noise"
 
     def __post_init__(self):
+        require_ints(ensemble=self.ensemble, distance_refresh=self.distance_refresh)
         require(self.ensemble >= 1, "ensemble", "at least 1", self.ensemble)
         require(self.distance_refresh >= 1, "distance_refresh", "at least 1",
                 self.distance_refresh)

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all levelflow modules."""
 
+from numbers import Integral
+
 
 class LevelflowError(Exception):
     """Base class for all errors raised by this package."""
@@ -35,3 +37,10 @@ def require(ok: bool, key: str, rule: str, value) -> None:
     """Reject a parameter that breaks its range rule, naming the key first."""
     if not ok:
         raise InvalidInputError(f"{key} must be {rule}, got {value!r}")
+
+
+def require_ints(**values) -> None:
+    """Reject a bool or non-integral value of an int parameter (numpy ints pass)."""
+    for key, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise InvalidInputError(f"{key} must be an int, got {value!r}")

@@ -218,18 +218,20 @@ def make_phantom(spec: PhantomSpec) -> tuple[np.ndarray, np.ndarray]:
 _MAX_PIXELS = 1 << 31
 
 
-def save_field(f: np.ndarray, path) -> None:
-    """Write a field; dispatches on extension (.pgm -> PGM, else LSF1).  Its
-    bytes are made and checked before the file or any directory is."""
+def save_field(f: np.ndarray, path) -> bytes:
+    """Write a field and return its bytes; dispatches on extension (.pgm -> PGM,
+    else LSF1).  The bytes are made and checked before the file or any directory is."""
     f = as_field(f)
-    write_file(path, _encode_pgm(f) if str(path).lower().endswith(".pgm") else _encode_lsf1(f))
+    pgm = str(path).lower().endswith(".pgm")
+    return write_file(path, _encode_pgm(f) if pgm else _encode_lsf1(f))
 
 
-def write_file(path, data: bytes) -> None:
-    """Write ``data`` to ``path``, making any missing parent directory first."""
+def write_file(path, data: bytes) -> bytes:
+    """Write ``data`` to ``path`` and return it, making any missing parent directory first."""
     os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(data)
+    return data
 
 
 def load_field(path) -> np.ndarray:

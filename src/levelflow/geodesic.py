@@ -45,11 +45,10 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInputError, require
+from .errors import DivergenceError, InvalidInputError, require, require_ints
 from .field import as_field, binarize, check_same_shape, gradient
 
 _REUSE_MAX = 8
@@ -222,10 +221,9 @@ def solve_eikonal(speed: np.ndarray, seed: np.ndarray, exact_init_radius: int = 
     whose near-source error for point seeds is O(1) relative.  Inside a
     ``reuse_solves`` scope a repeated problem returns the earlier map.
     """
-    radius = exact_init_radius
-    if isinstance(radius, bool) or not isinstance(radius, Integral) or radius < 0:
-        raise InvalidInputError(f"exact_init_radius must be an int >= 0, got {radius!r}")
-    radius = int(radius)
+    require_ints(exact_init_radius=exact_init_radius)
+    require(exact_init_radius >= 0, "exact_init_radius", "an int >= 0", exact_init_radius)
+    radius = int(exact_init_radius)
     speed = as_field(speed, "speed")
     seed_arr = np.asarray(seed)
     seed_bin = seed_arr if seed_arr.dtype == bool else binarize(as_field(seed_arr, "seed"))

@@ -7,9 +7,13 @@ The energy of a level set function phi against an image I is
 with a Gaussian region term (per-pixel negative log-likelihood
 ``e_i = log var_i + (I - mu_i)^2 / var_i`` weighted by H(phi) inside and
 1 - H(phi) outside), a total-variation perimeter surrogate, a quadratic
-two-sided area prior and a seed-distance penalty.  Region statistics have
-closed forms given phi and are treated as constants inside a gradient
-evaluation (their back-reaction vanishes at the closed-form optimum).
+two-sided area prior and a seed-distance penalty.  Each term has one kernel
+on H = H(phi), ``_region``, ``_length``, ``_area`` and ``_distance``, and
+``_report`` weights them; the public ``energy_*`` terms, ``energy_total`` and
+the sampler's one-H ``_energy_row`` are built from them, and the gradient
+shares their ``|grad H|`` and area residuals.  Region statistics have closed
+forms given phi and are treated as constants inside a gradient evaluation
+(their back-reaction vanishes at the closed-form optimum).
 
 Masks y in [0, 1] map to level sets by phi = y - 0.5, putting the contour
 at mask value 0.5.
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRegionError, DivergenceError, InvalidInputError, require
+from .errors import DegenerateRegionError, DivergenceError, InvalidInputError, require, require_ints
 from .field import as_field, check_same_shape, gradient, gradient_adjoint
 
 VAR_FLOOR = 1e-6  # keeps log var and 1/var finite on a flat region
@@ -111,6 +115,12 @@ class AreaPrior:
                 f"area targets {self.a1_target} + {self.a2_target} do not sum to the "
                 f"domain size {n_pixels}"
             )
+
+    def residuals(self, h: np.ndarray) -> tuple[float, float]:
+        """Soft inside and outside masses of H minus their targets."""
+        self.check_domain(h.size)
+        m_in = float(h.sum())
+        return m_in - self.a1_target, float(h.size - m_in) - self.a2_target
 
 
 @dataclass(frozen=True)
@@ -199,38 +209,59 @@ def _nll(image: np.ndarray, mean: float, var: float) -> np.ndarray:
     return e
 
 
-def energy_region(
-    image: np.ndarray, phi: np.ndarray, p: HeavisideParams, stats: RegionStats
-) -> float:
-    check_same_shape(image, phi)
-    h = heaviside(phi, p)
+def _region(image: np.ndarray, h: np.ndarray, stats: RegionStats) -> float:
+    """Sum of e1 * H + e2 * (1 - H), the region term on H."""
     e1, e2 = nll_fields(image, stats)
     e1 *= h
-    e2 *= np.subtract(1.0, h, out=h)
+    e2 *= 1.0 - h
     e1 += e2
     return float(e1.sum())
 
 
+def _grad_norm(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """|grad H| = sqrt(gx * gx + gy * gy) in a new array; H lies in [0, 1], so
+    squaring cannot overflow, and sqrt is within 1 ulp of np.hypot."""
+    norm = np.multiply(gx, gx)
+    norm += gy * gy
+    return np.sqrt(norm, out=norm)
+
+
+def _length(h: np.ndarray) -> float:
+    """Sum of |grad H| over the grid (pixel area 1), the length term on H."""
+    return float(_grad_norm(*gradient(h)).sum())
+
+
+def _area(h: np.ndarray, prior: AreaPrior) -> float:
+    r_in, r_out = prior.residuals(h)
+    return r_in**2 + r_out**2
+
+
+def _distance(h: np.ndarray, dist: np.ndarray) -> float:
+    # the product takes H's memory order, which sets the order of the sum
+    return float(np.multiply(h, dist, out=np.empty_like(h)).sum())
+
+
+def _report(w: EnergyWeights, *terms: float) -> EnergyReport:
+    """The region, length, area and distance terms and their weighted total."""
+    region, length, area, distance = terms
+    total = w.lambda1 * region + w.lambda2 * length + w.lambda3 * area + w.lambda4 * distance
+    return EnergyReport(*terms, total)
+
+
+def energy_region(
+    image: np.ndarray, phi: np.ndarray, p: HeavisideParams, stats: RegionStats
+) -> float:
+    check_same_shape(image, phi)
+    return _region(image, heaviside(phi, p), stats)
+
+
 def energy_length(phi: np.ndarray, p: HeavisideParams) -> float:
     """Perimeter surrogate: sum of |grad H(phi)| over the grid (pixel area 1)."""
-    # H lies in [0, 1], so squaring cannot overflow; sqrt is within 1 ulp of np.hypot
-    return float(_grad_norm(*gradient(heaviside(phi, p))).sum())
-
-
-def _grad_norm(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    """sqrt(gx * gx + gy * gy), written into ``gx``; ``gy`` is squared in place."""
-    gx *= gx
-    gy *= gy
-    gx += gy
-    return np.sqrt(gx, out=gx)
+    return _length(heaviside(phi, p))
 
 
 def energy_area(phi: np.ndarray, p: HeavisideParams, prior: AreaPrior) -> float:
-    prior.check_domain(phi.size)
-    h = heaviside(phi, p)
-    m_in = float(h.sum())
-    m_out = float(phi.size - m_in)
-    return (m_in - prior.a1_target) ** 2 + (m_out - prior.a2_target) ** 2
+    return _area(heaviside(phi, p), prior)
 
 
 def _check_distance(dist: np.ndarray) -> None:
@@ -242,9 +273,7 @@ def _check_distance(dist: np.ndarray) -> None:
 def energy_distance(phi: np.ndarray, p: HeavisideParams, dist: np.ndarray) -> float:
     check_same_shape(phi, dist)
     _check_distance(dist)
-    h = heaviside(phi, p)
-    h *= dist
-    return float(h.sum())
+    return _distance(heaviside(phi, p), dist)
 
 
 def energy_total(
@@ -257,21 +286,14 @@ def energy_total(
     stats: RegionStats | None = None,
 ) -> EnergyReport:
     """Evaluate all four terms; region statistics recomputed from phi unless given."""
-    # The reference _energy_row is held to; ROADMAP item 2 makes this a validating
-    # wrapper over that kernel once item 1 pins energy passes, not heaviside calls.
     image = as_field(image, "image")
     phi = as_field(phi, "phi")
     dist = as_field(dist, "dist")
     if stats is None:
         stats = region_stats_from_weights(image, heaviside(phi, p))
-    e_region = energy_region(image, phi, p, stats)
-    e_length = energy_length(phi, p)
-    e_area = energy_area(phi, p, prior)
-    e_distance = energy_distance(phi, p, dist)
-    e_total = (
-        w.lambda1 * e_region + w.lambda2 * e_length + w.lambda3 * e_area + w.lambda4 * e_distance
-    )
-    return EnergyReport(e_region, e_length, e_area, e_distance, e_total)
+    region = energy_region(image, phi, p, stats)
+    terms = (energy_length(phi, p), energy_area(phi, p, prior), energy_distance(phi, p, dist))
+    return _report(w, region, *terms)
 
 
 def _energy_row(
@@ -280,22 +302,8 @@ def _energy_row(
 ) -> np.ndarray:
     """``energy_total(...).as_row()`` bit for bit from one H, on trusted fields."""
     h = heaviside(phi, p)
-    e1, e2 = nll_fields(image, region_stats_from_weights(image, h))
-    e1 *= h
-    e2 *= 1.0 - h
-    e1 += e2
-    e_region = float(e1.sum())
-    del e1, e2
-    e_length = float(_grad_norm(*gradient(h)).sum())
-    prior.check_domain(phi.size)
-    m_in = float(h.sum())
-    e_area = (m_in - prior.a1_target) ** 2 + (float(phi.size - m_in) - prior.a2_target) ** 2
-    h *= dist
-    e_distance = float(h.sum())
-    e_total = (
-        w.lambda1 * e_region + w.lambda2 * e_length + w.lambda3 * e_area + w.lambda4 * e_distance
-    )
-    return np.array([e_region, e_length, e_area, e_distance, e_total])
+    region = _region(image, h, region_stats_from_weights(image, h))
+    return _report(w, region, _length(h), _area(h, prior), _distance(h, dist)).as_row()
 
 
 def _grad_energy_wrt_phi(
@@ -320,9 +328,7 @@ def _grad_energy_wrt_phi(
         del e1, e2
     if w.lambda2 != 0.0:
         gx, gy = gradient(h)
-        norm = np.multiply(gx, gx)
-        norm += gy * gy
-        np.sqrt(norm, out=norm)
+        norm = _grad_norm(gx, gy)
         np.maximum(norm, GRAD_FLOOR, out=norm)
         gx /= norm
         gy /= norm
@@ -331,10 +337,8 @@ def _grad_energy_wrt_phi(
         adjoint *= w.lambda2
         grad_h += adjoint
     if w.lambda3 != 0.0:
-        prior.check_domain(phi.size)
-        m_in = float(h.sum())
-        m_out = float(phi.size - m_in)
-        grad_h += w.lambda3 * 2.0 * ((m_in - prior.a1_target) - (m_out - prior.a2_target))
+        r_in, r_out = prior.residuals(h)
+        grad_h += w.lambda3 * 2.0 * (r_in - r_out)
     if w.lambda4 != 0.0:
         grad_h += w.lambda4 * dist
     d *= grad_h
@@ -377,6 +381,7 @@ class EvolveParams:
     stats_refresh: int = 1
 
     def __post_init__(self):
+        require_ints(steps=self.steps, stats_refresh=self.stats_refresh)
         require(0 <= self.dt < math.inf, "dt", "non-negative and finite", self.dt)
         require(self.steps >= 1, "steps", "at least 1", self.steps)
         require(self.stats_refresh >= 1, "stats_refresh", "at least 1", self.stats_refresh)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, require
+from .errors import InvalidInputError, require, require_ints
 from .field import as_field, check_same_shape
 
 # Fixed neighbor order: row-major over the 3x3 window minus the center.
@@ -37,6 +37,7 @@ class ParParams:
     tau: int = 10
 
     def __post_init__(self):
+        require_ints(tau=self.tau)
         require(self.tau >= 0, "tau", "non-negative", self.tau)
 
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import require, require_ints
+
 ALGORITHM_ID = "ctr-splitmix64-boxmuller/1"
 
-# derive_key folds a seed modulo 2**64, so only seeds below this bound
-# name distinct streams; the CLI and the config accept no others.
-SEED_BOUND = 1 << 64
+SEED_BOUND = 1 << 64  # a seed lies in [0, SEED_BOUND); derive_key rejects any other
 _MASK = SEED_BOUND - 1
 _GOLDEN_INT = 0x9E3779B97F4A7C15
 _MIX1_INT = 0xBF58476D1CE4E5B9
@@ -59,7 +59,9 @@ def derive_key(seed: int, *tags: int) -> int:
     Distinct tag tuples give statistically independent streams for the same
     seed (phantom noise, per-member sampler noise, per-step noise, ...).
     """
-    key = _finalize_int(int(seed) & _MASK)
+    require_ints(seed=seed)
+    require(0 <= seed < SEED_BOUND, "seed", "in [0, 2**64)", seed)
+    key = _finalize_int(int(seed))
     for tag in tags:
         key = _finalize_int(key ^ _finalize_int((int(tag) + _GOLDEN_INT) & _MASK))
     return key

@@ -12,11 +12,12 @@ and for the two-phase Gaussian energy
 
 Both formulas describe hard set membership, so the statistics here are
 computed on the mask binarized at 0.5 rather than on Heaviside-smoothed
-weights; the oracle below flips hard disks the same way and recomputes
-every statistic after the flip exactly, which makes it an independent
-check of the first-order fields rather than a restatement of them.  Only
-the unflipped energy is shared: ``verify_td`` computes it once per call
-and hands it to each probe.
+weights.  ``_model_fields`` gives the per-pixel energies (e1, e2) of both
+models once, for the field (``e2 - e1``) and for the oracle below, which
+flips hard disks and recomputes every statistic after the flip exactly:
+an independent check of the first-order fields, not a restatement of
+them.  ``verify_td`` computes the unflipped energy once per call and hands
+it to each probe.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_ints
 from .field import as_field, binarize, check_same_shape
 from .levelset import nll_fields, region_stats_from_weights
 
@@ -66,10 +67,7 @@ def td_field(image: np.ndarray, mask: np.ndarray, model: str = "cv") -> np.ndarr
     image = as_field(image, "image")
     mask = as_field(mask, "mask")
     check_same_shape(image, mask)
-    stats = region_stats_from_weights(image, binarize(mask).astype(np.float64))
-    if model == "cv":
-        return -((image - stats.mean_in) ** 2) + (image - stats.mean_out) ** 2
-    e1, e2 = nll_fields(image, stats)
+    e1, e2 = _model_fields(image, binarize(mask), model)
     return e2 - e1
 
 
@@ -95,15 +93,17 @@ def _footprint(r: int) -> np.ndarray:
     return inside
 
 
-def _hard_energy(image, mask_bin, model) -> float:
+def _model_fields(image, mask_bin, model) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel (inside, outside) energies under ``model``, from hard statistics."""
     stats = region_stats_from_weights(image, mask_bin.astype(np.float64))
-    w_in = mask_bin
     if model == "cv":
-        e1 = (image - stats.mean_in) ** 2
-        e2 = (image - stats.mean_out) ** 2
-    else:
-        e1, e2 = nll_fields(image, stats)
-    return float(e1[w_in].sum() + e2[~w_in].sum())
+        return (image - stats.mean_in) ** 2, (image - stats.mean_out) ** 2
+    return nll_fields(image, stats)
+
+
+def _hard_energy(image, mask_bin, model) -> float:
+    e1, e2 = _model_fields(image, mask_bin, model)
+    return float(e1[mask_bin].sum() + e2[~mask_bin].sum())
 
 
 def nucleation_delta(
@@ -186,6 +186,7 @@ def verify_td(
     added and compared against -T(x) (the reverse move flips the sign of
     the first-order sensitivity).
     """
+    require_ints(samples=samples, radius=radius)
     if samples < 1:
         raise InvalidInputError("samples must be at least 1")
     t = td_field(image, mask, model)

@@ -5,6 +5,8 @@ The rule is stated in the ``levelflow.field`` module docstring.  The
 entry-point table checks that every public entry point still turns a
 non-finite, wrong-rank or mismatched field into ``InvalidInputError``; the
 guard checks that the inner kernels make no ``as_field`` call of their own.
+The last tests hold library calls to the same rule for seeds and int
+parameters.
 """
 
 import inspect
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 import levelflow as lf
-from levelflow import field, levelset
+from levelflow import diffusion, field, levelset, rng
 from levelflow.errors import InvalidInputError
 
 SHAPE = (16, 16)
@@ -200,3 +202,52 @@ def test_evolve_step_validates_a_fixed_number_of_fields(as_field_calls):
     # its statistics without re-entering region_stats
     assert counts[0] <= 8
     assert (counts[1] - counts[0]) / 2 <= 5
+
+
+def _sample(**kwargs):
+    provider = lf.MixtureMaskProvider((MASK,), (1.0,))
+    return lf.sample(IMAGE, provider, SCHED, lf.GuidancePolicy(), **{"seed": 0, **kwargs})
+
+
+@pytest.mark.parametrize("seed", [-1, rng.SEED_BOUND, 3 * rng.SEED_BOUND - 1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda seed: rng.derive_key(seed, 1),
+        lambda seed: _sample(seed=seed),
+        lambda seed: lf.verify_td(IMAGE, MASK, samples=5, seed=seed),
+    ],
+    ids=["derive_key", "sample", "verify_td"],
+)
+def test_seed_outside_the_bound_is_rejected(call, seed):
+    # folding it modulo 2**64 would give two seeds one stream
+    with pytest.raises(InvalidInputError, match=r"seed must be in \[0, 2\*\*64\)"):
+        call(seed)
+
+
+_KERNEL = lf.affinity_kernel(IMAGE)
+INT_PARAMETERS = {
+    "refine-tau": ("tau", lambda v: lf.refine(MASK, _KERNEL, v)),
+    "evolve-steps": ("steps", lambda v: lf.evolve(IMAGE, PHI, P, W, PRIOR, Z, steps=v)),
+    "evolve-stats_refresh": (
+        "stats_refresh", lambda v: lf.evolve(IMAGE, PHI, P, W, PRIOR, Z, stats_refresh=v),
+    ),
+    "make_schedule": ("steps", lambda v: lf.make_schedule(v)),
+    "sample-ensemble": ("ensemble", lambda v: _sample(ensemble=v)),
+    "SamplerParams-distance_refresh": (
+        "distance_refresh", lambda v: diffusion.SamplerParams(distance_refresh=v),
+    ),
+    "verify_td-samples": ("samples", lambda v: lf.verify_td(IMAGE, MASK, samples=v)),
+    "verify_td-radius": ("radius", lambda v: lf.verify_td(IMAGE, MASK, samples=5, radius=v)),
+    "solve_eikonal": ("exact_init_radius", lambda v: lf.solve_eikonal(1.0 + Z, MASK, v)),
+    "derive_key": ("seed", lambda v: rng.derive_key(v)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INT_PARAMETERS))
+def test_int_parameter_rejects_bool_and_non_integral_values(name):
+    key, call = INT_PARAMETERS[name]
+    for bad in (2.5, 2.0, True, np.float64(2.0), np.bool_(True), "2"):
+        with pytest.raises(InvalidInputError, match=rf"^{key} must be an int, got "):
+            call(bad)
+    call(np.int64(2))  # numpy ints are ints

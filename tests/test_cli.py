@@ -21,13 +21,17 @@ from levelflow.config import ExperimentConfig, config_from_dict, load_config_doc
 from levelflow.errors import InvalidInputError
 
 
+def file_sha256(path):
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
 def tree_hashes(root):
     out = {}
     for base, _, files in os.walk(root):
         for name in files:
             path = os.path.join(base, name)
-            rel = os.path.relpath(path, root)
-            out[rel] = hashlib.sha256(open(path, "rb").read()).hexdigest()
+            out[os.path.relpath(path, root)] = file_sha256(path)
     return out
 
 
@@ -931,7 +935,7 @@ class TestManifestArgsFuzz:
                 return
             with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
                 listed = json.load(fh)["artifacts"]
-            assert listed == {rel: cli._sha256(os.path.join(out, rel)) for rel in listed}
+            assert listed == {rel: file_sha256(os.path.join(out, rel)) for rel in listed}
 
 
 @pytest.fixture(scope="module")
@@ -1174,7 +1178,7 @@ class TestArgvFuzz:
                 return
             with open(os.path.join(out, "manifest.json"), encoding="utf-8") as fh:
                 listed = json.load(fh)["artifacts"]
-            assert listed == {rel: cli._sha256(os.path.join(out, rel)) for rel in listed}
+            assert listed == {rel: file_sha256(os.path.join(out, rel)) for rel in listed}
             for rel in listed:
                 if rel.endswith(".json"):
                     with open(os.path.join(out, rel), encoding="utf-8") as fh:
