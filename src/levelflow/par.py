@@ -11,6 +11,18 @@ everywhere.  Refinement applies the kernel tau times to the mask
 (double-buffered, self excluded), which is a convex combination of
 neighbor values and therefore range-preserving; the consistency loss is
 the L1 distance between the mask and its refined version.
+
+Both kernels stream over the neighbors one (H, W) view at a time: a field
+is padded once by a zero frame, and its 8 neighbors are views into it in
+NEIGHBOR_OFFSETS order.  Each sum over the neighbors is written out in the
+order numpy sums an 8-long last axis, from +0.0,
+
+    ((x0 + x1) + (x2 + x3)) + ((x4 + x5) + (x6 + x7)),
+
+and sigma takes np.nanstd's steps, so every bit equals that of reducing an
+(H, W, 8) stack.  Memory is the weights, stored (8, H, W) and shown as an
+(H, W, 8) view, plus a few (H, W) temporaries.  An image whose neighborhood
+spread, or every logit of one pixel, overflows float64 is rejected.
 """
 
 from __future__ import annotations
@@ -48,19 +60,19 @@ class AffinityKernel:
     weights: np.ndarray
 
 
-def _neighbor_stack(f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stack of the 8 shifted copies of f plus a validity mask, NaN outside."""
-    h, w = f.shape
-    stack = np.full((h, w, 8), np.nan)
-    valid = np.zeros((h, w, 8), dtype=bool)
-    for k, (dr, dc) in enumerate(NEIGHBOR_OFFSETS):
-        src_r = slice(max(0, dr), h + min(0, dr))
-        src_c = slice(max(0, dc), w + min(0, dc))
-        dst_r = slice(max(0, -dr), h + min(0, -dr))
-        dst_c = slice(max(0, -dc), w + min(0, -dc))
-        stack[dst_r, dst_c, k] = f[src_r, src_c]
-        valid[dst_r, dst_c, k] = True
-    return stack, valid
+def _neighbors(padded: np.ndarray) -> list[np.ndarray]:
+    """The 8 neighbor views, in NEIGHBOR_OFFSETS order, of a field padded by one."""
+    h, w = padded.shape[0] - 2, padded.shape[1] - 2
+    return [padded[1 + dr:1 + dr + h, 1 + dc:1 + dc + w] for dr, dc in NEIGHBOR_OFFSETS]
+
+
+def _tree_sum(terms) -> np.ndarray:
+    """Sum 8 (H, W) terms, each drawn only when needed, as numpy sums an 8-long axis."""
+    t = iter(terms)
+    total = (next(t) + next(t)) + (next(t) + next(t))
+    total += (next(t) + next(t)) + (next(t) + next(t))
+    total += 0.0  # numpy's sum starts from +0.0, so eight -0.0 terms sum to +0.0
+    return total
 
 
 def affinity_kernel(image: np.ndarray) -> AffinityKernel:
@@ -68,34 +80,50 @@ def affinity_kernel(image: np.ndarray) -> AffinityKernel:
     image = as_field(image, "image")
     if image.size < 2:
         raise InvalidInputError("affinity kernel needs at least two pixels")
-    stack, valid = _neighbor_stack(image)
-    with np.errstate(invalid="ignore"):
-        sigma = np.nanstd(stack, axis=2)
-    sigma = np.maximum(sigma, SIGMA_FLOOR)
-    diff = (stack - image[:, :, None]) / sigma[:, :, None]
-    logits = np.where(valid, -(diff * diff), -np.inf)
-    del stack, diff  # two (H, W, 8) arrays the softmax below no longer needs
+    valid = _neighbors(np.pad(np.ones(image.shape, dtype=bool), 1))
+    near = _neighbors(np.pad(image, 1))  # 0 off the grid, as nanstd fills NaN
+    count = sum(valid, np.zeros(image.shape))
+    logits = np.empty((8, *image.shape))
+    # An overflow here ends in a non-finite sigma or shift, rejected below,
+    # unless it is a logit of -inf beside a finite one: a weight of 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        # nanstd's steps: mean, deviations zeroed off the grid, squares, mean
+        mean = _tree_sum(near) / count
+        sq = (np.square(np.where(v, x - mean, 0.0)) for x, v in zip(near, valid))
+        sigma = np.sqrt(_tree_sum(sq) / count)
+        np.maximum(sigma, SIGMA_FLOOR, out=sigma)
+        for logit, x, v in zip(logits, near, valid):
+            np.subtract(x, image, out=logit)
+            logit /= sigma
+            logit *= logit
+            logit *= -1.0  # not np.negative(..., out=...); see field.gradient_adjoint
+            logit[~v] = -np.inf
     # Softmax over valid neighbors; max-shift keeps exp() in range and maps
     # equal logits to exactly equal weights.
-    shift = logits.max(axis=2, keepdims=True)
-    expd = np.where(valid, np.exp(logits - shift), 0.0)
-    weights = expd / expd.sum(axis=2, keepdims=True)
-    return AffinityKernel(weights=weights)
+    shift = logits.max(axis=0)
+    if not (np.isfinite(sigma).all() and np.isfinite(shift).all()):
+        raise InvalidInputError("image values lie too far apart for float64; rescale the image")
+    logits -= shift
+    np.exp(logits, out=logits)
+    logits /= _tree_sum(logits)
+    return AffinityKernel(weights=logits.transpose(1, 2, 0))
 
 
 def refine(mask: np.ndarray, kernel: AffinityKernel, tau: int) -> np.ndarray:
     """Apply the kernel tau times; tau = 0 returns a copy of the mask."""
     ParParams(tau)
     mask = as_field(mask, "mask")
-    if kernel.weights.shape[:2] != mask.shape:
+    expected = (*mask.shape, len(NEIGHBOR_OFFSETS))
+    if np.shape(kernel.weights) != expected:
         raise InvalidInputError(
-            f"kernel shape {kernel.weights.shape[:2]} does not match mask {mask.shape}"
+            f"kernel weights must have shape {expected}, got {np.shape(kernel.weights)}"
         )
-    out = mask.copy()
+    weights = np.moveaxis(kernel.weights, 2, 0)
+    padded = np.pad(mask, 1)  # a neighbor off the grid has weight 0 and value 0
+    near = _neighbors(padded)
     for _ in range(tau):
-        stack, valid = _neighbor_stack(out)
-        out = np.sum(kernel.weights * np.where(valid, stack, 0.0), axis=2)
-    return out
+        padded[1:-1, 1:-1] = _tree_sum(wk * x for wk, x in zip(weights, near))
+    return padded[1:-1, 1:-1].copy()
 
 
 def par_loss(mask: np.ndarray, refined: np.ndarray) -> float:

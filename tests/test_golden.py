@@ -82,6 +82,52 @@ GOLDEN = {
         "reports/td_verify.json":
             "52c8f086dbc55ebd4c2cfcc02ccbec09886977842395171a5e97fcb0a9bf9b4b",
     },
+    "par-flat": {
+        "fields/refined.lsf1":
+            "8510fd98360d992a44fd32022ee59757cb01d33079703f2bcb1bcd044ab17d6b",
+        "reports/par.json":
+            "1b182f073e90ab0e3a301ead7d989d47d9e29f82c81ce1425442a22964475481",
+    },
+    "sample-refresh": {
+        "fields/mask.lsf1":
+            "e8d2c743131ee95d7c81f2a5e963ed6a04aec08ea2c12679ea3c3a33acefce13",
+        "reports/sample.json":
+            "e99cc19c67eb48ac14e87e355ac3b584b14449a7a789e03e0111803ce730a578",
+        "traces/energy.csv":
+            "8bef0fbf3c4f04b86d63eb8e4265385bbdc28c5eeedeeaa4f93281b13a3b3ebe",
+    },
+    "sample-unguided": {
+        "fields/mask.lsf1":
+            "1dc099dd923229443688a8d97953d4a571eb9e1117f7ad36ac39f9e39167df01",
+        "reports/sample.json":
+            "242ba32e0659629e74b62535c9fb56017dfab4d88c8e921915067ea4577e4357",
+        "traces/energy.csv":
+            "3f529ed8de2b171f8c6642590386314c27e2b8a88602af9a2e3e9c4766eb2730",
+    },
+    "sample-score": {
+        "fields/mask.lsf1":
+            "7a875d0e943e3caa1ba3b2b2640e97694ae9747407fd179c53cf413cd6c00d0d",
+        "reports/sample.json":
+            "162e2824bdb4b259b500dccccb37e22beb96bf13886ed91403f7456f8c59cfe8",
+        "traces/energy.csv":
+            "b28fa0b840d86aace971f22d114b7655828afbeefa4361b9f201132dc86faf91",
+    },
+    "evolve-refresh": {
+        "fields/mask_final.lsf1":
+            "b8a4ea27434378f37adb117fc1bb38ee92028cdcc540de5d3e41be108a9224a0",
+        "fields/phi_final.lsf1":
+            "956d8d2e62ae0678ef008c244c58e829136ff861e10174b6a8512093649840e1",
+        "reports/evolve.json":
+            "19e913e44d10014d3fd21675328b8c93e15523b25a2ef804bf404009143316aa",
+        "traces/energy.csv":
+            "9533ffc83f36d1d27b9a12c63dbe862e27269322ef19b0346bb26366ed98d0b1",
+    },
+    "td-verify-gaussian": {
+        "fields/td_field.lsf1":
+            "15cb84ce24387af5b8a8d69917721e4e29bfc5990569b3ad823eca6e7a0598a1",
+        "reports/td_verify.json":
+            "23bad58f620298b43f54c86947ab460e68cdf3f40b9359dc0fcc752569836de1",
+    },
 }
 
 
@@ -95,6 +141,13 @@ def run_all(root):
     ph = root / "phantom"
     image = str(ph / "fields/image.lsf1")
     gt = str(ph / "fields/gt_mask.lsf1")
+    sample = ["sample", "--image", image,
+              "--mode-mask", str(root / "disk.lsf1"),
+              "--mode-mask", str(root / "inv.lsf1"),
+              "--steps", "10", "--beta1", "0.01", "--betaT", "0.3",
+              "--gamma0", "0.2", "--seed", "4", "--a1", "632"]
+    refresh = root / "refresh.json"
+    refresh.write_text(json.dumps({"schema_version": 1, "sampler": {"distance_refresh": 3}}))
     runs = {
         "phantom": ["phantom", "--kind", "two-disks", "--size", "64", "--seed", "7",
                     "--noise-sigma", "0.2"],
@@ -105,14 +158,24 @@ def run_all(root):
         "td-verify": ["td-verify", "--image", image, "--mask", gt, "--model", "cv",
                       "--radius", "2", "--samples", "40", "--seed", "1"],
         "par": ["par", "--image", image, "--mask", gt, "--gt", gt, "--tau", "10"],
-        "sample": ["sample", "--image", image,
-                   "--mode-mask", str(root / "disk.lsf1"),
-                   "--mode-mask", str(root / "inv.lsf1"),
-                   "--steps", "10", "--beta1", "0.01", "--betaT", "0.3",
-                   "--gamma0", "0.2", "--ensemble", "3", "--seed", "4", "--a1", "632"],
+        "sample": sample + ["--ensemble", "3"],
         "metrics": ["metrics", "--pred", str(root / "sample/fields/mask.lsf1"), "--gt", gt],
         "losses": ["losses", "--image", image, "--mask", gt, "--t", "5", "--steps", "12",
                    "--beta1", "0.01", "--betaT", "0.3", "--seed", "4"],
+        # Paths that no run above takes: a flat PAR image (sigma floor and
+        # exact ties), mid-run distance refreshes shared by members, the
+        # unguided and score-space samplers, stale region stats and the
+        # gaussian TD model.
+        "par-flat": ["par", "--image", gt, "--mask", gt, "--tau", "3"],
+        "sample-refresh": sample + ["--ensemble", "4", "--config", str(refresh)],
+        "sample-unguided": sample + ["--ensemble", "3", "--gamma0", "0"],
+        "sample-score": sample + ["--ensemble", "3", "--guidance-space", "score"],
+        "evolve-refresh": ["evolve", "--image", image, "--init-box", "13,13,51,51",
+                           "--gt", gt, "--dt", "1.0", "--stats-refresh", "3",
+                           "--steps", "60"],
+        "td-verify-gaussian": ["td-verify", "--image", image, "--mask", gt,
+                               "--model", "gaussian", "--radius", "2", "--samples", "40",
+                               "--seed", "1"],
     }
     out = {}
     for name, args in runs.items():

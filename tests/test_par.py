@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ import levelflow as lf
 from levelflow import par
 from levelflow.errors import InvalidInputError
 
-from conftest import uniform_field
+from conftest import normal_field, uniform_field
 
 
 def step_image(n=48, col=24):
@@ -55,6 +57,23 @@ class TestAffinityKernel:
     def test_single_pixel_rejected(self):
         with pytest.raises(InvalidInputError):
             par.affinity_kernel(np.ones((1, 1)))
+
+    def test_overflowing_spread_rejected(self):
+        # the sums over each neighborhood overflow
+        signs = uniform_field((60, 1), (16, 16)) < 0.5
+        with pytest.raises(InvalidInputError, match="image"):
+            par.affinity_kernel(np.where(signs, -1.5e308, 1.5e308))
+
+    def test_overflowing_variance_rejected(self):
+        # the variance overflows to inf, which would flatten every affinity
+        with pytest.raises(InvalidInputError, match="image"):
+            par.affinity_kernel(normal_field((60, 2), (16, 16), scale=1e200))
+
+    def test_isolated_pixel_rejected_when_every_logit_overflows(self):
+        image = np.zeros((5, 5))
+        image[2, 2] = 1e152  # its sigma is floored, so each (difference / sigma)**2 overflows
+        with pytest.raises(InvalidInputError, match="image"):
+            par.affinity_kernel(image)
 
 
 class TestRefine:
@@ -120,6 +139,34 @@ class TestRefine:
         k = par.affinity_kernel(np.full((8, 8), 1.0))
         with pytest.raises(InvalidInputError):
             par.refine(np.zeros((9, 9)), k, 1)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (8, 8, 7), (8, 8, 8, 1), (8, 9, 8)])
+    def test_malformed_kernel_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match=r"kernel .*\(8, 8, 8\)"):
+            par.refine(np.zeros((8, 8)), par.AffinityKernel(np.ones(shape)), 2)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Peak traced allocation of one call at 128x128, where an (H, W) float64
+    field is 128 KiB and the (H, W, 8) weights are 1 MiB."""
+
+    def test_affinity_kernel_peak(self):
+        image = normal_field((63, 0), (128, 128))
+        assert traced_peak(par.affinity_kernel, image) <= 2.5 * 2**20
+
+    def test_refine_peak_above_inputs(self):
+        kernel = par.affinity_kernel(normal_field((63, 1), (128, 128)))
+        mask = uniform_field((63, 2), (128, 128))
+        assert traced_peak(par.refine, mask, kernel, 10) <= 1 * 2**20
 
 
 class TestParLoss:
