@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import FieldFormatError, InvalidInputError
+from .errors import FieldFormatError, InvalidInputError, require_ints
 
 LSF1_MAGIC = b"LSF1"
 
@@ -66,9 +66,9 @@ def check_same_shape(*fields: np.ndarray) -> None:
         raise InvalidInputError(f"fields must share one shape, got {sorted(shapes)}")
 
 
-def binarize(f: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Boolean mask ``f >= threshold`` (ties count as foreground)."""
-    return np.asarray(f) >= threshold
+def binarize(f: np.ndarray) -> np.ndarray:
+    """Boolean mask ``f >= 0.5`` (ties count as foreground)."""
+    return np.asarray(f) >= 0.5
 
 
 def _check_grid(f: np.ndarray) -> None:
@@ -153,6 +153,7 @@ class PhantomSpec:
             raise InvalidInputError(
                 f"unknown phantom kind {self.kind!r}, expected one of {PHANTOM_KINDS}"
             )
+        require_ints(size=self.size, seed=self.seed)
         if not 32 <= self.size <= 2**14:  # bounded, so numpy never sees a huge size
             raise InvalidInputError(f"phantom size must be from 32 to {2**14}, got {self.size}")
         for name in ("fg", "bg"):

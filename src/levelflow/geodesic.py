@@ -14,25 +14,25 @@ Jacobi fixed point on an active set (the Fast Iterative Method of Jeong
 and Whitaker, 2008).  Each iteration computes the candidates of every
 active pixel from the previous values at once and writes those that
 drop; the next active set is the 4-neighbours of the dropped pixels,
-seeds excluded.  The loop stops when no pixel drops, which is the exact
-fixed point of the scheme: a pixel with no changed neighbour would
-compute the same candidate again.  Values only ever decrease, and
-information travels one pixel per iteration, so a solve needs about one
-iteration per pixel along its longest characteristic; more than
-``h * w + 1`` iterations raises ``DivergenceError``.
+seeds excluded.  The loop stops when no pixel drops, which is a fixed
+point of the scheme: a pixel with no changed neighbour would compute the
+same candidate again.  Values only ever decrease, and information travels
+one pixel per iteration, so a solve needs about one iteration per pixel
+along its longest characteristic; more than ``h * w + 1`` iterations
+raises ``DivergenceError``, and so does a speed whose square overflows.
 
-The near-seed initialization sums speed samples along straight segments
-in a fixed order, so offsets whose sample lists share a prefix share the
-partial sum bit for bit.  A cached plan per radius walks the offsets in
-the order of their sample lists and computes each partial sum once.
+The near-seed initialization plants straight-segment costs within
+``EXACT_INIT_RADIUS`` pixels of the seed set.  It sums speed samples along
+each segment in a fixed order, so offsets whose sample lists share a
+prefix share the partial sum bit for bit.  A cached plan walks the offsets
+in the order of their sample lists and computes each partial sum once.
 
 Inside a ``with reuse_solves():`` scope, a repeated solve is answered from
-memory: a call whose shape, ``exact_init_radius``, speed bytes and seed
-pixels all match one of the last ``_REUSE_MAX`` solves of the scope
-returns that solve's ``DistanceMap`` itself.  ``sample`` opens one scope
-per call, where ensemble members whose clean estimates fall onto the same
-mask ask for the same map again.  Outside a scope every call solves.  The
-arrays of a ``DistanceMap`` are read-only in or out of a scope, so a map
+memory: a call whose shape, speed bytes and seed pixels all match one of
+the last ``_REUSE_MAX`` solves of the scope returns that solve's
+``DistanceMap`` itself.  ``sample`` opens one scope per call, where
+ensemble members whose clean estimates fall onto the same mask ask for
+the same map again.  Outside a scope every call solves.  The arrays of a ``DistanceMap`` are read-only in or out of a scope, so a map
 handed out twice cannot be changed by either holder.
 """
 
@@ -48,8 +48,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInputError, require, require_ints
+from .errors import DivergenceError, InvalidInputError, require
 from .field import as_field, binarize, check_same_shape, gradient
+
+# How far around the seed set _exact_init plants straight-segment costs;
+# the bare scheme's near-source error for point seeds is O(1) relative.
+EXACT_INIT_RADIUS = 8
 
 _REUSE_MAX = 8
 # The solves of the innermost open reuse_solves() scope, least recently
@@ -211,19 +215,14 @@ def _digest(a: np.ndarray) -> bytes:
     return hashlib.blake2b(np.ascontiguousarray(a)).digest()
 
 
-def solve_eikonal(speed: np.ndarray, seed: np.ndarray, exact_init_radius: int = 8) -> DistanceMap:
+def solve_eikonal(speed: np.ndarray, seed: np.ndarray) -> DistanceMap:
     """Solve |grad D| = speed with D = 0 on the seed set, then normalize.
 
-    The result is the exact fixed point of the discrete scheme.
-    ``exact_init_radius`` controls how far around the seed set initial
-    straight-segment costs are planted before iterating (see
-    ``_exact_init``); 0 disables it and runs the bare Godunov scheme,
-    whose near-source error for point seeds is O(1) relative.  Inside a
-    ``reuse_solves`` scope a repeated problem returns the earlier map.
+    The result is a fixed point of the discrete scheme, iterated from
+    straight-segment costs planted within ``EXACT_INIT_RADIUS`` of the
+    seed set.  Inside a ``reuse_solves`` scope a repeated problem returns
+    the earlier map.
     """
-    require_ints(exact_init_radius=exact_init_radius)
-    require(exact_init_radius >= 0, "exact_init_radius", "an int >= 0", exact_init_radius)
-    radius = int(exact_init_radius)
     speed = as_field(speed, "speed")
     seed_arr = np.asarray(seed)
     seed_bin = seed_arr if seed_arr.dtype == bool else binarize(as_field(seed_arr, "seed"))
@@ -242,12 +241,12 @@ def solve_eikonal(speed: np.ndarray, seed: np.ndarray, exact_init_radius: int = 
     # pins work instead of calls (ROADMAP item 1).
     memo = _reuse.get()
     if memo is None:
-        return _solve(speed, seed_bin, radius)
-    key = (speed.shape, radius, _digest(speed), _digest(np.packbits(seed_bin)))
+        return _solve(speed, seed_bin, EXACT_INIT_RADIUS)
+    key = (speed.shape, _digest(speed), _digest(np.packbits(seed_bin)))
     if key in memo:
         memo.move_to_end(key)
         return memo[key]
-    dmap = memo[key] = _solve(speed, seed_bin, radius)
+    dmap = memo[key] = _solve(speed, seed_bin, EXACT_INIT_RADIUS)
     if len(memo) > _REUSE_MAX:
         memo.popitem(last=False)
     return dmap
@@ -256,6 +255,11 @@ def solve_eikonal(speed: np.ndarray, seed: np.ndarray, exact_init_radius: int = 
 def _solve(speed, seed, radius) -> DistanceMap:
     """The Jacobi fixed-point solve of checked inputs (``seed`` boolean)."""
     h, w = speed.shape
+    # The two-sided update squares the speed.  Past sqrt(max / 2) that is
+    # inf, and a pixel waiting on it would stay unreached.
+    f_max = float(speed.max())
+    if 2.0 * f_max * f_max == math.inf:
+        raise DivergenceError("eikonal update overflows float64; rescale the speed", step=0)
     stride = w + 2
     padded = np.full((h + 2, w + 2), np.inf)
     dist = padded[1:-1, 1:-1]
@@ -266,13 +270,14 @@ def _solve(speed, seed, radius) -> DistanceMap:
     # Flat indices into the padded grid.  Seeds hold 0 and padding holds
     # inf; neither is ever active.  An unreached (inf) neighbour, or two,
     # makes |a - b| inf or nan, and the comparison then selects the
-    # one-sided update min(a, b) + f.
+    # one-sided update min(a, b) + f, as it does where diff * diff
+    # overflows: there diff is above every speed.
     p = padded.ravel()
     f1 = np.pad(speed, 1).ravel()
     free = np.pad(~seed, 1).ravel()
     mark = np.zeros_like(free)
     active = np.flatnonzero(free)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(h * w + 1):
             a = np.minimum(p[active - 1], p[active + 1])
             b = np.minimum(p[active - stride], p[active + stride])

@@ -59,6 +59,6 @@ def scores(c: Confusion) -> Scores:
     return Scores(dice=dice, jaccard=jaccard, precision=precision, recall=recall)
 
 
-def dice_score(pred: np.ndarray, gt: np.ndarray, threshold: float = 0.5) -> float:
-    """Convenience: Dice of pred vs gt at the given threshold."""
-    return scores(confusion(pred, gt, threshold)).dice
+def dice_score(pred: np.ndarray, gt: np.ndarray) -> float:
+    """Convenience: Dice of pred vs gt, pred binarized at 0.5."""
+    return scores(confusion(pred, gt)).dice

@@ -22,7 +22,9 @@ order numpy sums an 8-long last axis, from +0.0,
 and sigma takes np.nanstd's steps, so every bit equals that of reducing an
 (H, W, 8) stack.  Memory is the weights, stored (8, H, W) and shown as an
 (H, W, 8) view, plus a few (H, W) temporaries.  An image whose neighborhood
-spread, or every logit of one pixel, overflows float64 is rejected.
+spread, or every logit of one pixel, overflows float64 is rejected, and
+so are a kernel whose weights are negative or do not sum to 1 at a pixel,
+and a refinement that overflows.
 """
 
 from __future__ import annotations
@@ -109,6 +111,14 @@ def affinity_kernel(image: np.ndarray) -> AffinityKernel:
     return AffinityKernel(weights=logits.transpose(1, 2, 0))
 
 
+def _row_stochastic(weights: np.ndarray) -> bool:
+    """Whether (8, H, W) weights are non-negative and sum to 1, to 1e-9, at every pixel."""
+    # A NaN or infinite weight makes its sum NaN or inf, which min and max pass on.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _tree_sum(weights)
+    return weights.min() >= 0.0 and 1.0 - 1e-9 <= sums.min() and sums.max() <= 1.0 + 1e-9
+
+
 def refine(mask: np.ndarray, kernel: AffinityKernel, tau: int) -> np.ndarray:
     """Apply the kernel tau times; tau = 0 returns a copy of the mask."""
     ParParams(tau)
@@ -119,11 +129,19 @@ def refine(mask: np.ndarray, kernel: AffinityKernel, tau: int) -> np.ndarray:
             f"kernel weights must have shape {expected}, got {np.shape(kernel.weights)}"
         )
     weights = np.moveaxis(kernel.weights, 2, 0)
+    if not _row_stochastic(weights):
+        raise InvalidInputError("kernel weights must be non-negative and sum to 1 at every pixel")
     padded = np.pad(mask, 1)  # a neighbor off the grid has weight 0 and value 0
     near = _neighbors(padded)
-    for _ in range(tau):
-        padded[1:-1, 1:-1] = _tree_sum(wk * x for wk, x in zip(weights, near))
-    return padded[1:-1, 1:-1].copy()
+    # A row may sum to just above 1, so a mask near the float64 limit can
+    # overflow; a non-finite value never turns finite again.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(tau):
+            padded[1:-1, 1:-1] = _tree_sum(wk * x for wk, x in zip(weights, near))
+    out = padded[1:-1, 1:-1].copy()
+    if not np.isfinite(out).all():
+        raise InvalidInputError("mask values overflow float64 under refinement; rescale the mask")
+    return out
 
 
 def par_loss(mask: np.ndarray, refined: np.ndarray) -> float:

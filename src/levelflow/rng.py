@@ -106,7 +106,6 @@ def integers(key: int, count: int, upper: int, start: int = 0) -> np.ndarray:
     The tiny modulo bias of floor(u * upper) is irrelevant for probe
     placement and far below any tolerance used in tests.
     """
-    if upper <= 0:
-        raise ValueError("upper must be positive")
+    require(upper > 0, "upper", "positive", upper)
     u = uniforms(key, count, start)
     return np.minimum((u * upper).astype(np.int64), upper - 1)

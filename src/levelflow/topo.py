@@ -37,6 +37,8 @@ PROBE_DIRECTIONS = ("remove-from-inside", "add-to-inside")
 
 _PROBE_TAG = 0x50524F42  # "PROB"
 
+TIE_FACTOR = 1e-3  # verify_td's tie threshold is this times the largest |T|
+
 
 @dataclass(frozen=True)
 class NucleationProbe:
@@ -176,7 +178,6 @@ def verify_td(
     samples: int = 200,
     radius: int = 2,
     seed: int = 0,
-    tie_factor: float = 1e-3,
 ) -> TdVerifyReport:
     """Compare the TD field against the nucleation oracle at random pixels.
 
@@ -194,7 +195,7 @@ def verify_td(
     if h <= 2 * radius or w <= 2 * radius:
         raise InvalidInputError("grid too small for the probe radius")
 
-    tie_threshold = tie_factor * float(np.abs(t).max())
+    tie_threshold = TIE_FACTOR * float(np.abs(t).max())
     mask_bin = binarize(mask)
     # td_field has validated both fields; this is as_field's coercion
     before_energy = _hard_energy(np.asarray(image, dtype=np.float64), mask_bin, model)

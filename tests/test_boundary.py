@@ -239,7 +239,6 @@ INT_PARAMETERS = {
     ),
     "verify_td-samples": ("samples", lambda v: lf.verify_td(IMAGE, MASK, samples=v)),
     "verify_td-radius": ("radius", lambda v: lf.verify_td(IMAGE, MASK, samples=5, radius=v)),
-    "solve_eikonal": ("exact_init_radius", lambda v: lf.solve_eikonal(1.0 + Z, MASK, v)),
     "derive_key": ("seed", lambda v: rng.derive_key(v)),
 }
 

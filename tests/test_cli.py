@@ -391,6 +391,20 @@ class TestOtherCommands:
                    "--mask", str(tmp_path / "mask.lsf1"), "--out", str(tmp_path / "geo")])
         assert rc == 0
 
+    def test_geodesic_overflowing_speed_exits_2(self, phantom_dir, tmp_path, capsys):
+        # printed RuntimeWarnings, then blamed a non-finite number in the report
+        out = tmp_path / "geo"
+        rc = main(["geodesic", "--image", str(phantom_dir / "fields/image.lsf1"),
+                   "--mask", str(phantom_dir / "fields/gt_mask.lsf1"), "--eps-d", "1e300",
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(
+            "levelflow: numerical failure: eikonal update overflows float64; rescale the speed"
+        )
+        assert err.count("\n") == 1
+        assert not (out / "reports/geodesic.json").exists()
+
     def test_par(self, phantom_dir, tmp_path):
         out = tmp_path / "par"
         rc = main(["par", "--image", str(phantom_dir / "fields/image.lsf1"),

@@ -126,6 +126,15 @@ class TestPhantoms:
         with pytest.raises(InvalidInputError):
             lf.PhantomSpec(kind="two-disks", size=64, fg=0.5, bg=0.5)
 
+    @pytest.mark.parametrize(
+        "field, value", [("size", "64"), ("size", 64.0), ("seed", 1.5), ("seed", True)]
+    )
+    def test_int_field_of_another_type_rejected(self, field, value):
+        # "64" raised a bare TypeError; 64.0 and 1.5 were accepted
+        kwargs = {"kind": "two-disks", "size": 64, "seed": 0, field: value}
+        with pytest.raises(InvalidInputError, match=f"^{field} must be an int, got "):
+            lf.PhantomSpec(**kwargs)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_range_rejected(self, seed):
         with pytest.raises(InvalidInputError, match="seed must be in"):

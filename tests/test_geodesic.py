@@ -62,37 +62,42 @@ def exact_init_reference(dist, speed, seed, radius):
     dist[seed] = 0.0
 
 
+def godunov_candidate(d, f, i, j):
+    """The Godunov upwind update of pixel (i, j) from its 4-neighbours in d."""
+    h, w = d.shape
+    big = np.inf
+    a = min(
+        d[i, j - 1] if j > 0 else big,
+        d[i, j + 1] if j < w - 1 else big,
+    )
+    b = min(
+        d[i - 1, j] if i > 0 else big,
+        d[i + 1, j] if i < h - 1 else big,
+    )
+    lo, hi = min(a, b), max(a, b)
+    fh = f[i, j]
+    if not np.isfinite(hi) or hi - lo >= fh:
+        return lo + fh
+    # (a - b) * (a - b), not (a - b) ** 2: pow can round the square differently
+    return 0.5 * (a + b + np.sqrt(2 * fh * fh - (a - b) * (a - b)))
+
+
+def initial_distances(seed, init):
+    """``init`` copied, or 0 on seeds and inf elsewhere, i.e. no exact init."""
+    if init is not None:
+        return init.copy()
+    d = np.full(seed.shape, np.inf)
+    d[seed] = 0.0
+    return d
+
+
 def sequential_reference(f, seed, init=None, max_iterations=200):
     """Godunov fast sweeping, one pixel at a time in the four sequential
     Gauss-Seidel orders, seeds held at 0, starting from ``init`` (default:
     0 on seeds, inf elsewhere, i.e. no exact init).  Stops after the first
     pass that changes no bit, or after ``max_iterations`` passes."""
     h, w = f.shape
-    big = np.inf
-    if init is None:
-        d = np.full((h, w), big)
-        d[seed] = 0.0
-    else:
-        d = init.copy()
-
-    def update(i, j):
-        a = min(
-            d[i, j - 1] if j > 0 else big,
-            d[i, j + 1] if j < w - 1 else big,
-        )
-        b = min(
-            d[i - 1, j] if i > 0 else big,
-            d[i + 1, j] if i < h - 1 else big,
-        )
-        lo, hi = min(a, b), max(a, b)
-        fh = f[i, j]
-        if not np.isfinite(hi) or hi - lo >= fh:
-            cand = lo + fh
-        else:
-            cand = 0.5 * (a + b + np.sqrt(2 * fh * fh - (a - b) ** 2))
-        if cand < d[i, j]:
-            d[i, j] = cand
-
+    d = initial_distances(seed, init)
     orders = [
         (range(h), range(w)),
         (range(h), range(w - 1, -1, -1)),
@@ -105,10 +110,31 @@ def sequential_reference(f, seed, init=None, max_iterations=200):
             for i in ii:
                 for j in jj:
                     if not seed[i, j]:
-                        update(i, j)
+                        d[i, j] = min(d[i, j], godunov_candidate(d, f, i, j))
         if np.array_equal(d, prev):
             break
     return d
+
+
+def jacobi_reference(f, seed, init=None):
+    """Godunov iteration in the order the solver runs: every free pixel's
+    candidate from the previous values at once, a pixel taking it when it
+    drops, seeds held at 0, starting from ``init`` as in
+    ``sequential_reference``.  Stops when no pixel drops.
+
+    Gauss-Seidel sweeps stop at a fixed point of the same rounded update,
+    but two such fixed points can differ in the last bit; this order is
+    the one the solver must match bit for bit."""
+    h, w = f.shape
+    d = initial_distances(seed, init)
+    while True:
+        prev = d.copy()
+        for i in range(h):
+            for j in range(w):
+                if not seed[i, j]:
+                    d[i, j] = min(prev[i, j], godunov_candidate(prev, f, i, j))
+        if np.array_equal(d, prev):
+            return d
 
 
 def snake_maze(n):
@@ -248,15 +274,16 @@ class TestSolveEikonal:
         ids=["12x12", "9x14", "14x9", "12x12-multi-seed", "32x32"],
     )
     def test_wavefront_order_matches_sequential_reference(self, shape, seeds):
-        # the Jacobi wavefront reaches the fixed point that the plain
-        # pixel-by-pixel Gauss-Seidel order reaches, bit for bit
+        # the active-set wavefront reaches the fixed point of the plain
+        # Jacobi order bit for bit, and that of the Gauss-Seidel order up to
+        # rounding: the two orders can stop an ulp apart
         f = 0.5 + uniform_field((51, 4), shape)
         seed = np.zeros(shape, dtype=bool)
         for r, c in seeds:
             seed[r, c] = True
-        got = geo.solve_eikonal(f, seed, exact_init_radius=0)
-        d = sequential_reference(f, seed)
-        assert np.array_equal(got.raw, d)
+        got = geo._solve(f, seed, 0).raw
+        assert np.array_equal(got, jacobi_reference(f, seed))
+        assert np.allclose(got, sequential_reference(f, seed), rtol=1e-14, atol=0)
 
     def test_row_shorter_than_init_radius(self):
         seed = np.zeros((1, 9), dtype=bool)
@@ -280,6 +307,24 @@ class TestSolveEikonal:
         want = sequential_reference(speed, seed, init)
         assert np.abs(got - want).max() <= 1e-12 * want.max()
 
+    @pytest.mark.parametrize("speed", [1e308, 1e200, 9.5e153])
+    def test_overflowing_speed_diverges(self, speed):
+        # warned, then returned NaN distances at 1e308, and below it the
+        # straight-segment init that no two-sided update could lower
+        seed = np.zeros((8, 8), dtype=bool)
+        seed[3, 3] = True
+        with pytest.raises(lf.DivergenceError, match="^eikonal update overflows float64"):
+            geo.solve_eikonal(np.full((8, 8), speed), seed)
+
+    def test_largest_speeds_solve_without_a_warning(self):
+        # warned: diff * diff overflows where one neighbour lies far above
+        # the other, and the one-sided update is taken there
+        speed = np.where(uniform_field((51, 6), (16, 16)) < 0.5, 9.4e153, 1.0)
+        seed = np.zeros((16, 16), dtype=bool)
+        seed[0, 0] = True
+        dmap = geo.solve_eikonal(speed, seed)
+        assert np.isfinite(dmap.raw).all() and dmap.max_raw > 9.4e153
+
     @pytest.mark.parametrize("shape", [(3, 40), (40, 5)], ids=["3x40", "40x5"])
     def test_thin_grid_zero_on_seed_positive_elsewhere(self, shape):
         f = 0.5 + uniform_field((51, 5), shape)
@@ -289,21 +334,6 @@ class TestSolveEikonal:
         assert np.all(dmap.raw[seed] == 0.0)
         assert np.all(dmap.raw[~seed] > 0.0)
 
-    @pytest.mark.parametrize("radius", [2.5, True, -3, "8", None])
-    def test_init_radius_must_be_a_non_negative_int(self, radius, monkeypatch):
-        # 2.5 and True raised a bare TypeError; -3 ran the bare scheme
-        monkeypatch.setattr(geo, "_solve", lambda *a: pytest.fail("solved a bad problem"))
-        seed = np.zeros((16, 16), dtype=bool)
-        seed[4, 4] = True
-        with pytest.raises(InvalidInputError, match="exact_init_radius"):
-            geo.solve_eikonal(np.ones((16, 16)), seed, exact_init_radius=radius)
-
-    def test_numpy_int_radius_accepted(self):
-        seed = np.zeros((16, 16), dtype=bool)
-        seed[4, 4] = True
-        a = geo.solve_eikonal(np.ones((16, 16)), seed, exact_init_radius=np.int64(3))
-        b = geo.solve_eikonal(np.ones((16, 16)), seed, exact_init_radius=3)
-        assert np.array_equal(a.raw, b.raw)
 
 
 def reuse_problem(shape=(12, 20)):
@@ -355,14 +385,11 @@ class TestReuseSolves:
 
     @pytest.mark.parametrize(
         "change",
-        ["radius", "transposed-shape", "speed-bit", "seed-pixel", "strided-view"],
+        ["transposed-shape", "speed-bit", "seed-pixel", "strided-view"],
     )
     def test_any_change_of_the_problem_misses(self, solves, change):
         speed, seed = reuse_problem()
-        kwargs = {}
-        if change == "radius":
-            kwargs["exact_init_radius"] = 7
-        elif change == "transposed-shape":
+        if change == "transposed-shape":
             # the same C-order bytes under the transposed dimensions
             speed, seed = speed.reshape(speed.shape[::-1]), seed.reshape(seed.shape[::-1])
         elif change == "speed-bit":
@@ -377,11 +404,9 @@ class TestReuseSolves:
             speed, seed = wide_speed[:, ::2], wide_seed[:, ::2]
         with geo.reuse_solves():
             first = geo.solve_eikonal(*reuse_problem())
-            second = geo.solve_eikonal(speed, seed, **kwargs)
+            second = geo.solve_eikonal(speed, seed)
         assert second is not first and len(solves) == 2
-        assert np.array_equal(
-            second.raw, geo.solve_eikonal(speed.copy(), seed.copy(), **kwargs).raw
-        )
+        assert np.array_equal(second.raw, geo.solve_eikonal(speed.copy(), seed.copy()).raw)
 
     def test_strided_view_hits_its_contiguous_copy(self, solves):
         wide_speed, wide_seed = reuse_problem((12, 40))
@@ -461,24 +486,26 @@ class TestSolveEikonalProperties:
     @settings(max_examples=50)
     @given(eikonal_problems())
     def test_bare_scheme_matches_sequential_reference(self, problem):
+        # bit for bit in the solver's own order, up to rounding in sweep order
         speed, _, seed = problem
-        got = geo.solve_eikonal(speed, seed, exact_init_radius=0)
-        assert np.array_equal(got.raw, sequential_reference(speed, seed))
+        got = geo._solve(speed, seed, 0).raw
+        assert np.array_equal(got, jacobi_reference(speed, seed))
+        assert np.allclose(got, sequential_reference(speed, seed), rtol=1e-14, atol=0)
 
     @settings(max_examples=50)
     @given(eikonal_problems(max_side=24), st.integers(0, 12))
     def test_one_more_sequential_pass_changes_no_bit(self, problem, radius):
         # the result is a fixed point of the scheme: one more pixel-order
         # Gauss-Seidel pass leaves it as it is.  It is also the fixed point
-        # that pixel-order sweeps reach from the per-offset slice init, so
+        # that Jacobi iteration reaches from the per-offset slice init, so
         # the shared-prefix init equals that init bit for bit.
         speed, _, seed = problem
-        got = geo.solve_eikonal(speed, seed, exact_init_radius=radius).raw
+        got = geo._solve(speed, seed, radius).raw
         assert np.array_equal(sequential_reference(speed, seed, got, max_iterations=1), got)
         init = np.full(speed.shape, np.inf)
         init[seed] = 0.0
         exact_init_reference(init, speed, seed, radius)
-        assert np.array_equal(got, sequential_reference(speed, seed, init))
+        assert np.array_equal(got, jacobi_reference(speed, seed, init))
 
     @settings(max_examples=50)
     @given(eikonal_problems())

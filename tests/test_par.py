@@ -145,6 +145,30 @@ class TestRefine:
         with pytest.raises(InvalidInputError, match=r"kernel .*\(8, 8, 8\)"):
             par.refine(np.zeros((8, 8)), par.AffinityKernel(np.ones(shape)), 2)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda w: w.fill(np.nan),
+            lambda w: w.__setitem__((3, 4, 0), np.inf),
+            lambda w: w.__setitem__((3, 4, slice(0, 2)), [-0.25, 1.25]),
+            lambda w: w.__setitem__((3, 4, 0), w[3, 4, 0] + 1e-6),
+        ],
+        ids=["nan", "inf", "negative", "row-sum-off-1"],
+    )
+    def test_kernel_weights_rejected(self, bad):
+        # each returned a mask without an error, NaN for the NaN kernel
+        weights = np.full((8, 8, 8), 0.125)
+        bad(weights)
+        with pytest.raises(InvalidInputError, match="^kernel weights must be non-negative"):
+            par.refine(np.zeros((8, 8)), par.AffinityKernel(weights), 1)
+
+    def test_overflowing_mask_rejected(self):
+        # a row of weights can sum to 1 + 2**-52, which carries a mask at the
+        # float64 maximum to inf
+        kernel = par.affinity_kernel(normal_field((61, 7), (8, 8)))
+        with pytest.raises(InvalidInputError, match="^mask values overflow"):
+            par.refine(np.full((8, 8), np.finfo(np.float64).max), kernel, 3)
+
 
 def traced_peak(fn, *args):
     tracemalloc.start()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from levelflow import rng
+from levelflow.errors import InvalidInputError
 
 
 class TestStreams:
@@ -49,7 +50,7 @@ class TestStreams:
 
     @pytest.mark.parametrize("upper", [0, -3])
     def test_integers_need_a_positive_upper_bound(self, upper):
-        with pytest.raises(ValueError, match="upper must be positive"):
+        with pytest.raises(InvalidInputError, match=f"^upper must be positive, got {upper}$"):
             rng.integers(rng.derive_key(1), 4, upper)
 
 

@@ -207,10 +207,10 @@ class TestVerifyTd:
         assert rep.sign_agreement_rate >= 0.95
         assert rep.median_rel_err <= 0.15
 
-    def test_tie_threshold_excludes_everything(self, two_disks_64):
+    def test_tie_threshold_excludes_everything(self, two_disks_64, monkeypatch):
         image, gt = two_disks_64
-        rep = topo.verify_td(image, gt, model="cv", samples=50, radius=2, seed=1,
-                             tie_factor=10.0)
+        monkeypatch.setattr(topo, "TIE_FACTOR", 10.0)
+        rep = topo.verify_td(image, gt, model="cv", samples=50, radius=2, seed=1)
         assert rep.all_excluded
         assert rep.n_used == 0
         assert rep.sign_agreement_rate is None
