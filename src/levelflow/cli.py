@@ -509,7 +509,7 @@ def _cmd_sample(a, cfg: ExperimentConfig) -> dict:
             a.image, provider, sched, gp, seed=a.seed, ensemble=a.ensemble, cfg=gcfg,
             guidance_space=a.guidance_space,
         )
-    except DivergenceError as exc:
+    except diffusion.PredictionDivergenceError as exc:  # not an eikonal overflow
         raise LevelflowError(f"{exc}; --gamma0 {a.gamma0!r} may be too large") from None
     return {
         "fields/mask.lsf1": result.mask,

@@ -1,15 +1,15 @@
 """One JSON document carrying every module's parameters.
 
 Each section is the dataclass of the module that reads it (only ``area``
-lives here), which checks its ranges, naming the key, whether a config, a
-flag or a library call supplies the value.  The document is versioned,
-validated strictly (unknown keys anywhere are rejected so typos cannot
-silently fall back to defaults; each value must have its field's annotated
-type) and reproduced verbatim into run manifests, so a run can be repeated
-from its manifest alone, by the same subcommand.  Settings that are gone
-now (``_RETIRED``: ``schedule.kind``, the ``numerics`` section, the area
-override and two ``par`` keys) are dropped at the one value they ever took,
-so older manifests still replay; any other value or type of one is
+lives here), which checks each value's type and range as
+:mod:`levelflow.errors` states, naming the key, whether a config, a flag or
+a library call supplies the value.  The document is versioned, validated
+strictly (unknown keys anywhere are rejected so typos cannot silently fall
+back to defaults) and reproduced verbatim into run manifests, so a run can
+be repeated from its manifest alone, by the same subcommand.  Settings that
+are gone now (``_RETIRED``: ``schedule.kind``, the ``numerics`` section, the
+area override and two ``par`` keys) are dropped at the one value they ever
+took, so older manifests still replay; any other value or type of one is
 rejected.
 """
 
@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import json
 import math
-import typing
 from dataclasses import asdict, dataclass, field, fields
 
 from .diffusion import GuidancePolicy, LossParams, SamplerParams, ScheduleParams
-from .errors import InvalidInputError, require
+from .errors import NON_NEGATIVE, InvalidInputError, Params, Rule, param
 from .geodesic import SpeedParams
 from .levelset import EnergyWeights, EvolveParams, HeavisideParams
 from .par import ParParams
-from .rng import SEED_BOUND
+from .rng import SEED
 
 SCHEMA_VERSION = 1
 # (section, key) -> the one value older documents hold; the numerical
@@ -45,14 +44,10 @@ _RETIRED = {
 
 
 @dataclass(frozen=True)
-class AreaParams:
+class AreaParams(Params):
     """Target a1 for the area prior; None means derive it from the run's mask."""
 
-    a1_target: float | None = None
-
-    def __post_init__(self):
-        a1 = self.a1_target
-        require(a1 is None or 0 <= a1 < math.inf, "a1_target", "null or finite and >= 0", a1)
+    a1_target: float | None = param(None, Rule(NON_NEGATIVE.test, "null or finite and >= 0"))
 
 
 @dataclass(frozen=True)
@@ -77,16 +72,6 @@ class ExperimentConfig:
 _SECTION_TYPES = {f.name: f.default_factory for f in fields(ExperimentConfig) if f.name != "seed"}
 # Live sections, then sections (``numerics``) that hold retired keys only.
 _SECTIONS = dict.fromkeys([*_SECTION_TYPES, *(name for name, _ in _RETIRED)])
-_ACCEPTS = {float: (int, float), int: int, str: str}
-
-
-def _fits(hint, value) -> bool:
-    """Whether a JSON value has the annotated type (checked, not converted)."""
-    kinds = typing.get_args(hint) or (hint,)  # float | None -> (float, NoneType)
-    if value is None:
-        return type(None) in kinds
-    # bool is an int subclass, but true is not a number
-    return isinstance(value, _ACCEPTS[kinds[0]]) and not isinstance(value, bool)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -101,8 +86,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if unknown:
         raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
     seed = doc.get("seed", 0)
-    if not (_fits(int, seed) and 0 <= seed < SEED_BOUND):
-        raise InvalidInputError(f"config seed expects an int in [0, 2**64), got {seed!r}")
+    if not (type(seed) is int and SEED.test(seed)):  # a JSON integer; true is not one
+        raise InvalidInputError(f"config seed expects an int {SEED.text}, got {seed!r}")
     kwargs: dict = {"seed": seed}
     for name in _SECTIONS:
         section = doc.get(name, {})
@@ -117,18 +102,13 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             if type(value) is not type(old) or value != old:  # type too: 0 == False
                 raise InvalidInputError(f"config {name}.{key} is retired; it takes only {old!r}")
         cls = _SECTION_TYPES.get(name)
-        hints = typing.get_type_hints(cls) if cls else {}
-        bad = set(live) - hints.keys()
+        bad = (set(live) - {f.name for f in fields(cls)}) if cls else set(live)
         if bad:
             raise InvalidInputError(f"unknown config keys: {sorted(f'{name}.{k}' for k in bad)}")
-        for key, value in live.items():
-            if not _fits(hints[key], value):
-                text = cls.__annotations__[key]  # the annotation as written, e.g. "float | None"
-                raise InvalidInputError(f"config {name}.{key} expects {text}, got {value!r}")
         if cls:
             try:
                 kwargs[name] = cls(**live)
-            except InvalidInputError as exc:  # each section's range check names its key first
+            except InvalidInputError as exc:  # each section's check names its key first
                 raise InvalidInputError(f"config {name}.{exc}") from None
     return ExperimentConfig(**kwargs)
 

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geodesic, levelset, rng
-from .errors import DegenerateRegionError, DivergenceError, InvalidInputError, require, require_ints
+from .errors import AT_LEAST_1, NON_NEGATIVE, POSITIVE, DegenerateRegionError, DivergenceError
+from .errors import InvalidInputError, Params, Rule, param, require, require_floats, require_ints
 from .field import as_field, binarize, check_same_shape
 
 GUIDANCE_SCHEDULES = ("constant", "noise-scaled")
@@ -57,16 +58,18 @@ class GuidanceFallbackWarning(UserWarning):
     """Emitted when a guidance gradient falls back to zero (degenerate mask)."""
 
 
+class PredictionDivergenceError(DivergenceError):
+    """The noise prediction turned non-finite: the sampler itself diverged."""
+
+
 @dataclass(frozen=True)
-class ScheduleParams:
-    steps: int = 1000
-    beta1: float = 1e-4
+class ScheduleParams(Params):
+    steps: int = param(1000, AT_LEAST_1)
+    beta1: float = param(1e-4, Rule(lambda v: 0 < v < 1, "in (0, 1)"))
     betaT: float = 0.02
 
     def __post_init__(self):
-        require_ints(steps=self.steps)
-        require(self.steps >= 1, "steps", "at least 1", self.steps)
-        require(0 < self.beta1 < 1, "beta1", "in (0, 1)", self.beta1)
+        super().__post_init__()
         require(self.beta1 <= self.betaT < 1, "betaT", "in [beta1, 1)", self.betaT)
 
 
@@ -99,6 +102,8 @@ def make_schedule(
 
 
 def _check_t(t: int, sched: DiffusionSchedule) -> int:
+    if type(t) is not int:  # the sampler's own steps are ints
+        require_ints(t=t)
     if not 1 <= t <= sched.T:
         raise InvalidInputError(f"step t={t} outside [1, {sched.T}]")
     return t - 1
@@ -154,7 +159,7 @@ def score_to_eps(score: np.ndarray, t: int, sched: DiffusionSchedule) -> np.ndar
 
 
 @dataclass(frozen=True)
-class GuidancePolicy:
+class GuidancePolicy(Params):
     """Strength of the energy term injected into each reverse step.
 
     ``noise-scaled`` multiplies gamma0 by sqrt(1 - abar_t), which keeps the
@@ -162,11 +167,11 @@ class GuidancePolicy:
     the whole chain; ``constant`` applies gamma0 as is.
     """
 
-    gamma0: float = 0.3
+    gamma0: float = param(0.3, NON_NEGATIVE)
     schedule: str = "noise-scaled"
 
     def __post_init__(self):
-        require(0 <= self.gamma0 < math.inf, "gamma0", "non-negative and finite", self.gamma0)
+        super().__post_init__()
         _require_known("schedule", "guidance schedule", self.schedule, GUIDANCE_SCHEDULES)
 
 
@@ -196,20 +201,16 @@ def guided_score(score: np.ndarray, grad_lsf: np.ndarray, gamma_st: float) -> np
 
 
 @dataclass(frozen=True)
-class SamplerParams:
-    ensemble: int = 1
-    distance_refresh: int = 50
-    noise_scale: float = 0.1
+class SamplerParams(Params):
+    ensemble: int = param(1, AT_LEAST_1)
+    distance_refresh: int = param(50, AT_LEAST_1)
+    noise_scale: float = param(
+        0.1, Rule(lambda v: v >= 0 and v * v < math.inf, "non-negative, with a finite square")
+    )
     guidance_space: str = "noise"
 
     def __post_init__(self):
-        require_ints(ensemble=self.ensemble, distance_refresh=self.distance_refresh)
-        require(self.ensemble >= 1, "ensemble", "at least 1", self.ensemble)
-        require(self.distance_refresh >= 1, "distance_refresh", "at least 1",
-                self.distance_refresh)
-        square = self.noise_scale * self.noise_scale
-        require(self.noise_scale >= 0 and square < math.inf, "noise_scale",
-                "non-negative, with a finite square", self.noise_scale)
+        super().__post_init__()
         _require_known("guidance_space", "guidance space", self.guidance_space, GUIDANCE_SPACES)
 
 
@@ -315,7 +316,7 @@ class MixtureMaskProvider:
         object.__setattr__(self, "masks", masks)
         w = np.asarray(self.weights, dtype=np.float64)
         if not np.all((w > 0) & (w < np.inf)):
-            raise InvalidInputError("mixture weights must be positive and finite")
+            raise InvalidInputError(f"mixture weights must be {POSITIVE.text}")
         if abs(float(w.sum()) - 1.0) > 1e-9:
             raise InvalidInputError("mixture weights must sum to 1")
         SamplerParams(noise_scale=self.noise_scale)
@@ -405,8 +406,8 @@ def sample(
     the member means are averaged in fixed order and clamped to [0, 1].
     The energy trace follows member 0.  Identical (seed, config) inputs
     reproduce bit-identical results; gamma0 = 0 takes exactly the
-    unguided path.  Aborts with :class:`DivergenceError` once the noise
-    prediction turns non-finite (a guidance strength far too large).
+    unguided path.  Aborts with :class:`PredictionDivergenceError` once the
+    noise prediction turns non-finite (a guidance strength far too large).
     """
     SamplerParams(ensemble, cfg.distance_refresh, guidance_space=guidance_space)
     image = as_field(image, "image")
@@ -430,7 +431,7 @@ def sample(
                 except InvalidInputError:
                     if np.isfinite(np.asarray(raw, dtype=np.float64)).all():
                         raise  # a malformed prediction, not a blow-up
-                    raise DivergenceError(
+                    raise PredictionDivergenceError(
                         f"noise prediction became non-finite at t={t}", step=step_index
                     ) from None
                 needs_energy = guided or member == 0
@@ -479,15 +480,10 @@ def _trace_row(image, y, eps_hat, t, sched, cfg, dist):
 
 
 @dataclass(frozen=True)
-class LossParams:
-    eta1: float = 0.5
-    eta2: float = 0.005
-    w_t: float = 1.0
-
-    def __post_init__(self):
-        require(0 <= self.eta1 < math.inf, "eta1", "non-negative and finite", self.eta1)
-        require(0 <= self.eta2 < math.inf, "eta2", "non-negative and finite", self.eta2)
-        require(0 < self.w_t < math.inf, "w_t", "positive and finite", self.w_t)
+class LossParams(Params):
+    eta1: float = param(0.5, NON_NEGATIVE)
+    eta2: float = param(0.005, NON_NEGATIVE)
+    w_t: float = param(1.0, POSITIVE)
 
 
 def dpm_loss(eps_true: np.ndarray, eps_hat: np.ndarray, w_t: float = LossParams.w_t) -> float:
@@ -504,5 +500,6 @@ def total_loss(
     eta1: float = LossParams.eta1, eta2: float = LossParams.eta2,
 ) -> float:
     """Training-style total: l_dpm + eta1 * l_lsf + eta2 * l_par."""
+    require_floats(l_dpm=l_dpm, l_lsf=l_lsf, l_par=l_par)
     LossParams(eta1, eta2)
     return float(l_dpm + eta1 * l_lsf + eta2 * l_par)

@@ -1,6 +1,18 @@
-"""Exception hierarchy shared by all levelflow modules."""
+"""Exception hierarchy, and the one check every parameter dataclass runs.
 
-from numbers import Integral
+A :class:`Params` dataclass checks every field's type, then every field's
+range, naming the field first.  The type is the field's annotation: ``int``,
+``float``, ``str``, or one of them ``| None``; numpy scalars of the right kind
+pass, and a bool is never a number.  The range is the :class:`Rule` the field
+declares with :func:`param`.  Cross-field rules and choices from a list follow
+in the class's own ``__post_init__``; bare arguments take the type rule
+through :func:`require_ints` and :func:`require_floats`.
+"""
+
+import math
+from dataclasses import MISSING, field
+from numbers import Integral, Real
+from typing import Callable, NamedTuple
 
 
 class LevelflowError(Exception):
@@ -39,8 +51,56 @@ def require(ok: bool, key: str, rule: str, value) -> None:
         raise InvalidInputError(f"{key} must be {rule}, got {value!r}")
 
 
+class Rule(NamedTuple):
+    """A range rule: a test a value of the field's type must pass, and its text."""
+
+    test: Callable[[object], bool]
+    text: str
+
+
+POSITIVE = Rule(lambda v: 0 < v < math.inf, "positive and finite")
+NON_NEGATIVE = Rule(lambda v: 0 <= v < math.inf, "non-negative and finite")
+AT_LEAST_1 = Rule(lambda v: v >= 1, "at least 1")
+FINITE = Rule(lambda v: -math.inf < v < math.inf, "finite")
+
+
+def param(default=MISSING, rule: Rule | None = None):
+    """A dataclass field whose value must pass ``rule``."""
+    return field(default=default, metadata={"rule": rule})
+
+
+# annotation -> (the types taken as they are, the kind a numpy scalar must be)
+_KINDS = {"int": ((int,), Integral), "float": ((float, int), Real), "str": ((str,), str)}
+_TYPES = {**_KINDS, **{f"{k} | None": (e + (type(None),), n) for k, (e, n) in _KINDS.items()}}
+
+
+def _check_type(key: str, annotation: str, value) -> None:
+    exact, kind = _TYPES[annotation]
+    # bool is an int subclass, but True is not a number
+    if type(value) not in exact and (isinstance(value, bool) or not isinstance(value, kind)):
+        raise InvalidInputError(f"{key} expects {annotation}, got {value!r}")
+
+
 def require_ints(**values) -> None:
-    """Reject a bool or non-integral value of an int parameter (numpy ints pass)."""
+    """Reject a bare argument that is not an int, naming its key first."""
     for key, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise InvalidInputError(f"{key} must be an int, got {value!r}")
+        _check_type(key, "int", value)
+
+
+def require_floats(**values) -> None:
+    """Reject a bare argument that is not a real number, naming its key first."""
+    for key, value in values.items():
+        _check_type(key, "float", value)
+
+
+class Params:
+    """Base of the parameter dataclasses: checks each field's type, then its rule."""
+
+    def __post_init__(self):
+        checks = self.__dataclass_fields__.values()
+        for f in checks:
+            _check_type(f.name, f.type, getattr(self, f.name))
+        for f in checks:
+            rule, value = f.metadata.get("rule"), getattr(self, f.name)
+            if rule is not None and value is not None:
+                require(rule.test(value), f.name, rule.text, value)

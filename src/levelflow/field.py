@@ -9,8 +9,8 @@ pure functions.
 Fields are validated once, at the package boundary.  An entry point (the
 CLI, ``load_field``, a parameter or provider constructor, a public
 function such as ``evolve`` or ``sample``) passes each field it receives
-through :func:`as_field`, which rejects wrong rank, empty and non-finite
-arrays with :class:`InvalidInputError`.  Kernels (``gradient``, ``heaviside``,
+through :func:`as_field`, which rejects wrong rank, empty, non-real and
+non-finite arrays with :class:`InvalidInputError`.  Kernels (``gradient``, ``heaviside``,
 the energy terms, ``reverse_step``, ...) trust their arrays and keep only
 the O(1) shape checks where two arrays meet.
 
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import FieldFormatError, InvalidInputError, require_ints
+from .errors import FINITE, NON_NEGATIVE, FieldFormatError, InvalidInputError, Params, param
 
 LSF1_MAGIC = b"LSF1"
 
@@ -50,7 +50,11 @@ _PHANTOM_NOISE_TAG = 0x50484E54  # "PHNT"
 
 def as_field(a, name: str = "field") -> np.ndarray:
     """Validate and coerce an array-like into a float64 (H, W) field."""
-    arr = np.asarray(a, dtype=np.float64)
+    arr = np.asarray(a)
+    if arr.dtype != np.float64:
+        if arr.dtype.kind not in "biuf":  # bool, int, unsigned or float
+            raise InvalidInputError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+        arr = arr.astype(np.float64)
     if arr.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -138,33 +142,29 @@ def gradient_adjoint(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PhantomSpec:
+class PhantomSpec(Params):
     """Recipe for a synthetic test image with a known binary ground truth."""
 
     kind: str
     size: int
-    fg: float = 1.0
-    bg: float = 0.0
+    fg: float = param(1.0, FINITE)
+    bg: float = param(0.0, FINITE)
     noise_sigma: float = 0.0
-    seed: int = 0
+    seed: int = param(0, rng.SEED)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in PHANTOM_KINDS:
             raise InvalidInputError(
                 f"unknown phantom kind {self.kind!r}, expected one of {PHANTOM_KINDS}"
             )
-        require_ints(size=self.size, seed=self.seed)
+        # size and noise_sigma keep the messages the phantom subcommand prints
         if not 32 <= self.size <= 2**14:  # bounded, so numpy never sees a huge size
             raise InvalidInputError(f"phantom size must be from 32 to {2**14}, got {self.size}")
-        for name in ("fg", "bg"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidInputError(f"{name} must be finite")
         if self.fg == self.bg:
             raise InvalidInputError("foreground and background intensities must differ")
-        if not 0 <= self.noise_sigma < math.inf:
-            raise InvalidInputError("noise_sigma must be non-negative and finite")
-        if not 0 <= self.seed < rng.SEED_BOUND:
-            raise InvalidInputError("seed must be in [0, 2**64)")
+        if not NON_NEGATIVE.test(self.noise_sigma):
+            raise InvalidInputError(f"noise_sigma must be {NON_NEGATIVE.text}")
 
 
 def _disk(rows, cols, cy, cx, r):

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInputError, require
+from .errors import NON_NEGATIVE, POSITIVE, DivergenceError, InvalidInputError, Params, param
 from .field import as_field, binarize, check_same_shape, gradient
 
 # How far around the seed set _exact_init plants straight-segment costs;
@@ -62,16 +62,10 @@ _reuse: ContextVar[OrderedDict | None] = ContextVar("levelflow_eikonal_reuse", d
 
 
 @dataclass(frozen=True)
-class SpeedParams:
-    eps_d: float = 1e-3
-    beta_g: float = 1e3
-    nu: float = 0.0
-
-    def __post_init__(self):
-        require(0 < self.eps_d < math.inf, "eps_d", "positive and finite", self.eps_d)
-        for name in ("beta_g", "nu"):
-            value = getattr(self, name)
-            require(0 <= value < math.inf, name, "non-negative and finite", value)
+class SpeedParams(Params):
+    eps_d: float = param(1e-3, POSITIVE)
+    beta_g: float = param(1e3, NON_NEGATIVE)
+    nu: float = param(0.0, NON_NEGATIVE)
 
 
 @dataclass(frozen=True)

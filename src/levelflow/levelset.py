@@ -40,7 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRegionError, DivergenceError, InvalidInputError, require, require_ints
+from .errors import AT_LEAST_1, NON_NEGATIVE, POSITIVE, DegenerateRegionError, DivergenceError
+from .errors import InvalidInputError, Params, param, require_floats
 from .field import as_field, check_same_shape, gradient, gradient_adjoint
 
 VAR_FLOOR = 1e-6  # keeps log var and 1/var finite on a flat region
@@ -51,13 +52,10 @@ TRACE_COLUMNS = ("e_region", "e_length", "e_area", "e_distance", "e_total")
 
 
 @dataclass(frozen=True)
-class HeavisideParams:
+class HeavisideParams(Params):
     """Width of the arctan-smoothed step, in level set units."""
 
-    epsilon: float = 1.5
-
-    def __post_init__(self):
-        require(0 < self.epsilon < math.inf, "epsilon", "positive and finite", self.epsilon)
+    epsilon: float = param(1.5, POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -73,36 +71,27 @@ class RegionStats:
 
 
 @dataclass(frozen=True)
-class EnergyWeights:
-    lambda1: float = 0.01
-    lambda2: float = 0.01
-    lambda3: float = 0.0001
-    lambda4: float = 0.001
-
-    def __post_init__(self):
-        for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
-            value = getattr(self, name)
-            require(0 <= value < math.inf, name, "non-negative and finite", value)
+class EnergyWeights(Params):
+    lambda1: float = param(0.01, NON_NEGATIVE)
+    lambda2: float = param(0.01, NON_NEGATIVE)
+    lambda3: float = param(0.0001, NON_NEGATIVE)
+    lambda4: float = param(0.001, NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
-class AreaPrior:
+class AreaPrior(Params):
     """Target areas for the inside/outside regions.
 
     The two targets must sum to the pixel count of the domain they are
     used on (checked at evaluation time).
     """
 
-    a1_target: float
-    a2_target: float
-
-    def __post_init__(self):
-        for name in ("a1_target", "a2_target"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise InvalidInputError(f"{name} must be non-negative and finite")
+    a1_target: float = param(rule=NON_NEGATIVE)
+    a2_target: float = param(rule=NON_NEGATIVE)
 
     @classmethod
     def from_a1(cls, a1_target: float, n_pixels: int) -> "AreaPrior":
+        require_floats(a1_target=a1_target)
         if not 0 <= a1_target <= n_pixels:
             raise InvalidInputError(
                 f"a1_target must be in [0, {n_pixels}], the pixel count, got {a1_target!r}"
@@ -375,16 +364,10 @@ def grad_energy_wrt_mask(
 
 
 @dataclass(frozen=True)
-class EvolveParams:
-    dt: float = 0.1
-    steps: int = 200
-    stats_refresh: int = 1
-
-    def __post_init__(self):
-        require_ints(steps=self.steps, stats_refresh=self.stats_refresh)
-        require(0 <= self.dt < math.inf, "dt", "non-negative and finite", self.dt)
-        require(self.steps >= 1, "steps", "at least 1", self.steps)
-        require(self.stats_refresh >= 1, "stats_refresh", "at least 1", self.stats_refresh)
+class EvolveParams(Params):
+    dt: float = param(0.1, NON_NEGATIVE)
+    steps: int = param(200, AT_LEAST_1)
+    stats_refresh: int = param(1, AT_LEAST_1)
 
 
 def evolve(

@@ -23,8 +23,8 @@ and sigma takes np.nanstd's steps, so every bit equals that of reducing an
 (H, W, 8) stack.  Memory is the weights, stored (8, H, W) and shown as an
 (H, W, 8) view, plus a few (H, W) temporaries.  An image whose neighborhood
 spread, or every logit of one pixel, overflows float64 is rejected, and
-so are a kernel whose weights are negative or do not sum to 1 at a pixel,
-and a refinement that overflows.
+so are a kernel whose weights are negative, do not sum to 1 at a pixel or
+fall on a neighbor off the grid, and a refinement that overflows.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, require, require_ints
+from .errors import InvalidInputError, Params, Rule, param
 from .field import as_field, check_same_shape
 
 # Fixed neighbor order: row-major over the 3x3 window minus the center.
@@ -47,12 +47,8 @@ SIGMA_FLOOR = 1e-4  # keeps 1 / sigma finite on a flat neighborhood
 
 
 @dataclass(frozen=True)
-class ParParams:
-    tau: int = 10
-
-    def __post_init__(self):
-        require_ints(tau=self.tau)
-        require(self.tau >= 0, "tau", "non-negative", self.tau)
+class ParParams(Params):
+    tau: int = param(10, Rule(lambda v: v >= 0, "non-negative"))
 
 
 @dataclass(frozen=True)
@@ -131,6 +127,10 @@ def refine(mask: np.ndarray, kernel: AffinityKernel, tau: int) -> np.ndarray:
     weights = np.moveaxis(kernel.weights, 2, 0)
     if not _row_stochastic(weights):
         raise InvalidInputError("kernel weights must be non-negative and sum to 1 at every pixel")
+    edge = {-1: 0, 1: -1}  # the row or column whose neighbor at this offset is off the grid
+    for wk, (dr, dc) in zip(weights, NEIGHBOR_OFFSETS):
+        if (dr and wk[edge[dr]].any()) or (dc and wk[:, edge[dc]].any()):
+            raise InvalidInputError("kernel weights must be 0 on neighbors off the grid")
     padded = np.pad(mask, 1)  # a neighbor off the grid has weight 0 and value 0
     near = _neighbors(padded)
     # A row may sum to just above 1, so a mask near the float64 limit can

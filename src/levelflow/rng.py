@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import require, require_ints
+from .errors import Rule, require, require_ints
 
 ALGORITHM_ID = "ctr-splitmix64-boxmuller/1"
 
 SEED_BOUND = 1 << 64  # a seed lies in [0, SEED_BOUND); derive_key rejects any other
+SEED = Rule(lambda v: 0 <= v < SEED_BOUND, "in [0, 2**64)")
 _MASK = SEED_BOUND - 1
 _GOLDEN_INT = 0x9E3779B97F4A7C15
 _MIX1_INT = 0xBF58476D1CE4E5B9
@@ -60,7 +61,7 @@ def derive_key(seed: int, *tags: int) -> int:
     seed (phantom noise, per-member sampler noise, per-step noise, ...).
     """
     require_ints(seed=seed)
-    require(0 <= seed < SEED_BOUND, "seed", "in [0, 2**64)", seed)
+    require(SEED.test(seed), "seed", SEED.text, seed)
     key = _finalize_int(int(seed))
     for tag in tags:
         key = _finalize_int(key ^ _finalize_int((int(tag) + _GOLDEN_INT) & _MASK))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import InvalidInputError, require_ints
+from .errors import AT_LEAST_1, InvalidInputError, Params, require_ints
 from .field import as_field, binarize, check_same_shape
 from .levelset import nll_fields, region_stats_from_weights
 
@@ -41,15 +41,16 @@ TIE_FACTOR = 1e-3  # verify_td's tie threshold is this times the largest |T|
 
 
 @dataclass(frozen=True)
-class NucleationProbe:
+class NucleationProbe(Params):
     row: int
     col: int
     radius: int
     direction: str
 
     def __post_init__(self):
-        if self.radius < 1:
-            raise InvalidInputError("probe radius must be at least 1")
+        super().__post_init__()
+        if not AT_LEAST_1.test(self.radius):  # the message td-verify --radius 0 prints
+            raise InvalidInputError(f"probe radius must be {AT_LEAST_1.text}")
         if self.direction not in PROBE_DIRECTIONS:
             raise InvalidInputError(
                 f"unknown probe direction {self.direction!r}, "
@@ -188,8 +189,8 @@ def verify_td(
     the first-order sensitivity).
     """
     require_ints(samples=samples, radius=radius)
-    if samples < 1:
-        raise InvalidInputError("samples must be at least 1")
+    if not AT_LEAST_1.test(samples):
+        raise InvalidInputError(f"samples must be {AT_LEAST_1.text}")
     t = td_field(image, mask, model)
     h, w = t.shape
     if h <= 2 * radius or w <= 2 * radius:

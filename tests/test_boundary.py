@@ -247,6 +247,6 @@ INT_PARAMETERS = {
 def test_int_parameter_rejects_bool_and_non_integral_values(name):
     key, call = INT_PARAMETERS[name]
     for bad in (2.5, 2.0, True, np.float64(2.0), np.bool_(True), "2"):
-        with pytest.raises(InvalidInputError, match=rf"^{key} must be an int, got "):
+        with pytest.raises(InvalidInputError, match=rf"^{key} expects int, got "):
             call(bad)
     call(np.int64(2))  # numpy ints are ints

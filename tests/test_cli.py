@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -49,7 +50,40 @@ BASE_KWARGS = {
     },
     lf.dpm_loss: {"eps_true": np.zeros((4, 4)), "eps_hat": np.zeros((4, 4))},
     lf.total_loss: {"l_dpm": 1.0, "l_lsf": 2.0, "l_par": 3.0},
+    lf.NucleationProbe: {"row": 4, "col": 4, "radius": 1, "direction": "add-to-inside"},
 }
+
+# Every parameter dataclass; each checks its fields through errors.Params.
+PARAM_CLASSES = [
+    lf.HeavisideParams, lf.EnergyWeights, lf.AreaPrior, lf.levelset.EvolveParams,
+    lf.diffusion.ScheduleParams, lf.GuidancePolicy, lf.diffusion.SamplerParams,
+    lf.diffusion.LossParams, lf.SpeedParams, lf.ParParams, config.AreaParams, lf.PhantomSpec,
+    lf.NucleationProbe,
+]
+# Library functions that check a float parameter by building its dataclass.
+PARAM_CALLS = [(lf.evolve, "dt"), (lf.dpm_loss, "w_t"), (lf.total_loss, "eta1"),
+               (lf.total_loss, "eta2")]
+# (id, value): non-finite numbers, then values of another type than the field's
+BAD_VALUES = [("nan", float("nan")), ("inf", float("inf")), ("None", None), ("str", "1"),
+              ("bool", True), ("numpy-bool", np.bool_(True)), ("complex", 1 + 0j),
+              ("fraction", 2.5)]
+
+
+def _rejected_values(annotation):
+    """The BAD_VALUES a field of this annotation rejects: its own type is left out."""
+    own = {"None": "| None" in annotation, "str": annotation == "str",
+           "fraction": annotation != "int"}
+    return [(name, value) for name, value in BAD_VALUES if not own.get(name)]
+
+
+BAD_PARAMETER_CASES = [
+    pytest.param(cls, name, value, id=f"{value_id}-{cls.__name__}-{name}")
+    for cls, name, annotation in [
+        *((cls, f.name, f.type) for cls in PARAM_CLASSES for f in dataclasses.fields(cls)),
+        *((fn, name, "float") for fn, name in PARAM_CALLS),
+    ]
+    for value_id, value in _rejected_values(annotation)
+]
 
 
 @pytest.fixture(scope="module")
@@ -123,32 +157,28 @@ class TestConfig:
         path.write_text(json.dumps(doc))
         assert main(["phantom", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
 
-    @pytest.mark.parametrize(
-        "cls, field",
-        [
-            (lf.SpeedParams, "eps_d"),
-            (lf.SpeedParams, "beta_g"),
-            (lf.SpeedParams, "nu"),
-            (lf.HeavisideParams, "epsilon"),
-            (lf.EnergyWeights, "lambda1"),
-            (lf.EnergyWeights, "lambda4"),
-            (lf.GuidancePolicy, "gamma0"),
-            (lf.AreaPrior, "a1_target"),
-            (lf.AreaPrior, "a2_target"),
-            (lf.PhantomSpec, "noise_sigma"),
-            (lf.PhantomSpec, "fg"),
-            (lf.PhantomSpec, "bg"),
-            (lf.evolve, "dt"),
-            (lf.dpm_loss, "w_t"),
-            (lf.total_loss, "eta1"),
-            (lf.total_loss, "eta2"),
-        ],
-        ids=lambda v: v if isinstance(v, str) else v.__name__,
-    )
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    # Each field of every parameter dataclass, with each value it rejects.
+    @pytest.mark.parametrize("cls, field, value", BAD_PARAMETER_CASES)
     def test_non_finite_parameter_rejected(self, cls, field, value):
         with pytest.raises(InvalidInputError, match=field):
             cls(**{**BASE_KWARGS.get(cls, {}), field: value})
+
+    @pytest.mark.parametrize(
+        "cls, field, annotation",
+        [pytest.param(cls, f.name, f.type, id=f"{cls.__name__}-{f.name}")
+         for cls in PARAM_CLASSES for f in dataclasses.fields(cls) if f.type != "str"],
+    )
+    def test_numpy_scalar_parameter_accepted(self, cls, field, annotation):
+        value = getattr(cls(**BASE_KWARGS.get(cls, {})), field)
+        kind = np.int64 if annotation == "int" else np.float32
+        built = cls(**{**BASE_KWARGS.get(cls, {}), field: kind(1.0 if value is None else value)})
+        assert type(getattr(built, field)) is kind
+
+    def test_parameter_classes_share_one_check(self):
+        assert len(PARAM_CLASSES) == 13
+        assert set(config._SECTION_TYPES.values()) <= set(PARAM_CLASSES)
+        for cls in PARAM_CLASSES:
+            assert issubclass(cls, lf.errors.Params) and dataclasses.is_dataclass(cls), cls
 
     @pytest.mark.parametrize("number", ["NaN", "Infinity", "1e999"])
     def test_non_finite_number_rejected(self, tmp_path, number):
@@ -1434,6 +1464,20 @@ class TestSampleBlowUp:
         assert err.startswith("levelflow: numerical failure: noise prediction became non-finite")
         assert "(step 1)" in err and "--gamma0 1e+200" in err
         assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_eikonal_overflow_prints_what_geodesic_prints(self, phantom_dir, tmp_path, capsys):
+        # the --gamma0 hint belongs to the sampler's own divergence only
+        image, mask = (str(phantom_dir / f"fields/{name}.lsf1") for name in ("image", "gt_mask"))
+        assert main(["geodesic", "--image", image, "--mask", mask, "--eps-d", "1e300",
+                     "--out", str(tmp_path / "geodesic")]) == 2
+        geodesic_err = capsys.readouterr().err
+        assert geodesic_err.startswith("levelflow: numerical failure: eikonal update overflows")
+        out = tmp_path / "out"
+        rc = main(["sample", "--image", image, "--mode-mask", mask, "--steps", "20",
+                   "--config", _config_with(tmp_path, "speed", "eps_d", 1e300), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == geodesic_err
         assert not out.exists()
 
 

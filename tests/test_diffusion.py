@@ -103,6 +103,17 @@ class TestForwardAndPredict:
             with pytest.raises(InvalidInputError):
                 dif.reverse_step(z, z, t, sched, z)
 
+    @pytest.mark.parametrize("t", ["3", None, 3.0, np.float64(3.0), True])
+    def test_t_of_another_type_rejected(self, t):
+        # "3" and None raised a bare TypeError, 3.0 an IndexError; True was step 1
+        sched = dif.make_schedule(10)
+        z = np.zeros((4, 4))
+        with pytest.raises(InvalidInputError, match=r"^t expects int, got "):
+            dif.forward_sample(z, t, sched, z)
+        eps = normal_field((80, 6), (4, 4))
+        assert np.array_equal(dif.forward_sample(z, np.int64(3), sched, eps),
+                              dif.forward_sample(z, 3, sched, eps))
+
 
 class TestReverseStep:
     def test_zero_eps_zero_xi(self):
@@ -505,6 +516,14 @@ class TestLosses:
         a = normal_field((85, 1), (8, 8))
         b = normal_field((85, 2), (8, 8))
         assert dif.dpm_loss(a, b, w_t=2.0) == pytest.approx(2 * dif.dpm_loss(a, b, w_t=1.0))
+
+    @pytest.mark.parametrize("key", ["l_dpm", "l_lsf", "l_par"])
+    @pytest.mark.parametrize("value", ["a", None, True, 1 + 0j])
+    def test_loss_of_another_type_rejected(self, key, value):
+        # "a" and None raised a bare TypeError; True and 1+0j were summed
+        losses = {"l_dpm": 1.0, "l_lsf": 2.0, "l_par": 3.0, key: value}
+        with pytest.raises(InvalidInputError, match=rf"^{key} expects float, got "):
+            dif.total_loss(**losses)
 
     @pytest.mark.parametrize("eta1, eta2", [(-1.0, 0.005), (0.5, -1e-9)])
     def test_negative_eta_rejected(self, eta1, eta2):

@@ -21,6 +21,22 @@ class TestAsField:
         with pytest.raises(InvalidInputError, match=message):
             lf.field.as_field(value)
 
+    @pytest.mark.parametrize(
+        "image", [np.eye(4) + 1j, "abc", [["a", "b"]], np.eye(4, dtype=object)],
+        ids=["complex", "str", "strings", "object"],
+    )
+    def test_non_real_field_rejected_naming_it(self, image):
+        # a complex image lost its imaginary part with a ComplexWarning, and a
+        # string raised a bare ValueError
+        with pytest.raises(InvalidInputError, match="^image must hold real numbers, got dtype"):
+            lf.energy_total(image, np.eye(4) - 0.5, lf.HeavisideParams(), lf.EnergyWeights(),
+                            lf.AreaPrior(8.0, 8.0), np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int32, np.float32, ">f8"])
+    def test_real_dtypes_become_float64(self, dtype):
+        f = lf.field.as_field(np.eye(3, dtype=dtype))
+        assert f.dtype == np.float64 and f.tolist() == np.eye(3).tolist()
+
 
 def _three_fields(shape):
     return st.tuples(*[hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3))] * 3)
@@ -132,7 +148,7 @@ class TestPhantoms:
     def test_int_field_of_another_type_rejected(self, field, value):
         # "64" raised a bare TypeError; 64.0 and 1.5 were accepted
         kwargs = {"kind": "two-disks", "size": 64, "seed": 0, field: value}
-        with pytest.raises(InvalidInputError, match=f"^{field} must be an int, got "):
+        with pytest.raises(InvalidInputError, match=f"^{field} expects int, got "):
             lf.PhantomSpec(**kwargs)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])

@@ -162,6 +162,20 @@ class TestRefine:
         with pytest.raises(InvalidInputError, match="^kernel weights must be non-negative"):
             par.refine(np.zeros((8, 8)), par.AffinityKernel(weights), 1)
 
+    @pytest.mark.parametrize("k", range(8), ids=[str(o) for o in par.NEIGHBOR_OFFSETS])
+    def test_weight_on_a_neighbor_off_the_grid_rejected(self, k):
+        # it multiplies the zero padding, so the mask lost mass: a kernel of
+        # 0.125 everywhere took a mask of 0.5 to 0.1875 at the corners
+        with pytest.raises(InvalidInputError, match="^kernel weights must be 0 on neighbors off"):
+            par.refine(np.full((8, 8), 0.5), par.AffinityKernel(np.full((8, 8, 8), 0.125)), 1)
+        # one edge pixel, all its weight on the neighbor at offset k, off the grid
+        weights = par.affinity_kernel(normal_field((61, 8), (8, 8))).weights.copy()
+        dr, dc = par.NEIGHBOR_OFFSETS[k]
+        row, col = (0 if dr < 0 else 7 if dr > 0 else 3), (0 if dc < 0 else 7 if dc > 0 else 3)
+        weights[row, col] = np.eye(8)[k]
+        with pytest.raises(InvalidInputError, match="^kernel weights must be 0 on neighbors off"):
+            par.refine(np.full((8, 8), 0.5), par.AffinityKernel(weights), 1)
+
     def test_overflowing_mask_rejected(self):
         # a row of weights can sum to 1 + 2**-52, which carries a mask at the
         # float64 maximum to inf
