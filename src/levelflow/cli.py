@@ -502,12 +502,11 @@ def _cmd_sample(a, cfg: ExperimentConfig) -> dict:
         weights=cfg.weights,
         area=None if a.a1 is None else levelset.AreaPrior.from_a1(a.a1, a.image.size),
         speed=cfg.speed,
-        distance_refresh=cfg.sampler.distance_refresh,
     )
     try:
         result = diffusion.sample(
             a.image, provider, sched, gp, seed=a.seed, ensemble=a.ensemble, cfg=gcfg,
-            guidance_space=a.guidance_space,
+            guidance_space=a.guidance_space, distance_refresh=cfg.sampler.distance_refresh,
         )
     except diffusion.PredictionDivergenceError as exc:  # not an eikonal overflow
         raise LevelflowError(f"{exc}; --gamma0 {a.gamma0!r} may be too large") from None

@@ -25,12 +25,13 @@ live here, and the functions that read them build them to check arguments.
 ``sample``, ``chain_rule_grad``, ``forward_sample``, ``dpm_loss`` and the
 provider constructors validate their fields; ``predict_y0``,
 ``reverse_step``, the guidance updates and the provider methods are
-kernels that trust theirs (see :mod:`levelflow.field`).
+kernels that trust theirs (see :mod:`levelflow.field`).  What is fixed for
+a call is derived once in it: ``sample`` builds one speed field for all its
+distance refreshes, and a provider method looks up step t's entries once.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -52,6 +53,11 @@ _STEP_TAG = 0x53544550  # "STEP"
 def _require_known(key: str, what: str, value: str, choices: tuple) -> None:
     if value not in choices:
         raise InvalidInputError(f"{key}: unknown {what} {value!r}, expected one of {choices}")
+
+
+def _require_instance(key: str, value, *kinds: type) -> None:
+    if not isinstance(value, kinds):
+        raise InvalidInputError(f"{key} expects {kinds[0].__name__}, got {value!r}")
 
 
 class GuidanceFallbackWarning(UserWarning):
@@ -205,7 +211,8 @@ class SamplerParams(Params):
     ensemble: int = param(1, AT_LEAST_1)
     distance_refresh: int = param(50, AT_LEAST_1)
     noise_scale: float = param(
-        0.1, Rule(lambda v: v >= 0 and v * v < math.inf, "non-negative, with a finite square")
+        0.1,
+        Rule(lambda v: v >= 0 and NON_NEGATIVE.test(v * v), "non-negative, with a finite square"),
     )
     guidance_space: str = "noise"
 
@@ -222,7 +229,12 @@ class GuidanceConfig:
     weights: levelset.EnergyWeights = levelset.EnergyWeights()
     area: levelset.AreaPrior | None = None
     speed: geodesic.SpeedParams = geodesic.SpeedParams()
-    distance_refresh: int = SamplerParams.distance_refresh
+
+    def __post_init__(self):
+        _require_instance("heaviside", self.heaviside, levelset.HeavisideParams)
+        _require_instance("weights", self.weights, levelset.EnergyWeights)
+        _require_instance("area", self.area, levelset.AreaPrior, type(None))
+        _require_instance("speed", self.speed, geodesic.SpeedParams)
 
     def area_prior(self, n_pixels: int) -> levelset.AreaPrior:
         if self.area is not None:
@@ -231,7 +243,8 @@ class GuidanceConfig:
         return levelset.AreaPrior.from_a1(0.5 * n_pixels, n_pixels)
 
 
-def _distance_or_zeros(image, mask_soft, cfg: GuidanceConfig) -> np.ndarray:
+def _distance_or_zeros(speed, mask_soft) -> np.ndarray:
+    check_same_shape(speed, mask_soft)
     seeds = binarize(mask_soft)
     if not seeds.any():
         warnings.warn(
@@ -239,9 +252,8 @@ def _distance_or_zeros(image, mask_soft, cfg: GuidanceConfig) -> np.ndarray:
             GuidanceFallbackWarning,
             stacklevel=3,
         )
-        return np.zeros_like(image)
-    dmap = geodesic.distance_for_mask(image, mask_soft, cfg.speed)
-    return dmap.values
+        return np.zeros_like(speed)
+    return geodesic.solve_eikonal(speed, seeds).values
 
 
 def chain_rule_grad(
@@ -262,15 +274,15 @@ def chain_rule_grad(
     instead of aborting the sampler.
     """
     i = _check_t(t, sched)
-    image = as_field(image, "image")
+    _require_instance("cfg", cfg, GuidanceConfig)
     yhat0 = predict_y0(yt, eps_hat, t, sched)
     y = np.clip(yhat0, 0.0, 1.0)
     interior = (yhat0 > 0.0) & (yhat0 < 1.0)
     if dist is None:
-        dist = _distance_or_zeros(image, y, cfg)
-    try:
+        dist = _distance_or_zeros(geodesic.speed_field(image, cfg.speed), y)
+    try:  # grad_energy_wrt_mask validates image, and so does speed_field
         g = levelset.grad_energy_wrt_mask(
-            image, y, cfg.heaviside, cfg.weights, cfg.area_prior(image.size), dist
+            image, y, cfg.heaviside, cfg.weights, cfg.area_prior(np.size(image)), dist
         )
     except DegenerateRegionError:
         warnings.warn(
@@ -278,7 +290,7 @@ def chain_rule_grad(
             GuidanceFallbackWarning,
             stacklevel=2,
         )
-        return np.zeros_like(image)
+        return np.zeros_like(y)
     return (interior * g) / np.sqrt(sched.alpha_bar[i])
 
 
@@ -290,6 +302,11 @@ def chain_rule_grad(
 def _logsumexp(x: np.ndarray) -> float:
     m = float(np.max(x))
     return m + float(np.log(np.exp(x - m).sum()))
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max())
+    return e / e.sum()
 
 
 @dataclass(frozen=True)
@@ -314,10 +331,11 @@ class MixtureMaskProvider:
         masks = tuple(as_field(m, "mode mask") for m in self.masks)
         check_same_shape(*masks)
         object.__setattr__(self, "masks", masks)
-        w = np.asarray(self.weights, dtype=np.float64)
-        if not np.all((w > 0) & (w < np.inf)):
-            raise InvalidInputError(f"mixture weights must be {POSITIVE.text}")
-        if abs(float(w.sum()) - 1.0) > 1e-9:
+        for w in self.weights:
+            require_floats(weights=w)
+            if not POSITIVE.test(w):
+                raise InvalidInputError(f"mixture weights must be {POSITIVE.text}")
+        if abs(float(np.asarray(self.weights, dtype=np.float64).sum()) - 1.0) > 1e-9:
             raise InvalidInputError("mixture weights must sum to 1")
         SamplerParams(noise_scale=self.noise_scale)
 
@@ -326,37 +344,32 @@ class MixtureMaskProvider:
         abar = float(sched.alpha_bar[i])
         return abar * self.noise_scale**2 + (1.0 - abar)
 
-    def _log_terms(self, yt, t, sched) -> np.ndarray:
+    def _log_terms(self, yt, t, sched) -> tuple[np.ndarray, int, float, float]:
+        """The K log terms at step t, with t's index, sqrt(abar_t) and v_t."""
+        v = self.marginal_variance(t, sched)  # checks t
         check_same_shape(yt, self.masks[0])
-        i = _check_t(t, sched)
-        root_abar = float(np.sqrt(sched.alpha_bar[i]))
-        v = self.marginal_variance(t, sched)
-        return np.array(
+        root_abar = float(np.sqrt(sched.alpha_bar[t - 1]))
+        terms = np.array(
             [
                 np.log(w) - float(((yt - root_abar * m) ** 2).sum()) / (2.0 * v)
                 for m, w in zip(self.masks, self.weights)
             ]
         )
+        return terms, t - 1, root_abar, v
 
     def responsibilities(self, yt: np.ndarray, t: int, sched: DiffusionSchedule) -> np.ndarray:
-        terms = self._log_terms(yt, t, sched)
-        shifted = terms - terms.max()
-        e = np.exp(shifted)
-        return e / e.sum()
+        return _softmax(self._log_terms(yt, t, sched)[0])
 
     def log_marginal(self, yt: np.ndarray, t: int, sched: DiffusionSchedule) -> float:
-        v = self.marginal_variance(t, sched)
+        terms, _, _, v = self._log_terms(yt, t, sched)
         const = -0.5 * yt.size * np.log(2.0 * np.pi * v)
-        return _logsumexp(self._log_terms(yt, t, sched)) + const
+        return _logsumexp(terms) + const
 
     def eps_hat(self, yt: np.ndarray, t: int, sched: DiffusionSchedule) -> np.ndarray:
-        i = _check_t(t, sched)
-        root_abar = float(np.sqrt(sched.alpha_bar[i]))
-        v = self.marginal_variance(t, sched)
-        r = self.responsibilities(yt, t, sched)
-        ybar = sum(rk * m for rk, m in zip(r, self.masks))
+        terms, i, root_abar, v = self._log_terms(yt, t, sched)
+        ybar = sum(rk * m for rk, m in zip(_softmax(terms), self.masks))
         score = (root_abar * ybar - yt) / v
-        return score_to_eps(score, t, sched)
+        return -score * np.sqrt(1.0 - sched.alpha_bar[i])  # score_to_eps
 
 
 @dataclass(frozen=True)
@@ -398,6 +411,7 @@ def sample(
     ensemble: int = SamplerParams.ensemble,
     cfg: GuidanceConfig = GuidanceConfig(),
     guidance_space: str = SamplerParams.guidance_space,
+    distance_refresh: int = SamplerParams.distance_refresh,
 ) -> SampleResult:
     """Run guided reverse diffusion from pure noise, averaged over an ensemble.
 
@@ -409,8 +423,12 @@ def sample(
     unguided path.  Aborts with :class:`PredictionDivergenceError` once the
     noise prediction turns non-finite (a guidance strength far too large).
     """
-    SamplerParams(ensemble, cfg.distance_refresh, guidance_space=guidance_space)
+    SamplerParams(ensemble, distance_refresh, guidance_space=guidance_space)
+    if not callable(getattr(provider, "eps_hat", None)):
+        raise InvalidInputError(f"provider must have a callable eps_hat, got {provider!r}")
+    _require_instance("cfg", cfg, GuidanceConfig)
     image = as_field(image, "image")
+    speed = geodesic.speed_field(image, cfg.speed)
     shape = image.shape
     guided = gp.gamma0 > 0
     trace = np.full((sched.T, 5), np.nan)
@@ -435,9 +453,9 @@ def sample(
                         f"noise prediction became non-finite at t={t}", step=step_index
                     ) from None
                 needs_energy = guided or member == 0
-                if needs_energy and step_index % cfg.distance_refresh == 0:
+                if needs_energy and step_index % distance_refresh == 0:
                     y0_est = np.clip(predict_y0(y, eps_hat, t, sched), 0.0, 1.0)
-                    dist = _distance_or_zeros(image, y0_est, cfg)
+                    dist = _distance_or_zeros(speed, y0_est)
                 if member == 0:
                     trace[step_index] = _trace_row(image, y, eps_hat, t, sched, cfg, dist)
                 if guided:

@@ -10,6 +10,7 @@ through :func:`require_ints` and :func:`require_floats`.
 """
 
 import math
+import sys
 from dataclasses import MISSING, field
 from numbers import Integral, Real
 from typing import Callable, NamedTuple
@@ -58,10 +59,12 @@ class Rule(NamedTuple):
     text: str
 
 
-POSITIVE = Rule(lambda v: 0 < v < math.inf, "positive and finite")
-NON_NEGATIVE = Rule(lambda v: 0 <= v < math.inf, "non-negative and finite")
+# int(v): an int past float64's range is below inf, and a float32 can't hold _F64_MAX.
+_F64_MAX = sys.float_info.max
+POSITIVE = Rule(lambda v: 0 < v < math.inf and int(v) <= _F64_MAX, "positive and finite")
+NON_NEGATIVE = Rule(lambda v: 0 <= v < math.inf and int(v) <= _F64_MAX, "non-negative and finite")
 AT_LEAST_1 = Rule(lambda v: v >= 1, "at least 1")
-FINITE = Rule(lambda v: -math.inf < v < math.inf, "finite")
+FINITE = Rule(lambda v: -math.inf < v < math.inf and abs(int(v)) <= _F64_MAX, "finite")
 
 
 def param(default=MISSING, rule: Rule | None = None):

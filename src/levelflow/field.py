@@ -236,7 +236,7 @@ def write_file(path, data: bytes) -> bytes:
 
 
 def load_field(path) -> np.ndarray:
-    """Read a field; dispatches on extension (.pgm -> PGM, else LSF1)."""
+    """Read a field by extension (.pgm -> PGM, else LSF1); an unreadable path raises OSError."""
     if str(path).lower().endswith(".pgm"):
         return _load_pgm(path)
     return _load_lsf1(path)

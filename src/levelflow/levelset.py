@@ -378,7 +378,7 @@ def evolve(
     prior: AreaPrior,
     dist: np.ndarray,
     dt: float = EvolveParams.dt,
-    steps: int = 1,
+    steps: int = EvolveParams.steps,
     stats_refresh: int = EvolveParams.stats_refresh,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Explicit Euler descent phi <- phi - dt * dE/dphi.

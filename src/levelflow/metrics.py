@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import FINITE, InvalidInputError, require, require_floats
 from .field import as_field, check_same_shape
 
 
@@ -28,6 +28,8 @@ class Scores:
 
 def confusion(pred: np.ndarray, gt: np.ndarray, threshold: float = 0.5) -> Confusion:
     """Pixel counts after binarizing pred at the threshold (ties -> foreground)."""
+    require_floats(threshold=threshold)
+    require(FINITE.test(threshold), "threshold", FINITE.text, threshold)
     pred = as_field(pred, "pred")
     gt = as_field(gt, "gt")
     check_same_shape(pred, gt)

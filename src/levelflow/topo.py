@@ -16,8 +16,8 @@ weights.  ``_model_fields`` gives the per-pixel energies (e1, e2) of both
 models once, for the field (``e2 - e1``) and for the oracle below, which
 flips hard disks and recomputes every statistic after the flip exactly:
 an independent check of the first-order fields, not a restatement of
-them.  ``verify_td`` computes the unflipped energy once per call and hands
-it to each probe.
+them.  ``verify_td`` derives the unflipped energies once per call, for its
+TD field and for the unflipped hard energy it hands to each probe.
 """
 
 from __future__ import annotations
@@ -65,13 +65,18 @@ def td_field(image: np.ndarray, mask: np.ndarray, model: str = "cv") -> np.ndarr
     the energy by (direction sign) * T.  The "cv" model uses the region
     means alone, the "gaussian" model the full two-phase likelihoods.
     """
+    e1, e2 = _model_fields(*_checked(image, mask, model), model)
+    return e2 - e1
+
+
+def _checked(image, mask, model) -> tuple[np.ndarray, np.ndarray]:
+    """The validated image and the mask binarized at 0.5."""
     if model not in TD_MODELS:
         raise InvalidInputError(f"unknown energy model {model!r}, expected one of {TD_MODELS}")
     image = as_field(image, "image")
     mask = as_field(mask, "mask")
     check_same_shape(image, mask)
-    e1, e2 = _model_fields(image, binarize(mask), model)
-    return e2 - e1
+    return image, binarize(mask)
 
 
 def _disk_pixels(shape, probe: NucleationProbe) -> np.ndarray:
@@ -105,7 +110,10 @@ def _model_fields(image, mask_bin, model) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _hard_energy(image, mask_bin, model) -> float:
-    e1, e2 = _model_fields(image, mask_bin, model)
+    return _energy_sum(mask_bin, *_model_fields(image, mask_bin, model))
+
+
+def _energy_sum(mask_bin, e1, e2) -> float:
     return float(e1[mask_bin].sum() + e2[~mask_bin].sum())
 
 
@@ -129,12 +137,7 @@ def nucleation_delta(
     wrong delta.  ``verify_td`` computes it once per call and passes it to
     every probe.  When it is None it is computed here.
     """
-    if model not in TD_MODELS:
-        raise InvalidInputError(f"unknown energy model {model!r}, expected one of {TD_MODELS}")
-    image = as_field(image, "image")
-    mask = as_field(mask, "mask")
-    check_same_shape(image, mask)
-    before = binarize(mask)
+    image, before = _checked(image, mask, model)
     disk = _disk_pixels(image.shape, probe)
     after = before.copy()
     if probe.direction == "remove-from-inside":
@@ -191,15 +194,15 @@ def verify_td(
     require_ints(samples=samples, radius=radius)
     if not AT_LEAST_1.test(samples):
         raise InvalidInputError(f"samples must be {AT_LEAST_1.text}")
-    t = td_field(image, mask, model)
+    image, mask_bin = _checked(image, mask, model)
+    e1, e2 = _model_fields(image, mask_bin, model)
+    t = e2 - e1  # td_field
     h, w = t.shape
     if h <= 2 * radius or w <= 2 * radius:
         raise InvalidInputError("grid too small for the probe radius")
 
     tie_threshold = TIE_FACTOR * float(np.abs(t).max())
-    mask_bin = binarize(mask)
-    # td_field has validated both fields; this is as_field's coercion
-    before_energy = _hard_energy(np.asarray(image, dtype=np.float64), mask_bin, model)
+    before_energy = _energy_sum(mask_bin, e1, e2)
 
     key = rng.derive_key(seed, _PROBE_TAG)
     rows = radius + rng.integers(key, samples, h - 2 * radius, start=0)

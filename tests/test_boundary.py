@@ -204,6 +204,13 @@ def test_evolve_step_validates_a_fixed_number_of_fields(as_field_calls):
     assert (counts[1] - counts[0]) / 2 <= 5
 
 
+def test_chain_rule_grad_validates_image_once(as_field_calls):
+    # grad_energy_wrt_mask checks image and the clipped mask; chain_rule_grad
+    # leaves image to it instead of checking it a second time
+    lf.chain_rule_grad(MASK, Z, 3, SCHED, IMAGE, lf.GuidanceConfig(area=PRIOR), dist=Z)
+    assert len(as_field_calls) == 2
+
+
 def _sample(**kwargs):
     provider = lf.MixtureMaskProvider((MASK,), (1.0,))
     return lf.sample(IMAGE, provider, SCHED, lf.GuidancePolicy(), **{"seed": 0, **kwargs})
@@ -241,6 +248,34 @@ INT_PARAMETERS = {
     "verify_td-radius": ("radius", lambda v: lf.verify_td(IMAGE, MASK, samples=5, radius=v)),
     "derive_key": ("seed", lambda v: rng.derive_key(v)),
 }
+
+
+# Arguments that are neither fields nor parameter dataclasses, each given a
+# value of the wrong kind, or a number numpy cannot take (an int past
+# float64's range raised a bare OverflowError); the call names the argument.
+BAD_ARGUMENTS = {
+    "MixtureMaskProvider-weights": ("weights", lambda: lf.MixtureMaskProvider((MASK,), ("a",))),
+    "MixtureMaskProvider-huge-weight": (
+        "mixture weights", lambda: lf.MixtureMaskProvider((MASK,), (10**400,)),
+    ),
+    "confusion-threshold": ("threshold", lambda: lf.confusion(MASK, MASK, "a")),
+    "confusion-huge-threshold": ("threshold", lambda: lf.confusion(MASK, MASK, 10**400)),
+    "confusion-inf-threshold": ("threshold", lambda: lf.confusion(MASK, MASK, float("inf"))),
+    "sample-provider": ("provider", lambda: lf.sample(MASK, None, SCHED, lf.GuidancePolicy(), 0)),
+    "sample-cfg": ("cfg", lambda: _sample(cfg=None)),
+    "chain_rule_grad-cfg": ("cfg", lambda: lf.chain_rule_grad(MASK, Z, 3, SCHED, IMAGE, None)),
+    "GuidanceConfig-heaviside": ("heaviside", lambda: lf.GuidanceConfig(heaviside=1.5)),
+    "GuidanceConfig-weights": ("weights", lambda: lf.GuidanceConfig(weights=None)),
+    "GuidanceConfig-area": ("area", lambda: lf.GuidanceConfig(area=64.0)),
+    "GuidanceConfig-speed": ("speed", lambda: lf.GuidanceConfig(speed=P)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ARGUMENTS))
+def test_bad_argument_is_named(name):
+    key, call = BAD_ARGUMENTS[name]
+    with pytest.raises(InvalidInputError, match=rf"^{key}\b"):
+        call()
 
 
 @pytest.mark.parametrize("name", sorted(INT_PARAMETERS))

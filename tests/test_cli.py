@@ -63,16 +63,17 @@ PARAM_CLASSES = [
 # Library functions that check a float parameter by building its dataclass.
 PARAM_CALLS = [(lf.evolve, "dt"), (lf.dpm_loss, "w_t"), (lf.total_loss, "eta1"),
                (lf.total_loss, "eta2")]
-# (id, value): non-finite numbers, then values of another type than the field's
-BAD_VALUES = [("nan", float("nan")), ("inf", float("inf")), ("None", None), ("str", "1"),
-              ("bool", True), ("numpy-bool", np.bool_(True)), ("complex", 1 + 0j),
-              ("fraction", 2.5)]
+# (id, value): non-finite numbers, an int past float64's range (it compares
+# below inf), then values of another type than the field's
+BAD_VALUES = [("nan", float("nan")), ("inf", float("inf")), ("huge-int", 10**400),
+              ("None", None), ("str", "1"), ("bool", True), ("numpy-bool", np.bool_(True)),
+              ("complex", 1 + 0j), ("fraction", 2.5)]
 
 
 def _rejected_values(annotation):
     """The BAD_VALUES a field of this annotation rejects: its own type is left out."""
     own = {"None": "| None" in annotation, "str": annotation == "str",
-           "fraction": annotation != "int"}
+           "fraction": annotation != "int", "huge-int": annotation.startswith("int")}
     return [(name, value) for name, value in BAD_VALUES if not own.get(name)]
 
 
@@ -83,6 +84,10 @@ BAD_PARAMETER_CASES = [
         *((fn, name, "float") for fn, name in PARAM_CALLS),
     ]
     for value_id, value in _rejected_values(annotation)
+] + [
+    # within float64's range, but its square is not
+    pytest.param(lf.diffusion.SamplerParams, "noise_scale", 10**200,
+                 id="huge-square-SamplerParams-noise_scale"),
 ]
 
 
@@ -787,42 +792,49 @@ def mutated_config_text(draw):
 
 
 # Values outside each settable key's range; its section's dataclass rejects
-# every one at load, whatever the subcommand.
+# every one at load, whatever the subcommand.  An int past float64's range
+# (10**400) compares below inf, and 10**200 has no finite float square.
 OUT_OF_RANGE = {
-    ("heaviside", "epsilon"): [0, -1.5],
-    ("weights", "lambda1"): [-0.01],
-    ("weights", "lambda2"): [-1],
-    ("weights", "lambda3"): [-1e-4],
-    ("weights", "lambda4"): [-2.0],
-    ("area", "a1_target"): [-1.0],
-    ("speed", "eps_d"): [0, -1e-3],
-    ("speed", "beta_g"): [-1],
-    ("speed", "nu"): [-0.5],
+    ("heaviside", "epsilon"): [0, -1.5, 10**400],
+    ("weights", "lambda1"): [-0.01, 10**400],
+    ("weights", "lambda2"): [-1, 10**400],
+    ("weights", "lambda3"): [-1e-4, 10**400],
+    ("weights", "lambda4"): [-2.0, 10**400],
+    ("area", "a1_target"): [-1.0, 10**400],
+    ("speed", "eps_d"): [0, -1e-3, 10**400],
+    ("speed", "beta_g"): [-1, 10**400],
+    ("speed", "nu"): [-0.5, 10**400],
     ("par", "tau"): [-1],
     ("schedule", "steps"): [0, -5],
-    ("schedule", "beta1"): [0, -1e-4, 1, 2.5],
-    ("schedule", "betaT"): [1, 1e-5],
-    ("guidance", "gamma0"): [-0.3],
+    ("schedule", "beta1"): [0, -1e-4, 1, 2.5, 10**400],
+    ("schedule", "betaT"): [1, 1e-5, 10**400],
+    ("guidance", "gamma0"): [-0.3, 10**400],
     ("guidance", "schedule"): ["x", ""],
     ("sampler", "ensemble"): [0, -1],
     ("sampler", "distance_refresh"): [0, -50],
-    ("sampler", "noise_scale"): [-0.1, 1e200],
+    ("sampler", "noise_scale"): [-0.1, 1e200, 10**200],
     ("sampler", "guidance_space"): ["x", "Noise"],
-    ("evolve", "dt"): [-0.1],
+    ("evolve", "dt"): [-0.1, 10**400],
     ("evolve", "steps"): [0, -5],
     ("evolve", "stats_refresh"): [0],
-    ("losses", "eta1"): [-0.5],
-    ("losses", "eta2"): [-1],
-    ("losses", "w_t"): [0, -1.0],
+    ("losses", "eta1"): [-0.5, 10**400],
+    ("losses", "eta2"): [-1, 10**400],
+    ("losses", "w_t"): [0, -1.0, 10**400],
 }
 OUT_OF_RANGE_CASES = [(s, k, v) for (s, k), values in OUT_OF_RANGE.items() for v in values]
+
+
+def _power_id(value):
+    """``10**n`` for a power of ten too long to read; None keeps pytest's own id."""
+    if type(value) is int and value >= 10**100:
+        return f"10**{len(str(value)) - 1}"
+    return None
 
 
 def _sample_with(ensemble=1, distance_refresh=50, guidance_space="noise"):
     return lf.sample(np.eye(8), lf.FrozenFieldProvider(np.zeros((8, 8))), lf.make_schedule(2),
                      lf.GuidancePolicy(), seed=0, ensemble=ensemble,
-                     cfg=lf.GuidanceConfig(distance_refresh=distance_refresh),
-                     guidance_space=guidance_space)
+                     guidance_space=guidance_space, distance_refresh=distance_refresh)
 
 
 # For each key whose value a library function takes as an argument, a call of it.
@@ -851,13 +863,14 @@ class TestConfigRanges:
         assert set(LIBRARY_CALLS) <= keys
 
     @pytest.mark.parametrize(
-        "section, key, value", [case for case in OUT_OF_RANGE_CASES if case[:2] in LIBRARY_CALLS]
+        "section, key, value", [case for case in OUT_OF_RANGE_CASES if case[:2] in LIBRARY_CALLS],
+        ids=_power_id,
     )
     def test_library_rejects_what_the_config_rejects(self, section, key, value):
         with pytest.raises(InvalidInputError, match=rf"^{key}\b"):
             LIBRARY_CALLS[section, key](value)
 
-    @pytest.mark.parametrize("section, key, value", OUT_OF_RANGE_CASES)
+    @pytest.mark.parametrize("section, key, value", OUT_OF_RANGE_CASES, ids=_power_id)
     def test_out_of_range_value_rejected_naming_the_key(self, section, key, value):
         doc = ExperimentConfig().to_dict()
         doc[section][key] = value
@@ -1543,6 +1556,15 @@ class TestRejectionBranches:
         rc = main([*argv, "--config", _config_with(tmp_path, section, key, value),
                    "--out", str(tmp_path / "out")])
         _assert_rejected(capsys, rc, culprit)
+
+    def test_config_integer_past_the_float_range(self, small_fields, tmp_path, capsys):
+        # a 401-digit JSON integer compares below inf, and overflowed in heaviside
+        config = _config_with(tmp_path, "heaviside", "epsilon", 10**400)
+        out = tmp_path / "out"
+        rc = main(["energy", "--image", small_fields["image"], "--mask", small_fields["mask"],
+                   "--config", config, "--out", str(out)])
+        _assert_rejected(capsys, rc, "config heaviside.epsilon must be positive and finite")
+        assert not out.exists()
 
     def test_config_document_not_an_object(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -1,4 +1,5 @@
 import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -456,7 +457,7 @@ class TestSampler:
         # members whose clean estimates fall onto one mode ask for the same
         # distance map; answering from memory must change no bit
         image, sched, prov, cfg = self._setup()
-        cfg = dif.GuidanceConfig(area=cfg.area, distance_refresh=10)
+        cfg = dif.GuidanceConfig(area=cfg.area)
         gp = dif.GuidancePolicy(gamma0=0.3)
         inits = []
         original = geodesic._exact_init
@@ -470,8 +471,8 @@ class TestSampler:
         for scope in (geodesic.reuse_solves, contextlib.nullcontext):
             monkeypatch.setattr(geodesic, "reuse_solves", scope)
             inits.clear()
-            runs.append((dif.sample(image, prov, sched, gp, seed=7, ensemble=4, cfg=cfg),
-                         len(inits)))
+            runs.append((dif.sample(image, prov, sched, gp, seed=7, ensemble=4, cfg=cfg,
+                                    distance_refresh=10), len(inits)))
         (reused, n_reused), (fresh, n_fresh) = runs
         assert n_fresh == 4 * 4  # every member refreshes at steps 40, 30, 20, 10
         assert n_reused < n_fresh
@@ -502,6 +503,36 @@ class TestTraceEnergyPasses:
         # T trace rows, plus one H per guidance gradient of every member step
         guided_steps = ensemble * sched.T if gamma0 > 0 else 0
         assert calls == {"heaviside": sched.T + guided_steps, "energy_total": 0}
+
+
+class TestPerCallConstants:
+    """What stays fixed for a call is derived once in it."""
+
+    def test_one_speed_field_per_sample_call(self, monkeypatch):
+        image, sched, prov, cfg = TestSampler()._setup()
+        calls = {"speed_field": 0, "solve_eikonal": 0}
+        for name in calls:
+            def counting(*args, _name=name, _original=getattr(geodesic, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(geodesic, name, counting)
+        dif.sample(image, prov, sched, dif.GuidancePolicy(gamma0=0.3), seed=5, ensemble=3,
+                   cfg=cfg, distance_refresh=2)
+        # every member refreshes its distance map every 2 of the T steps, on one speed field
+        assert calls == {"speed_field": 1, "solve_eikonal": 3 * math.ceil(sched.T / 2)}
+
+    def test_one_schedule_lookup_per_eps_hat(self, monkeypatch):
+        _, sched, prov, _ = TestSampler()._setup()
+        calls = []
+        for owner, name in [(dif, "_check_t"), (dif.MixtureMaskProvider, "marginal_variance")]:
+            def counting(*args, _name=name, _original=getattr(owner, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counting)
+        prov.eps_hat(normal_field((86, 0), prov.masks[0].shape), 7, sched)
+        assert calls == ["marginal_variance", "_check_t"]
 
 
 class TestLosses:

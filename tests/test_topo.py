@@ -218,17 +218,18 @@ class TestVerifyTd:
 
     @pytest.mark.parametrize("model", topo.TD_MODELS)
     def test_unflipped_energy_computed_once(self, two_disks_64, monkeypatch, model):
-        # one hard energy for the unflipped mask, then one per probe
+        # one pair of model energies for the unflipped mask gives the TD
+        # field and the unflipped hard energy; then one pair per probe
         image, gt = two_disks_64
         image = image + 0.1 * normal_field((42, 0), image.shape)
         calls = []
-        hard_energy = topo._hard_energy
+        model_fields = topo._model_fields
 
         def counted(*args):
             calls.append(None)
-            return hard_energy(*args)
+            return model_fields(*args)
 
-        monkeypatch.setattr(topo, "_hard_energy", counted)
+        monkeypatch.setattr(topo, "_model_fields", counted)
         topo.verify_td(image, gt, model=model, samples=50, radius=2, seed=3)
         assert len(calls) == 51
 
