@@ -32,7 +32,8 @@ import numpy as np
 
 from . import __version__, diffusion, geodesic, levelset, metrics, par, rng, topo
 from .config import ExperimentConfig, load_config_document
-from .errors import DivergenceError, FieldFormatError, InvalidInputError, LevelflowError
+from .errors import FINITE, DivergenceError, FieldFormatError, InvalidInputError, LevelflowError
+from .errors import one_of, require
 from .field import PHANTOM_KINDS, PhantomSpec, binarize, load_field, make_phantom
 from .field import save_field, write_file
 
@@ -187,15 +188,12 @@ def _check(label: str, kind, value):
             raise InvalidInputError(f"{label} expects a list, got {value!r}")
         return [_check(label, kind[0], v) for v in value]
     if isinstance(kind, tuple):
-        if value not in kind:
-            raise InvalidInputError(f"{label} must be one of {', '.join(kind)}, got {value!r}")
+        choice = one_of(kind)
+        require(choice.test(value), label, choice.text, value)
         return value
     if isinstance(kind, range):
         converted = _check(label, int, value)
-        if converted not in kind:
-            raise InvalidInputError(
-                f"{label} must be an int from {kind.start} to {kind.stop - 1}, got {value!r}"
-            )
+        require(converted in kind, label, f"an int from {kind.start} to {kind.stop - 1}", value)
         return converted
     kind = str if kind is _FIELD else kind  # args keep the path
     accepted = {str: str, int: (str, int), float: (str, int, float)}[kind]
@@ -205,8 +203,8 @@ def _check(label: str, kind, value):
         converted = kind(value)
     except (ValueError, OverflowError):
         raise InvalidInputError(f"{label} expects {kind.__name__}, got {value!r}") from None
-    if kind is float and not math.isfinite(converted):
-        raise InvalidInputError(f"{label} must be finite, got {value!r}")
+    if kind is float:
+        require(FINITE.test(converted), label, FINITE.text, value)
     return converted
 
 

@@ -27,19 +27,21 @@ provider constructors validate their fields; ``predict_y0``,
 ``reverse_step``, the guidance updates and the provider methods are
 kernels that trust theirs (see :mod:`levelflow.field`).  What is fixed for
 a call is derived once in it: ``sample`` builds one speed field for all its
-distance refreshes, and a provider method looks up step t's entries once.
+distance refreshes and one area prior for all its steps, and a provider
+method looks up step t's entries once.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import geodesic, levelset, rng
 from .errors import AT_LEAST_1, NON_NEGATIVE, POSITIVE, DegenerateRegionError, DivergenceError
-from .errors import InvalidInputError, Params, Rule, param, require, require_floats, require_ints
+from .errors import InvalidInputError, Params, Rule, one_of, param, require, require_floats
+from .errors import require_ints
 from .field import as_field, binarize, check_same_shape
 
 GUIDANCE_SCHEDULES = ("constant", "noise-scaled")
@@ -48,11 +50,6 @@ GUIDANCE_SPACES = ("noise", "score")
 _MEMBER_TAG = 0x4D454D42  # "MEMB"
 _INIT_TAG = 0x494E4954  # "INIT"
 _STEP_TAG = 0x53544550  # "STEP"
-
-
-def _require_known(key: str, what: str, value: str, choices: tuple) -> None:
-    if value not in choices:
-        raise InvalidInputError(f"{key}: unknown {what} {value!r}, expected one of {choices}")
 
 
 def _require_instance(key: str, value, *kinds: type) -> None:
@@ -174,11 +171,7 @@ class GuidancePolicy(Params):
     """
 
     gamma0: float = param(0.3, NON_NEGATIVE)
-    schedule: str = "noise-scaled"
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require_known("schedule", "guidance schedule", self.schedule, GUIDANCE_SCHEDULES)
+    schedule: str = param("noise-scaled", one_of(GUIDANCE_SCHEDULES))
 
 
 def guidance_scale(gp: GuidancePolicy, t: int, sched: DiffusionSchedule) -> float:
@@ -214,11 +207,7 @@ class SamplerParams(Params):
         0.1,
         Rule(lambda v: v >= 0 and NON_NEGATIVE.test(v * v), "non-negative, with a finite square"),
     )
-    guidance_space: str = "noise"
-
-    def __post_init__(self):
-        super().__post_init__()
-        _require_known("guidance_space", "guidance space", self.guidance_space, GUIDANCE_SPACES)
+    guidance_space: str = param("noise", one_of(GUIDANCE_SPACES))
 
 
 @dataclass(frozen=True)
@@ -324,6 +313,9 @@ class MixtureMaskProvider:
     noise_scale: float = 0.0
 
     def __post_init__(self):
+        for key, value in (("masks", self.masks), ("weights", self.weights)):
+            sized = hasattr(value, "__len__") and getattr(value, "ndim", 1) > 0  # not 0-d
+            require(sized, key, "a sequence", value)
         if len(self.masks) == 0:
             raise InvalidInputError("mixture needs at least one mask")
         if len(self.weights) != len(self.masks):
@@ -333,8 +325,7 @@ class MixtureMaskProvider:
         object.__setattr__(self, "masks", masks)
         for w in self.weights:
             require_floats(weights=w)
-            if not POSITIVE.test(w):
-                raise InvalidInputError(f"mixture weights must be {POSITIVE.text}")
+            require(POSITIVE.test(w), "mixture weights", POSITIVE.text, w)
         if abs(float(np.asarray(self.weights, dtype=np.float64).sum()) - 1.0) > 1e-9:
             raise InvalidInputError("mixture weights must sum to 1")
         SamplerParams(noise_scale=self.noise_scale)
@@ -428,6 +419,7 @@ def sample(
         raise InvalidInputError(f"provider must have a callable eps_hat, got {provider!r}")
     _require_instance("cfg", cfg, GuidanceConfig)
     image = as_field(image, "image")
+    cfg = replace(cfg, area=cfg.area_prior(image.size))
     speed = geodesic.speed_field(image, cfg.speed)
     shape = image.shape
     guided = gp.gamma0 > 0
@@ -482,12 +474,10 @@ def sample(
 
 
 def _trace_row(image, y, eps_hat, t, sched, cfg, dist):
-    # sample checked image; dist is a solver map or zeros; phi is a clipped mask
+    # sample checked image and set cfg.area; dist is a solver map or zeros; phi is a clipped mask
     phi = levelset.mask_to_levelset(np.clip(predict_y0(y, eps_hat, t, sched), 0.0, 1.0))
     try:
-        return levelset._energy_row(
-            image, phi, cfg.heaviside, cfg.weights, cfg.area_prior(image.size), dist
-        )
+        return levelset._energy_row(image, phi, cfg.heaviside, cfg.weights, cfg.area, dist)
     except DegenerateRegionError:
         return np.full(5, np.nan)
 

@@ -1,12 +1,12 @@
 """Exception hierarchy, and the one check every parameter dataclass runs.
 
 A :class:`Params` dataclass checks every field's type, then every field's
-range, naming the field first.  The type is the field's annotation: ``int``,
+rule, naming the field first.  The type is the field's annotation: ``int``,
 ``float``, ``str``, or one of them ``| None``; numpy scalars of the right kind
-pass, and a bool is never a number.  The range is the :class:`Rule` the field
-declares with :func:`param`.  Cross-field rules and choices from a list follow
-in the class's own ``__post_init__``; bare arguments take the type rule
-through :func:`require_ints` and :func:`require_floats`.
+pass, and a bool is never a number.  The rule is the :class:`Rule` the field
+declares with :func:`param`: a range, or a list of choices (:func:`one_of`).
+A class's ``__post_init__`` adds cross-field rules only.  A bare argument is
+checked by :func:`require_ints`, :func:`require_floats` and :func:`require`.
 """
 
 import math
@@ -47,13 +47,13 @@ class DivergenceError(LevelflowError):
 
 
 def require(ok: bool, key: str, rule: str, value) -> None:
-    """Reject a parameter that breaks its range rule, naming the key first."""
+    """Reject a value that breaks its rule: ``<key> must be <rule>, got <value>``."""
     if not ok:
         raise InvalidInputError(f"{key} must be {rule}, got {value!r}")
 
 
 class Rule(NamedTuple):
-    """A range rule: a test a value of the field's type must pass, and its text."""
+    """A test a value of the field's type must pass, and its text."""
 
     test: Callable[[object], bool]
     text: str
@@ -65,6 +65,11 @@ POSITIVE = Rule(lambda v: 0 < v < math.inf and int(v) <= _F64_MAX, "positive and
 NON_NEGATIVE = Rule(lambda v: 0 <= v < math.inf and int(v) <= _F64_MAX, "non-negative and finite")
 AT_LEAST_1 = Rule(lambda v: v >= 1, "at least 1")
 FINITE = Rule(lambda v: -math.inf < v < math.inf and abs(int(v)) <= _F64_MAX, "finite")
+
+
+def one_of(choices: tuple[str, ...]) -> Rule:
+    """A choice from a list, worded as the CLI words it."""
+    return Rule(lambda v: v in choices, f"one of {', '.join(choices)}")
 
 
 def param(default=MISSING, rule: Rule | None = None):

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import FINITE, NON_NEGATIVE, FieldFormatError, InvalidInputError, Params, param
+from .errors import FINITE, NON_NEGATIVE, FieldFormatError, InvalidInputError, Params, Rule
+from .errors import one_of, param
 
 LSF1_MAGIC = b"LSF1"
 
@@ -145,26 +146,18 @@ def gradient_adjoint(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
 class PhantomSpec(Params):
     """Recipe for a synthetic test image with a known binary ground truth."""
 
-    kind: str
-    size: int
+    kind: str = param(rule=one_of(PHANTOM_KINDS))
+    # bounded, so numpy never sees a huge size
+    size: int = param(rule=Rule(lambda v: 32 <= v <= 2**14, "from 32 to 16384"))
     fg: float = param(1.0, FINITE)
     bg: float = param(0.0, FINITE)
-    noise_sigma: float = 0.0
+    noise_sigma: float = param(0.0, NON_NEGATIVE)
     seed: int = param(0, rng.SEED)
 
     def __post_init__(self):
         super().__post_init__()
-        if self.kind not in PHANTOM_KINDS:
-            raise InvalidInputError(
-                f"unknown phantom kind {self.kind!r}, expected one of {PHANTOM_KINDS}"
-            )
-        # size and noise_sigma keep the messages the phantom subcommand prints
-        if not 32 <= self.size <= 2**14:  # bounded, so numpy never sees a huge size
-            raise InvalidInputError(f"phantom size must be from 32 to {2**14}, got {self.size}")
         if self.fg == self.bg:
             raise InvalidInputError("foreground and background intensities must differ")
-        if not NON_NEGATIVE.test(self.noise_sigma):
-            raise InvalidInputError(f"noise_sigma must be {NON_NEGATIVE.text}")
 
 
 def _disk(rows, cols, cy, cx, r):

@@ -28,12 +28,12 @@ prefix share the partial sum bit for bit.  A cached plan walks the offsets
 in the order of their sample lists and computes each partial sum once.
 
 Inside a ``with reuse_solves():`` scope, a repeated solve is answered from
-memory: a call whose shape, speed bytes and seed pixels all match one of
-the last ``_REUSE_MAX`` solves of the scope returns that solve's
-``DistanceMap`` itself.  ``sample`` opens one scope per call, where
-ensemble members whose clean estimates fall onto the same mask ask for
-the same map again.  Outside a scope every call solves.  The arrays of a ``DistanceMap`` are read-only in or out of a scope, so a map
-handed out twice cannot be changed by either holder.
+memory: a call whose shape, speed bytes and seed pixels all match one of the
+last ``_REUSE_MAX`` solves of the scope returns that solve's ``DistanceMap``
+itself.  ``sample`` opens one scope per call, where ensemble members whose
+clean estimates fall onto the same mask ask for the same map again.  Outside a
+scope every call solves.  The arrays of a ``DistanceMap`` are read-only in or
+out of a scope, so a map handed out twice cannot be changed by either holder.
 """
 
 from __future__ import annotations

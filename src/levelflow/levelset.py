@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AT_LEAST_1, NON_NEGATIVE, POSITIVE, DegenerateRegionError, DivergenceError
-from .errors import InvalidInputError, Params, param, require_floats
+from .errors import InvalidInputError, Params, param, require, require_floats
 from .field import as_field, check_same_shape, gradient, gradient_adjoint
 
 VAR_FLOOR = 1e-6  # keeps log var and 1/var finite on a flat region
@@ -92,10 +92,8 @@ class AreaPrior(Params):
     @classmethod
     def from_a1(cls, a1_target: float, n_pixels: int) -> "AreaPrior":
         require_floats(a1_target=a1_target)
-        if not 0 <= a1_target <= n_pixels:
-            raise InvalidInputError(
-                f"a1_target must be in [0, {n_pixels}], the pixel count, got {a1_target!r}"
-            )
+        rule = f"in [0, {n_pixels}], the pixel count"
+        require(0 <= a1_target <= n_pixels, "a1_target", rule, a1_target)
         return cls(a1_target=float(a1_target), a2_target=float(n_pixels) - float(a1_target))
 
     def check_domain(self, n_pixels: int) -> None:

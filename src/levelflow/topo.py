@@ -28,12 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import AT_LEAST_1, InvalidInputError, Params, require_ints
+from .errors import AT_LEAST_1, InvalidInputError, Params, one_of, param, require, require_ints
 from .field import as_field, binarize, check_same_shape
 from .levelset import nll_fields, region_stats_from_weights
 
 TD_MODELS = ("cv", "gaussian")
 PROBE_DIRECTIONS = ("remove-from-inside", "add-to-inside")
+_MODEL_RULE = one_of(TD_MODELS)  # built once: _checked runs once per probe
 
 _PROBE_TAG = 0x50524F42  # "PROB"
 
@@ -44,18 +45,8 @@ TIE_FACTOR = 1e-3  # verify_td's tie threshold is this times the largest |T|
 class NucleationProbe(Params):
     row: int
     col: int
-    radius: int
-    direction: str
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not AT_LEAST_1.test(self.radius):  # the message td-verify --radius 0 prints
-            raise InvalidInputError(f"probe radius must be {AT_LEAST_1.text}")
-        if self.direction not in PROBE_DIRECTIONS:
-            raise InvalidInputError(
-                f"unknown probe direction {self.direction!r}, "
-                f"expected one of {PROBE_DIRECTIONS}"
-            )
+    radius: int = param(rule=AT_LEAST_1)
+    direction: str = param(rule=one_of(PROBE_DIRECTIONS))
 
 
 def td_field(image: np.ndarray, mask: np.ndarray, model: str = "cv") -> np.ndarray:
@@ -71,8 +62,7 @@ def td_field(image: np.ndarray, mask: np.ndarray, model: str = "cv") -> np.ndarr
 
 def _checked(image, mask, model) -> tuple[np.ndarray, np.ndarray]:
     """The validated image and the mask binarized at 0.5."""
-    if model not in TD_MODELS:
-        raise InvalidInputError(f"unknown energy model {model!r}, expected one of {TD_MODELS}")
+    require(_MODEL_RULE.test(model), "model", _MODEL_RULE.text, model)
     image = as_field(image, "image")
     mask = as_field(mask, "mask")
     check_same_shape(image, mask)
@@ -192,8 +182,7 @@ def verify_td(
     the first-order sensitivity).
     """
     require_ints(samples=samples, radius=radius)
-    if not AT_LEAST_1.test(samples):
-        raise InvalidInputError(f"samples must be {AT_LEAST_1.text}")
+    require(AT_LEAST_1.test(samples), "samples", AT_LEAST_1.text, samples)
     image, mask_bin = _checked(image, mask, model)
     e1, e2 = _model_fields(image, mask_bin, model)
     t = e2 - e1  # td_field

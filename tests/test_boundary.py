@@ -258,6 +258,14 @@ BAD_ARGUMENTS = {
     "MixtureMaskProvider-huge-weight": (
         "mixture weights", lambda: lf.MixtureMaskProvider((MASK,), (10**400,)),
     ),
+    # a value with no length raised a bare TypeError from len
+    "MixtureMaskProvider-number-weights": (
+        "weights", lambda: lf.MixtureMaskProvider((MASK,), 1.0),
+    ),
+    "MixtureMaskProvider-0d-weights": (
+        "weights", lambda: lf.MixtureMaskProvider((MASK,), np.array(1.0)),
+    ),
+    "MixtureMaskProvider-number-masks": ("masks", lambda: lf.MixtureMaskProvider(1.0, (1.0,))),
     "confusion-threshold": ("threshold", lambda: lf.confusion(MASK, MASK, "a")),
     "confusion-huge-threshold": ("threshold", lambda: lf.confusion(MASK, MASK, 10**400)),
     "confusion-inf-threshold": ("threshold", lambda: lf.confusion(MASK, MASK, float("inf"))),
@@ -276,6 +284,14 @@ def test_bad_argument_is_named(name):
     key, call = BAD_ARGUMENTS[name]
     with pytest.raises(InvalidInputError, match=rf"^{key}\b"):
         call()
+
+
+def test_mixture_takes_an_array_of_masks():
+    masks, weights = np.stack([MASK, 1.0 - MASK]), np.array([0.25, 0.75])
+    y = np.full(SHAPE, 0.5)
+    from_arrays = lf.MixtureMaskProvider(masks, weights).eps_hat(y, 3, SCHED)
+    from_tuples = lf.MixtureMaskProvider(tuple(masks), (0.25, 0.75)).eps_hat(y, 3, SCHED)
+    assert np.array_equal(from_arrays, from_tuples)
 
 
 @pytest.mark.parametrize("name", sorted(INT_PARAMETERS))

@@ -185,6 +185,17 @@ class TestConfig:
         for cls in PARAM_CLASSES:
             assert issubclass(cls, lf.errors.Params) and dataclasses.is_dataclass(cls), cls
 
+    @pytest.mark.parametrize(
+        "cls, field",
+        [pytest.param(cls, f.name, id=f"{cls.__name__}-{f.name}")
+         for cls in PARAM_CLASSES for f in dataclasses.fields(cls) if f.type == "str"],
+    )
+    def test_str_field_declares_its_choices(self, cls, field):
+        rule = cls.__dataclass_fields__[field].metadata.get("rule")
+        assert rule is not None and rule.text.startswith("one of "), rule
+        choices = rule.text.removeprefix("one of ").split(", ")
+        assert all(rule.test(c) for c in choices) and not rule.test("x")
+
     @pytest.mark.parametrize("number", ["NaN", "Infinity", "1e999"])
     def test_non_finite_number_rejected(self, tmp_path, number):
         text = json.dumps(ExperimentConfig().to_dict()).replace('"dt": 0.1', f'"dt": {number}')
@@ -851,6 +862,7 @@ LIBRARY_CALLS = {
     ("sampler", "ensemble"): lambda v: _sample_with(ensemble=v),
     ("sampler", "distance_refresh"): lambda v: _sample_with(distance_refresh=v),
     ("sampler", "guidance_space"): lambda v: _sample_with(guidance_space=v),
+    ("guidance", "schedule"): lambda v: lf.GuidancePolicy(schedule=v),
     ("par", "tau"): lambda v: lf.refine(np.zeros((4, 4)), lf.affinity_kernel(np.eye(4)), v),
 }
 
@@ -1502,9 +1514,54 @@ def _config_with(tmp_path, section, key, value):
     return str(path)
 
 
+_PHANTOM = ("phantom", "--kind", "two-disks")
+_TD_VERIFY = ("td-verify", "--image", "{image}", "--mask", "{mask}", "--samples", "3")
+_SAMPLE = ("sample", "--image", "{image}", "--mode-mask", "{mask}", *SMALL_SCHEDULE)
+# (argv, a config value (section, key, value) or None, the message main prints)
+CLI_MESSAGES = {
+    "kind": (("phantom", "--kind", "x"), None,
+             "--kind must be one of two-disks, ring-with-hole, c-shape, two-rects, got 'x'"),
+    "size": ((*_PHANTOM, "--size", "16"), None, "size must be from 32 to 16384, got 16"),
+    "noise-sigma": ((*_PHANTOM, "--noise-sigma", "-1"), None,
+                    "noise_sigma must be non-negative and finite, got -1.0"),
+    "fg": ((*_PHANTOM, "--fg", "inf"), None, "--fg must be finite, got 'inf'"),
+    "seed": ((*_PHANTOM, "--seed", "-1"), None,
+             "--seed must be an int from 0 to 18446744073709551615, got '-1'"),
+    "model": ((*_TD_VERIFY, "--model", "x"), None, "--model must be one of cv, gaussian, got 'x'"),
+    "radius": ((*_TD_VERIFY, "--radius", "0"), None, "radius must be at least 1, got 0"),
+    "samples": ((*_TD_VERIFY, "--samples", "0"), None, "samples must be at least 1, got 0"),
+    "gamma-schedule": ((*_SAMPLE, "--gamma-schedule", "x"), None,
+                       "--gamma-schedule must be one of constant, noise-scaled, got 'x'"),
+    "guidance-space": ((*_SAMPLE, "--guidance-space", "x"), None,
+                       "--guidance-space must be one of noise, score, got 'x'"),
+    "mode-weight": ((*_SAMPLE, "--mode-weight", "-0.5"), None,
+                    "mixture weights must be positive and finite, got -0.5"),
+    "ensemble": ((*_SAMPLE, "--ensemble", "0"), None, "ensemble must be at least 1, got 0"),
+    "a1": ((*_SAMPLE, "--a1", "99999"), None,
+           "a1_target must be in [0, 256], the pixel count, got 99999.0"),
+    "config-guidance-schedule": (
+        _PHANTOM, ("guidance", "schedule", "x"),
+        "config guidance.schedule must be one of constant, noise-scaled, got 'x'",
+    ),
+    "config-guidance-space": (
+        _PHANTOM, ("sampler", "guidance_space", "x"),
+        "config sampler.guidance_space must be one of noise, score, got 'x'",
+    ),
+}
+
+
 class TestRejectionBranches:
     """Each rejection of bad input that a CLI run can reach exits 1 and names
     its culprit."""
+
+    @pytest.mark.parametrize("name", CLI_MESSAGES)
+    def test_message_is_exact(self, small_fields, tmp_path, capsys, name):
+        argv, setting, message = CLI_MESSAGES[name]
+        argv = [a.format(**small_fields) for a in argv]
+        if setting is not None:
+            argv += ["--config", _config_with(tmp_path, *setting)]
+        rc = main([*argv, "--out", str(tmp_path / "out")])
+        assert (rc, capsys.readouterr().err) == (1, f"levelflow: invalid input: {message}\n")
 
     def test_unknown_model(self, small_fields, tmp_path, capsys):
         rc = main(["td-verify", "--image", small_fields["image"], "--mask", small_fields["mask"],
@@ -1544,7 +1601,8 @@ class TestRejectionBranches:
 
     @pytest.mark.parametrize(
         "section, key, value, culprit",
-        [("guidance", "schedule", "x", "unknown guidance schedule 'x'"),
+        [("guidance", "schedule", "x",
+          "config guidance.schedule must be one of constant, noise-scaled, got 'x'"),
          ("sampler", "distance_refresh", 0, "distance_refresh must be at least 1"),
          ("par", "tau", -1, "tau must be non-negative")],
         ids=["guidance-schedule", "distance-refresh", "par-tau"],

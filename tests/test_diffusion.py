@@ -384,7 +384,8 @@ class TestSampler:
 
     def test_unknown_guidance_space_rejected(self):
         image, sched, prov, cfg = self._setup()
-        with pytest.raises(InvalidInputError, match="unknown guidance space 'x'"):
+        with pytest.raises(InvalidInputError,
+                           match="guidance_space must be one of noise, score, got 'x'"):
             dif.sample(image, prov, sched, dif.GuidancePolicy(), seed=0, cfg=cfg,
                        guidance_space="x")
 
@@ -533,6 +534,21 @@ class TestPerCallConstants:
             monkeypatch.setattr(owner, name, counting)
         prov.eps_hat(normal_field((86, 0), prov.masks[0].shape), 7, sched)
         assert calls == ["marginal_variance", "_check_t"]
+
+    def test_one_default_area_prior_per_sample_call(self, monkeypatch):
+        image, _, prov, _ = TestSampler()._setup()
+        calls = []
+        from_a1 = ls.AreaPrior.from_a1
+
+        def counting(cls, *args):
+            calls.append(args)
+            return from_a1(*args)
+
+        monkeypatch.setattr(ls.AreaPrior, "from_a1", classmethod(counting))
+        dif.sample(image, prov, dif.make_schedule(5, 1e-3, 0.2), dif.GuidancePolicy(gamma0=0.3),
+                   seed=5, ensemble=2, cfg=dif.GuidanceConfig())
+        # 5 trace rows and 10 guidance gradients all read the one prior
+        assert calls == [(0.5 * image.size, image.size)]
 
 
 class TestLosses:

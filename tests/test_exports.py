@@ -4,7 +4,8 @@ sets it.
 
 An export that only tests call is dead code with a public name, and a
 parameter that no caller sets is an option nothing uses; these guards keep
-new ones from appearing.
+new ones from appearing.  The package runs no linter, so the last guards
+hold its modules to 99 columns and to module-level imports they read.
 """
 
 import ast
@@ -101,3 +102,28 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
     )
     # an allowance outlives its reason once the parameter goes or gets a caller
     assert UNSET_ALLOWED <= unset
+
+
+MAX_COLUMNS = 99
+MODULES = sorted(Path(lf.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_line_is_too_wide(path):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    wide = [n for n, line in enumerate(lines, 1) if len(line) > MAX_COLUMNS]
+    assert not wide, f"{path.name}: lines over {MAX_COLUMNS} columns: {wide}"
+
+
+# __init__.py imports names to export them, so it is left out
+@pytest.mark.parametrize("path", sorted(SOURCES), ids=lambda p: p.name)
+def test_every_module_level_import_is_read(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert not imported - read, f"{path.name} never reads {sorted(imported - read)}"

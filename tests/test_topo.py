@@ -96,8 +96,9 @@ class TestTdFieldGaussian:
 class TestNucleationDelta:
     @pytest.mark.parametrize(
         "radius, direction, match",
-        [(0, "add-to-inside", "probe radius must be at least 1"),
-         (1, "sideways", "unknown probe direction 'sideways'")],
+        [(0, "add-to-inside", "radius must be at least 1, got 0"),
+         (1, "sideways",
+          "direction must be one of remove-from-inside, add-to-inside, got 'sideways'")],
     )
     def test_bad_probe_rejected(self, radius, direction, match):
         with pytest.raises(InvalidInputError, match=match):
@@ -106,9 +107,9 @@ class TestNucleationDelta:
     def test_unknown_model_rejected(self):
         image, mask = two_constant(16)
         probe = topo.NucleationProbe(row=8, col=8, radius=1, direction="add-to-inside")
-        with pytest.raises(InvalidInputError, match="unknown energy model 'x'"):
+        with pytest.raises(InvalidInputError, match="model must be one of cv, gaussian, got 'x'"):
             topo.td_field(image, mask, "x")
-        with pytest.raises(InvalidInputError, match="unknown energy model 'x'"):
+        with pytest.raises(InvalidInputError, match="model must be one of cv, gaussian, got 'x'"):
             topo.nucleation_delta(image, mask, probe, "x")
 
     def test_interior_cv_delta_close_to_td(self, two_disks_64):
