@@ -251,14 +251,16 @@ def chain_rule_grad(
     t: int,
     sched: DiffusionSchedule,
     image: np.ndarray,
-    cfg: GuidanceConfig = GuidanceConfig(),
-    dist: np.ndarray | None = None,
+    cfg: GuidanceConfig,
+    dist: np.ndarray,
 ) -> np.ndarray:
     """Gradient of the contour energy at y0_hat, pulled back to y_t.
 
     The clean estimate is clamped to [0, 1] before the energy sees it;
     pixels clamped away contribute zero gradient.  Region statistics are
-    computed once at the clamped estimate and frozen.  A degenerate mask
+    computed once at the clamped estimate and frozen.  ``dist`` is the
+    caller's distance map of the clamped estimate's seeds; ``sample``
+    refreshes it every ``distance_refresh`` steps.  A degenerate mask
     (all inside or all outside) yields a zero gradient and a warning
     instead of aborting the sampler.
     """
@@ -267,9 +269,7 @@ def chain_rule_grad(
     yhat0 = predict_y0(yt, eps_hat, t, sched)
     y = np.clip(yhat0, 0.0, 1.0)
     interior = (yhat0 > 0.0) & (yhat0 < 1.0)
-    if dist is None:
-        dist = _distance_or_zeros(geodesic.speed_field(image, cfg.speed), y)
-    try:  # grad_energy_wrt_mask validates image, and so does speed_field
+    try:  # grad_energy_wrt_mask validates image and dist
         g = levelset.grad_energy_wrt_mask(
             image, y, cfg.heaviside, cfg.weights, cfg.area_prior(np.size(image)), dist
         )
@@ -310,7 +310,7 @@ class MixtureMaskProvider:
 
     masks: tuple[np.ndarray, ...]
     weights: tuple[float, ...]
-    noise_scale: float = 0.0
+    noise_scale: float = SamplerParams.noise_scale
 
     def __post_init__(self):
         for key, value in (("masks", self.masks), ("weights", self.weights)):

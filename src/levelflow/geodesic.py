@@ -32,8 +32,8 @@ memory: a call whose shape, speed bytes and seed pixels all match one of the
 last ``_REUSE_MAX`` solves of the scope returns that solve's ``DistanceMap``
 itself.  ``sample`` opens one scope per call, where ensemble members whose
 clean estimates fall onto the same mask ask for the same map again.  Outside a
-scope every call solves.  The arrays of a ``DistanceMap`` are read-only in or
-out of a scope, so a map handed out twice cannot be changed by either holder.
+scope every call solves.  A map's values are read-only in or out of a scope,
+so a map handed out twice cannot be changed by either holder.
 """
 
 from __future__ import annotations
@@ -74,14 +74,12 @@ class DistanceMap:
 
     ``values`` is 0 exactly on seeds and has maximum 1 unless the raw map
     was identically zero (seed covered everything); then ``flat`` is set
-    and the values stay zero instead of dividing by zero.  ``raw`` is the
-    unnormalized eikonal solution (``values`` times ``max_raw``, kept
-    separately because the normalization round trip is not bit-exact).
-    Both arrays are read-only.
+    and the values stay zero instead of dividing by zero.  ``max_raw`` is
+    the maximum of the unnormalized eikonal solution.  A map's values are
+    read-only.
     """
 
     values: np.ndarray
-    raw: np.ndarray
     max_raw: float
 
     @property
@@ -234,20 +232,26 @@ def solve_eikonal(speed: np.ndarray, seed: np.ndarray) -> DistanceMap:
     # that bench/test_bench.py pins.  Moving it up waits until the bench
     # pins work instead of calls (ROADMAP item 1).
     memo = _reuse.get()
-    if memo is None:
-        return _solve(speed, seed_bin, EXACT_INIT_RADIUS)
-    key = (speed.shape, _digest(speed), _digest(np.packbits(seed_bin)))
-    if key in memo:
-        memo.move_to_end(key)
-        return memo[key]
-    dmap = memo[key] = _solve(speed, seed_bin, EXACT_INIT_RADIUS)
-    if len(memo) > _REUSE_MAX:
-        memo.popitem(last=False)
+    if memo is not None:
+        key = (speed.shape, _digest(speed), _digest(np.packbits(seed_bin)))
+        if key in memo:
+            memo.move_to_end(key)
+            return memo[key]
+    values = _solve(speed, seed_bin, EXACT_INIT_RADIUS)
+    max_raw = float(values.max())
+    if max_raw != 0.0:
+        values /= max_raw
+    values.flags.writeable = False
+    dmap = DistanceMap(values, max_raw)
+    if memo is not None:
+        memo[key] = dmap
+        if len(memo) > _REUSE_MAX:
+            memo.popitem(last=False)
     return dmap
 
 
-def _solve(speed, seed, radius) -> DistanceMap:
-    """The Jacobi fixed-point solve of checked inputs (``seed`` boolean)."""
+def _solve(speed, seed, radius) -> np.ndarray:
+    """The unnormalized Jacobi fixed-point solve of checked inputs (``seed`` boolean)."""
     h, w = speed.shape
     # The two-sided update squares the speed.  Past sqrt(max / 2) that is
     # inf, and a pixel waiting on it would stay unreached.
@@ -292,11 +296,7 @@ def _solve(speed, seed, radius) -> DistanceMap:
         else:
             raise DivergenceError("eikonal iteration did not converge", step=h * w + 1)
 
-    raw = dist.copy()
-    max_raw = float(raw.max())
-    values = raw.copy() if max_raw == 0.0 else raw / max_raw
-    raw.flags.writeable = values.flags.writeable = False
-    return DistanceMap(values, raw, max_raw)
+    return dist.copy()
 
 
 def distance_for_mask(

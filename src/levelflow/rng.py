@@ -84,12 +84,10 @@ def uniforms(key: int, count: int, start: int = 0) -> np.ndarray:
 def normals(key: int, shape: tuple[int, ...] | int) -> np.ndarray:
     """Standard-normal field of the given shape via Box-Muller."""
     n = int(np.prod(shape))
-    if n == 0:
-        return np.zeros(shape, dtype=np.float64)
     pairs = (n + 1) // 2
     # Words 0..pairs-1 give u1, the next pairs give u2; the cosines fill the
     # first half of the output and the sines the second.
-    u = (raw_words(key, 2 * pairs) >> np.uint64(11)) * _TWO_POW_NEG53
+    u = uniforms(key, 2 * pairs)
     # u1 = u + 2**-53 lies in (0, 1], so log() is always finite; the sum is
     # exact, the same bits as (word + 1) * 2**-53.
     r = np.sqrt(-2.0 * np.log(u[:pairs] + _TWO_POW_NEG53))

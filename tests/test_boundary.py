@@ -42,7 +42,9 @@ ENTRY_POINTS = {
     "sample": lambda image, mode_mask: lf.sample(
         image, lf.MixtureMaskProvider((mode_mask,), (1.0,)), SCHED, lf.GuidancePolicy(), seed=0
     ),
-    "chain_rule_grad": lambda yt, eps, image: lf.chain_rule_grad(yt, eps, 3, SCHED, image),
+    "chain_rule_grad": lambda yt, eps, image: lf.chain_rule_grad(
+        yt, eps, 3, SCHED, image, lf.GuidanceConfig(area=PRIOR), dist=Z
+    ),
     "forward_sample": lambda y0, noise: lf.forward_sample(y0, 3, SCHED, noise),
     "dpm_loss": lambda eps_true, eps_hat: lf.dpm_loss(eps_true, eps_hat),
     "FrozenFieldProvider": lambda eps, yt: lf.FrozenFieldProvider(eps).eps_hat(yt, 3, SCHED),
@@ -271,7 +273,9 @@ BAD_ARGUMENTS = {
     "confusion-inf-threshold": ("threshold", lambda: lf.confusion(MASK, MASK, float("inf"))),
     "sample-provider": ("provider", lambda: lf.sample(MASK, None, SCHED, lf.GuidancePolicy(), 0)),
     "sample-cfg": ("cfg", lambda: _sample(cfg=None)),
-    "chain_rule_grad-cfg": ("cfg", lambda: lf.chain_rule_grad(MASK, Z, 3, SCHED, IMAGE, None)),
+    "chain_rule_grad-cfg": (
+        "cfg", lambda: lf.chain_rule_grad(MASK, Z, 3, SCHED, IMAGE, None, dist=Z),
+    ),
     "GuidanceConfig-heaviside": ("heaviside", lambda: lf.GuidanceConfig(heaviside=1.5)),
     "GuidanceConfig-weights": ("weights", lambda: lf.GuidanceConfig(weights=None)),
     "GuidanceConfig-area": ("area", lambda: lf.GuidanceConfig(area=64.0)),

@@ -8,6 +8,7 @@ import levelflow as lf
 from levelflow import diffusion as dif
 from levelflow import geodesic
 from levelflow import levelset as ls
+from levelflow.config import ExperimentConfig
 from levelflow.errors import DivergenceError, InvalidInputError
 
 from conftest import central_fd_grad, normal_field, rel_inf_err, uniform_field
@@ -253,15 +254,6 @@ class TestChainRuleGrad:
             )
         assert np.all(g == 0.0)
 
-    def test_empty_mask_distance_refresh_warns(self):
-        # all-zeros clamped estimate: no seed pixels for the distance map
-        sched = dif.make_schedule(10, 1e-3, 0.1)
-        image = uniform_field((83, 11), (12, 12))
-        cfg = self._config(image)
-        yt = np.full((12, 12), -50.0)
-        with pytest.warns(dif.GuidanceFallbackWarning):
-            dif.chain_rule_grad(yt, np.zeros((12, 12)), 5, sched, image, cfg)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0], ids=["nan", "inf", "negative"])
     def test_bad_distance_rejected(self, bad):
         # unchecked, a NaN distance gives a NaN gradient and a negative one a wrong one
@@ -320,6 +312,11 @@ class TestMixtureProvider:
                 2 * h
             )
         assert rel_inf_err(score, fd) <= 1e-4
+
+    def test_noise_scale_default_is_the_sampler_sections(self):
+        disk, _ = modes_32()
+        provider = dif.MixtureMaskProvider((disk,), (1.0,))
+        assert provider.noise_scale == ExperimentConfig().sampler.noise_scale
 
     def test_validation(self):
         disk, ring = modes_32()
@@ -396,6 +393,19 @@ class TestSampler:
             dif.sample(image, prov, sched, dif.GuidancePolicy(gamma0=1e200), seed=0, cfg=cfg,
                        guidance_space=space)
         assert exc.value.step == 1
+
+    def test_empty_estimate_warns_at_each_distance_refresh(self):
+        # a prediction far above y_t clamps every clean estimate to all zeros:
+        # no seed pixels for the distance map, so each refresh falls back to zeros
+        sched = dif.make_schedule(10, 1e-3, 0.1)
+        image = uniform_field((83, 11), (12, 12))
+        provider = dif.FrozenFieldProvider(np.full((12, 12), 50.0))
+        cfg = dif.GuidanceConfig(area=ls.AreaPrior.from_a1(0.4 * image.size, image.size))
+        with pytest.warns(dif.GuidanceFallbackWarning) as record:
+            dif.sample(image, provider, sched, dif.GuidancePolicy(gamma0=0.3), seed=0, cfg=cfg,
+                       distance_refresh=4)
+        empty = [w for w in record if str(w.message).startswith("empty thresholded mask")]
+        assert len(empty) == math.ceil(sched.T / 4)
 
     def test_malformed_prediction_is_invalid_input(self):
         image, sched, _, cfg = self._setup()

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,9 @@ from levelflow.errors import InvalidInputError
 from conftest import uniform_field
 
 
-def raw(dmap):
-    return dmap.raw
+def raw(speed, seed):
+    """The unnormalized solution that solve_eikonal normalizes (float speed, bool seed)."""
+    return geo._solve(speed, seed, geo.EXACT_INIT_RADIUS)
 
 
 def stencil_reference(radius: int):
@@ -227,9 +230,9 @@ class TestSolveEikonal:
         sb = np.zeros((64, 64), dtype=bool)
         sa[10, 50] = True
         sb[55, 20] = True
-        da = raw(geo.solve_eikonal(f, sa))
-        db = raw(geo.solve_eikonal(f, sb))
-        dab = raw(geo.solve_eikonal(f, sa | sb))
+        da = raw(f, sa)
+        db = raw(f, sb)
+        dab = raw(f, sa | sb)
         pointwise_min = np.minimum(da, db)
         scale = pointwise_min.max()
         assert np.all(dab <= pointwise_min + 1e-6 * scale)
@@ -241,9 +244,18 @@ class TestSolveEikonal:
         seed = np.zeros((48, 48), dtype=bool)
         seed[7, 40] = True
         seed[33, 12] = True
-        d1 = raw(geo.solve_eikonal(f1, seed))
-        d2 = raw(geo.solve_eikonal(f2, seed))
+        d1 = raw(f1, seed)
+        d2 = raw(f2, seed)
         assert np.all(d2 >= d1 - 1e-9)
+
+    def test_a_map_holds_its_values_and_their_maximum(self):
+        assert [f.name for f in fields(geo.DistanceMap)] == ["values", "max_raw"]
+        f = 0.5 + uniform_field((51, 3), (40, 40))
+        seed = np.zeros((40, 40), dtype=bool)
+        seed[3, 3] = True
+        dmap, want = geo.solve_eikonal(f, seed), raw(f, seed)
+        assert dmap.max_raw == want.max()
+        assert np.array_equal(dmap.values, want / want.max())
 
     def test_normalization_idempotent(self):
         seed = np.zeros((32, 32), dtype=bool)
@@ -281,26 +293,24 @@ class TestSolveEikonal:
         seed = np.zeros(shape, dtype=bool)
         for r, c in seeds:
             seed[r, c] = True
-        got = geo._solve(f, seed, 0).raw
+        got = geo._solve(f, seed, 0)
         assert np.array_equal(got, jacobi_reference(f, seed))
         assert np.allclose(got, sequential_reference(f, seed), rtol=1e-14, atol=0)
 
     def test_row_shorter_than_init_radius(self):
         seed = np.zeros((1, 9), dtype=bool)
         seed[0, 4] = True
-        dmap = geo.solve_eikonal(np.ones((1, 9)), seed)
-        assert np.array_equal(dmap.raw[0], np.abs(np.arange(9) - 4.0))
+        assert np.array_equal(raw(np.ones((1, 9)), seed)[0], np.abs(np.arange(9) - 4.0))
 
     def test_long_strip_converges_to_exact_distances(self):
         # 11 993 Jacobi iterations: the divergence guard must scale with the grid
         seed = np.zeros((1, 12001), dtype=bool)
         seed[0, 0] = True
-        dmap = geo.solve_eikonal(np.ones((1, 12001)), seed)
-        assert np.array_equal(dmap.raw[0], np.arange(12001.0))
+        assert np.array_equal(raw(np.ones((1, 12001)), seed)[0], np.arange(12001.0))
 
     def test_snake_maze_matches_sequential_sweeps(self):
         speed, seed = snake_maze(64)
-        got = geo.solve_eikonal(speed, seed).raw
+        got = raw(speed, seed)
         init = np.full(speed.shape, np.inf)
         init[seed] = 0.0
         exact_init_reference(init, speed, seed, 8)
@@ -323,7 +333,7 @@ class TestSolveEikonal:
         seed = np.zeros((16, 16), dtype=bool)
         seed[0, 0] = True
         dmap = geo.solve_eikonal(speed, seed)
-        assert np.isfinite(dmap.raw).all() and dmap.max_raw > 9.4e153
+        assert np.isfinite(dmap.values).all() and dmap.max_raw > 9.4e153
 
     @pytest.mark.parametrize("shape", [(3, 40), (40, 5)], ids=["3x40", "40x5"])
     def test_thin_grid_zero_on_seed_positive_elsewhere(self, shape):
@@ -331,8 +341,8 @@ class TestSolveEikonal:
         seed = np.zeros(shape, dtype=bool)
         seed[1, 2] = True
         dmap = geo.solve_eikonal(f, seed)
-        assert np.all(dmap.raw[seed] == 0.0)
-        assert np.all(dmap.raw[~seed] > 0.0)
+        assert np.all(dmap.values[seed] == 0.0)
+        assert np.all(dmap.values[~seed] > 0.0)
 
 
 
@@ -365,7 +375,7 @@ class TestReuseSolves:
             b = geo.solve_eikonal(speed.copy(), seed.copy())
         assert b is a
         assert len(solves) == 1
-        assert np.array_equal(a.raw, geo.solve_eikonal(speed, seed).raw)
+        assert np.array_equal(a.values, geo.solve_eikonal(speed, seed).values)
 
     def test_outside_a_scope_every_call_solves_and_maps_are_read_only(self, solves):
         speed, seed = reuse_problem()
@@ -373,15 +383,14 @@ class TestReuseSolves:
         b = geo.solve_eikonal(speed, seed)
         assert b is not a and len(solves) == 2
         for dmap in (a, b):
-            for arr in (dmap.values, dmap.raw):
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                dmap.values[0, 0] = 1.0
 
     def test_maps_in_a_scope_are_read_only(self):
         speed, seed = reuse_problem()
         with geo.reuse_solves():
             dmap = geo.solve_eikonal(speed, seed)
-        assert not dmap.values.flags.writeable and not dmap.raw.flags.writeable
+        assert not dmap.values.flags.writeable
 
     @pytest.mark.parametrize(
         "change",
@@ -406,7 +415,7 @@ class TestReuseSolves:
             first = geo.solve_eikonal(*reuse_problem())
             second = geo.solve_eikonal(speed, seed)
         assert second is not first and len(solves) == 2
-        assert np.array_equal(second.raw, geo.solve_eikonal(speed.copy(), seed.copy()).raw)
+        assert np.array_equal(second.values, geo.solve_eikonal(speed.copy(), seed.copy()).values)
 
     def test_strided_view_hits_its_contiguous_copy(self, solves):
         wide_speed, wide_seed = reuse_problem((12, 40))
@@ -488,7 +497,7 @@ class TestSolveEikonalProperties:
     def test_bare_scheme_matches_sequential_reference(self, problem):
         # bit for bit in the solver's own order, up to rounding in sweep order
         speed, _, seed = problem
-        got = geo._solve(speed, seed, 0).raw
+        got = geo._solve(speed, seed, 0)
         assert np.array_equal(got, jacobi_reference(speed, seed))
         assert np.allclose(got, sequential_reference(speed, seed), rtol=1e-14, atol=0)
 
@@ -500,7 +509,7 @@ class TestSolveEikonalProperties:
         # that Jacobi iteration reaches from the per-offset slice init, so
         # the shared-prefix init equals that init bit for bit.
         speed, _, seed = problem
-        got = geo._solve(speed, seed, radius).raw
+        got = geo._solve(speed, seed, radius)
         assert np.array_equal(sequential_reference(speed, seed, got, max_iterations=1), got)
         init = np.full(speed.shape, np.inf)
         init[seed] = 0.0
@@ -511,8 +520,8 @@ class TestSolveEikonalProperties:
     @given(eikonal_problems())
     def test_zero_on_seed_positive_elsewhere_and_monotone_in_speed(self, problem):
         speed, extra, seed = problem
-        d1 = geo.solve_eikonal(speed, seed).raw
-        d2 = geo.solve_eikonal(speed + extra, seed).raw
+        d1 = raw(speed, seed)
+        d2 = raw(speed + extra, seed)
         assert np.all(d1[seed] == 0.0)
         assert np.all(d1[~seed] > 0.0)
         # up to rounding in the two-sided update
@@ -535,9 +544,8 @@ class TestDistanceForMask:
         mask = np.zeros((n, n))
         mask[30:35, 8:13] = 1.0  # seed in the flat left region
         dmap = geo.distance_for_mask(image, mask)
-        r = raw(dmap)
-        behind_edge = r[32, 40]  # 30 px right: crosses the edge
-        flat = r[62, 10]  # 30 px down: stays flat
+        behind_edge = dmap.values[32, 40]  # 30 px right: crosses the edge
+        flat = dmap.values[62, 10]  # 30 px down: stays flat
         assert behind_edge > 10 * flat
 
     def test_all_foreground_chains_to_zero_energy(self, two_disks_64):
