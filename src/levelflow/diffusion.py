@@ -7,7 +7,9 @@ noise predictor, pluggable analytic providers supply ``eps_hat``; the
 mixture-of-masks provider computes the exact score of a Gaussian mixture
 over reference masks, so the guidance math can be exercised end to end
 without any learned component (anything exposing ``eps_hat(y_t, t,
-schedule)`` can be swapped in, including a trained model).
+schedule)`` can be swapped in, including a trained model).  ``sample``
+passes it the ensemble as one (E, H, W) stack of states and expects a
+prediction of the same shape; the analytic providers also take one state.
 
 Energy guidance shifts the prediction by the gradient of the contour
 energy evaluated at the one-shot clean-mask estimate:
@@ -42,7 +44,7 @@ from . import geodesic, levelset, rng
 from .errors import AT_LEAST_1, NON_NEGATIVE, POSITIVE, DegenerateRegionError, DivergenceError
 from .errors import InvalidInputError, Params, Rule, one_of, param, require, require_floats
 from .errors import require_ints
-from .field import as_field, binarize, check_same_shape
+from .field import _as_float64, as_field, binarize, check_same_shape
 
 GUIDANCE_SCHEDULES = ("constant", "noise-scaled")
 GUIDANCE_SPACES = ("noise", "score")
@@ -107,6 +109,7 @@ def make_schedule(
 def _check_t(t: int, sched: DiffusionSchedule) -> int:
     if type(t) is not int:  # the sampler's own steps are ints
         require_ints(t=t)
+    _require_instance("sched", sched, DiffusionSchedule)
     if not 1 <= t <= sched.T:
         raise InvalidInputError(f"step t={t} outside [1, {sched.T}]")
     return t - 1
@@ -175,6 +178,7 @@ class GuidancePolicy(Params):
 
 
 def guidance_scale(gp: GuidancePolicy, t: int, sched: DiffusionSchedule) -> float:
+    _require_instance("gp", gp, GuidancePolicy)
     i = _check_t(t, sched)
     if gp.schedule == "noise-scaled":
         return gp.gamma0 * float(np.sqrt(1.0 - sched.alpha_bar[i]))
@@ -294,8 +298,9 @@ def _logsumexp(x: np.ndarray) -> float:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max())
-    return e / e.sum()
+    # over the last axis, whose sum then runs as it does for a 1-D x
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True)
@@ -336,16 +341,15 @@ class MixtureMaskProvider:
         return abar * self.noise_scale**2 + (1.0 - abar)
 
     def _log_terms(self, yt, t, sched) -> tuple[np.ndarray, int, float, float]:
-        """The K log terms at step t, with t's index, sqrt(abar_t) and v_t."""
+        """The K log terms at step t ((E, K) for E states), t's index, sqrt(abar_t) and v_t."""
         v = self.marginal_variance(t, sched)  # checks t
-        check_same_shape(yt, self.masks[0])
+        check_same_shape(yt[0] if yt.ndim == 3 else yt, self.masks[0])  # a state or a stack
         root_abar = float(np.sqrt(sched.alpha_bar[t - 1]))
-        terms = np.array(
-            [
-                np.log(w) - float(((yt - root_abar * m) ** 2).sum()) / (2.0 * v)
-                for m, w in zip(self.masks, self.weights)
-            ]
-        )
+        sq = np.empty(yt.shape)  # each state's squared distance to one component mean
+        terms = np.empty((*yt.shape[:-2], len(self.masks)))
+        for k, (m, w) in enumerate(zip(self.masks, self.weights)):
+            np.square(np.subtract(yt, root_abar * m, out=sq), out=sq)
+            terms[..., k] = np.log(w) - sq.sum(axis=(-2, -1)) / (2.0 * v)
         return terms, t - 1, root_abar, v
 
     def responsibilities(self, yt: np.ndarray, t: int, sched: DiffusionSchedule) -> np.ndarray:
@@ -358,14 +362,20 @@ class MixtureMaskProvider:
 
     def eps_hat(self, yt: np.ndarray, t: int, sched: DiffusionSchedule) -> np.ndarray:
         terms, i, root_abar, v = self._log_terms(yt, t, sched)
-        ybar = sum(rk * m for rk, m in zip(_softmax(terms), self.masks))
-        score = (root_abar * ybar - yt) / v
-        return -score * np.sqrt(1.0 - sched.alpha_bar[i])  # score_to_eps
+        r = _softmax(terms)
+        eps = np.zeros(yt.shape)  # ybar, then the score, then eps, in place
+        for k, m in enumerate(self.masks):
+            eps += r[..., k, None, None] * m
+        eps *= root_abar
+        eps -= yt
+        eps /= v
+        eps *= -np.sqrt(1.0 - sched.alpha_bar[i])  # score_to_eps
+        return eps
 
 
 @dataclass(frozen=True)
 class FrozenFieldProvider:
-    """Returns one fixed eps-prediction field; for plumbing and tests."""
+    """Returns one fixed eps-prediction field (per state of a stack); for plumbing and tests."""
 
     eps_field: np.ndarray
 
@@ -374,8 +384,8 @@ class FrozenFieldProvider:
 
     def eps_hat(self, yt: np.ndarray, t: int, sched: DiffusionSchedule) -> np.ndarray:
         _check_t(t, sched)
-        check_same_shape(yt, self.eps_field)
-        return self.eps_field
+        check_same_shape(yt[0] if yt.ndim == 3 else yt, self.eps_field)
+        return np.broadcast_to(self.eps_field, yt.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -406,71 +416,79 @@ def sample(
 ) -> SampleResult:
     """Run guided reverse diffusion from pure noise, averaged over an ensemble.
 
-    Every ensemble member draws its own noise stream derived from (seed,
-    member), runs T reverse steps with guidance injected at each one, and
-    the member means are averaged in fixed order and clamped to [0, 1].
-    The energy trace follows member 0.  Identical (seed, config) inputs
-    reproduce bit-identical results; gamma0 = 0 takes exactly the
-    unguided path.  Aborts with :class:`PredictionDivergenceError` once the
-    noise prediction turns non-finite (a guidance strength far too large).
+    Every ensemble member draws its own noise streams derived from (seed,
+    member).  Steps run in the outer loop over one (E, H, W) stack of member
+    states: one provider call, noise draw and reverse step per step.  The
+    guidance gradient and the distance refresh stay per member, since the
+    benchmark pins their E * T and E * ceil(T / distance_refresh) calls; the
+    energy trace follows member 0.  The member means are averaged in member
+    order and clamped to [0, 1].  Identical (seed, config) inputs reproduce
+    bit-identical results; gamma0 = 0 takes exactly the unguided path.
+    Aborts with :class:`PredictionDivergenceError` at the first step at
+    which any member's noise prediction is non-finite (a guidance strength
+    far too large).
     """
     SamplerParams(ensemble, distance_refresh, guidance_space=guidance_space)
     if not callable(getattr(provider, "eps_hat", None)):
         raise InvalidInputError(f"provider must have a callable eps_hat, got {provider!r}")
+    _require_instance("sched", sched, DiffusionSchedule)
+    _require_instance("gp", gp, GuidancePolicy)
     _require_instance("cfg", cfg, GuidanceConfig)
     image = as_field(image, "image")
     cfg = replace(cfg, area=cfg.area_prior(image.size))
     speed = geodesic.speed_field(image, cfg.speed)
-    shape = image.shape
     guided = gp.gamma0 > 0
     trace = np.full((sched.T, 5), np.nan)
     t_steps = np.arange(sched.T, 0, -1)
-    accum = np.zeros(shape)
+    solved = ensemble if guided else 1  # unguided, only member 0's trace reads a map
+    dists = [None] * solved
 
+    def draw(*tags):  # one stream per member
+        keys = [rng.derive_key(seed, _MEMBER_TAG, e, *tags) for e in range(ensemble)]
+        return rng.normals(keys, image.shape)
+
+    y = draw(_INIT_TAG)
     # Members whose clean estimates land on one mask share its distance map.
     # An overflow is left to the divergence check on eps_hat below.
     with geodesic.reuse_solves(), np.errstate(over="ignore", invalid="ignore"):
-        for member in range(ensemble):
-            y = rng.normals(rng.derive_key(seed, _MEMBER_TAG, member, _INIT_TAG), shape)
-            dist = None
-            for step_index, t in enumerate(t_steps):
-                t = int(t)
-                raw = provider.eps_hat(y, t, sched)
-                try:
-                    eps_hat = as_field(raw, "eps_hat")
-                except InvalidInputError:
-                    if np.isfinite(np.asarray(raw, dtype=np.float64)).all():
-                        raise  # a malformed prediction, not a blow-up
-                    raise PredictionDivergenceError(
-                        f"noise prediction became non-finite at t={t}", step=step_index
-                    ) from None
-                needs_energy = guided or member == 0
-                if needs_energy and step_index % distance_refresh == 0:
-                    y0_est = np.clip(predict_y0(y, eps_hat, t, sched), 0.0, 1.0)
-                    dist = _distance_or_zeros(speed, y0_est)
-                if member == 0:
-                    trace[step_index] = _trace_row(image, y, eps_hat, t, sched, cfg, dist)
-                if guided:
-                    g = chain_rule_grad(y, eps_hat, t, sched, image, cfg, dist=dist)
-                    if guidance_space == "noise":
-                        eps_use = guided_eps(eps_hat, g, t, sched, gp)
-                    else:
-                        gamma_eps = guidance_scale(gp, t, sched)
-                        gamma_st = gamma_eps / float(np.sqrt(1.0 - sched.alpha_bar[t - 1]))
-                        s = eps_to_score(eps_hat, t, sched)
-                        eps_use = score_to_eps(guided_score(s, g, gamma_st), t, sched)
-                else:
-                    eps_use = eps_hat
-                if t > 1:
-                    key = rng.derive_key(seed, _MEMBER_TAG, member, _STEP_TAG, t)
-                    xi = rng.normals(key, shape)
-                else:
-                    xi = np.zeros(shape)
-                y = reverse_step(y, eps_use, t, sched, xi)
-            accum += y
+        for step_index, t in enumerate(t_steps):
+            t = int(t)
+            eps_hat = _prediction(provider.eps_hat(y, t, sched), y.shape, t, step_index)
+            if step_index % distance_refresh == 0:
+                y0_est = np.clip(predict_y0(y[:solved], eps_hat[:solved], t, sched), 0.0, 1.0)
+                for e in range(solved):
+                    dists[e] = _distance_or_zeros(speed, y0_est[e])
+                del y0_est
+                if step_index + distance_refresh >= sched.T:
+                    del speed  # the last refresh
+            trace[step_index] = _trace_row(image, y[0], eps_hat[0], t, sched, cfg, dists[0])
+            if guided:
+                g = np.empty(y.shape)
+                for e in range(ensemble):
+                    g[e] = chain_rule_grad(y[e], eps_hat[e], t, sched, image, cfg, dist=dists[e])
+                if guidance_space == "noise":
+                    eps_hat = guided_eps(eps_hat, g, t, sched, gp)
+                else:  # g becomes the guided score
+                    gamma_st = guidance_scale(gp, t, sched) / np.sqrt(1.0 - sched.alpha_bar[t - 1])
+                    g = guided_score(eps_to_score(eps_hat, t, sched), g, gamma_st)
+                    eps_hat = score_to_eps(g, t, sched)
+                del g
+            xi = draw(_STEP_TAG, t) if t > 1 else np.zeros(y.shape)
+            y = reverse_step(y, eps_hat, t, sched, xi)
 
+    accum = sum(y, np.zeros(image.shape))  # the members in order
     mask = np.clip(accum / ensemble, 0.0, 1.0)
     return SampleResult(mask=mask, trace=trace, t_steps=t_steps)
+
+
+def _prediction(raw, shape: tuple, t: int, step: int) -> np.ndarray:
+    """A provider's prediction for a stack of ``shape``, checked by as_field's rules."""
+    eps = _as_float64(raw, "eps_hat")
+    if eps.shape != shape:
+        raise InvalidInputError(f"eps_hat must have shape {shape}, got {eps.shape}")
+    if not np.isfinite(eps).all():
+        raise PredictionDivergenceError(f"noise prediction became non-finite at t={t}", step=step)
+    return eps
 
 
 def _trace_row(image, y, eps_hat, t, sched, cfg, dist):

@@ -49,13 +49,17 @@ PHANTOM_KINDS = ("two-disks", "ring-with-hole", "c-shape", "two-rects")
 _PHANTOM_NOISE_TAG = 0x50484E54  # "PHNT"
 
 
+def _as_float64(a, name: str) -> np.ndarray:
+    """An array-like of real numbers as a float64 array of any shape."""
+    arr = np.asarray(a)
+    if arr.dtype.kind not in "biuf":  # bool, int, unsigned or float
+        raise InvalidInputError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
 def as_field(a, name: str = "field") -> np.ndarray:
     """Validate and coerce an array-like into a float64 (H, W) field."""
-    arr = np.asarray(a)
-    if arr.dtype != np.float64:
-        if arr.dtype.kind not in "biuf":  # bool, int, unsigned or float
-            raise InvalidInputError(f"{name} must hold real numbers, got dtype {arr.dtype}")
-        arr = arr.astype(np.float64)
+    arr = _as_float64(a, name)
     if arr.ndim != 2:
         raise InvalidInputError(f"{name} must be 2-D, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:

@@ -9,7 +9,9 @@ The generator is SplitMix64: the k-th raw word of a stream is
 ``finalize(key + k * GOLDEN)`` where ``finalize`` is the usual xor-shift /
 multiply avalanche and ``GOLDEN = 0x9E3779B97F4A7C15``.  Uniform doubles
 take the top 53 bits; Gaussians are produced from uniform pairs by the
-Box-Muller transform.  Integer output is bit-stable on every platform;
+Box-Muller transform.  A sequence of E keys draws E streams at once, one
+row each, and row e holds the same bits as a draw from ``keys[e]`` alone.
+Integer output is bit-stable on every platform;
 float output is additionally stable across runs on one platform (it goes
 through libm's log/cos/sin).  ``ALGORITHM_ID`` names this construction and
 is stamped into every run manifest.
@@ -68,35 +70,41 @@ def derive_key(seed: int, *tags: int) -> int:
     return key
 
 
-def raw_words(key: int, count: int, start: int = 0) -> np.ndarray:
-    """``count`` raw uint64 words of the stream ``key``, counters ``start..``."""
+def raw_words(key, count: int, start: int = 0) -> np.ndarray:
+    """``count`` raw uint64 words of the stream ``key``, counters ``start..``, a row per key."""
+    keys = np.array([k & _MASK for k in key] if np.ndim(key) else key & _MASK, dtype=np.uint64)
     z = np.arange(start, start + count, dtype=np.uint64)
     z *= _GOLDEN
-    z += np.uint64(key & _MASK)
-    return _finalize(z)
+    return _finalize(np.add(keys[..., None], z))
 
 
-def uniforms(key: int, count: int, start: int = 0) -> np.ndarray:
-    """Uniform float64 samples in [0, 1)."""
+def uniforms(key, count: int, start: int = 0) -> np.ndarray:
+    """Uniform float64 samples in [0, 1), shaped as ``raw_words``."""
     return (raw_words(key, count, start) >> np.uint64(11)).astype(np.float64) * _TWO_POW_NEG53
 
 
-def normals(key: int, shape: tuple[int, ...] | int) -> np.ndarray:
-    """Standard-normal field of the given shape via Box-Muller."""
+def normals(key, shape: tuple[int, ...] | int) -> np.ndarray:
+    """Standard-normal field of the given shape via Box-Muller; (E, *shape) for E keys."""
     n = int(np.prod(shape))
     pairs = (n + 1) // 2
-    # Words 0..pairs-1 give u1, the next pairs give u2; the cosines fill the
-    # first half of the output and the sines the second.
-    u = uniforms(key, 2 * pairs)
+    # Words 0..pairs-1 of a stream give u1 and the next pairs give u2; their buffer
+    # then holds u, r and theta, and finally r cos(theta) then r sin(theta).
+    words = raw_words(key, 2 * pairs)
+    u = words.view(np.float64)
+    np.multiply(words >> np.uint64(11), _TWO_POW_NEG53, out=u)  # uniforms(), in place
+    r, theta = u[..., :pairs], u[..., pairs:]
     # u1 = u + 2**-53 lies in (0, 1], so log() is always finite; the sum is
     # exact, the same bits as (word + 1) * 2**-53.
-    r = np.sqrt(-2.0 * np.log(u[:pairs] + _TWO_POW_NEG53))
-    theta = (2.0 * np.pi) * u[pairs:]
-    z = np.empty((2, pairs))
-    np.cos(theta, out=z[0])
-    np.sin(theta, out=z[1])
-    z *= r
-    return z.ravel()[:n].reshape(shape)
+    r += _TWO_POW_NEG53
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * np.pi
+    cos = np.cos(theta)
+    np.sin(theta, out=theta)
+    theta *= r
+    np.multiply(cos, r, out=r)
+    return u[..., :n].reshape(*np.shape(key), *np.atleast_1d(shape))
 
 
 def integers(key: int, count: int, upper: int, start: int = 0) -> np.ndarray:

@@ -276,6 +276,17 @@ BAD_ARGUMENTS = {
     "chain_rule_grad-cfg": (
         "cfg", lambda: lf.chain_rule_grad(MASK, Z, 3, SCHED, IMAGE, None, dist=Z),
     ),
+    # a None or str schedule or policy raised a bare AttributeError
+    "sample-sched": ("sched", lambda: lf.sample(MASK, PROVIDER, None, lf.GuidancePolicy(), 0)),
+    "sample-gp": ("gp", lambda: lf.sample(MASK, PROVIDER, SCHED, None, 0)),
+    "sample-str-gp": ("gp", lambda: lf.sample(MASK, PROVIDER, SCHED, "x", 0)),
+    "guidance_scale-gp": ("gp", lambda: lf.guidance_scale(None, 1, SCHED)),
+    "forward_sample-sched": ("sched", lambda: lf.forward_sample(MASK, 1, None, MASK)),
+    "predict_y0-sched": ("sched", lambda: lf.predict_y0(MASK, MASK, 1, None)),
+    "chain_rule_grad-sched": (
+        "sched", lambda: lf.chain_rule_grad(MASK, Z, 1, None, IMAGE, lf.GuidanceConfig(), Z),
+    ),
+    "MixtureMaskProvider.eps_hat-sched": ("sched", lambda: PROVIDER.eps_hat(MASK, 1, None)),
     "GuidanceConfig-heaviside": ("heaviside", lambda: lf.GuidanceConfig(heaviside=1.5)),
     "GuidanceConfig-weights": ("weights", lambda: lf.GuidanceConfig(weights=None)),
     "GuidanceConfig-area": ("area", lambda: lf.GuidanceConfig(area=64.0)),

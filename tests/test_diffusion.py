@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -414,8 +415,60 @@ class TestSampler:
             def eps_hat(self, yt, t, sched):
                 return yt.ravel()
 
-        with pytest.raises(InvalidInputError, match="eps_hat must be 2-D"):
+        with pytest.raises(InvalidInputError,
+                           match=r"eps_hat must have shape \(1, 32, 32\), got \(1024,\)"):
             dif.sample(image, Flat(), sched, dif.GuidancePolicy(gamma0=0.0), seed=0, cfg=cfg)
+
+    def test_one_member_turning_non_finite_is_a_divergence_at_its_step(self):
+        # the whole stack steps together, so the first step at which any
+        # member's prediction is non-finite is the one reported
+        image, sched, prov, cfg = self._setup()
+        k = 7
+
+        class LastMemberBlowsUp:
+            def eps_hat(self, yt, t, sched):
+                eps = prov.eps_hat(yt, t, sched)
+                if t == sched.T - k:
+                    eps[2, 5, 5] = np.inf
+                return eps
+
+        with pytest.raises(dif.PredictionDivergenceError, match=f"at t={sched.T - k} ") as exc:
+            dif.sample(image, LastMemberBlowsUp(), sched, dif.GuidancePolicy(gamma0=0.3), seed=0,
+                       ensemble=3, cfg=cfg)
+        assert exc.value.step == k
+
+    @pytest.mark.parametrize(
+        "reshape, got", [(lambda eps: eps[0], "(32, 32)"), (lambda eps: eps[:2], "(2, 32, 32)")],
+        ids=["one-field", "wrong-ensemble"],
+    )
+    def test_prediction_of_another_shape_names_both_shapes(self, reshape, got):
+        image, sched, prov, cfg = self._setup()
+
+        class Misshapen:
+            def eps_hat(self, yt, t, sched):
+                return reshape(prov.eps_hat(yt, t, sched))
+
+        message = re.escape(f"eps_hat must have shape (3, 32, 32), got {got}")
+        with pytest.raises(InvalidInputError, match=message):
+            dif.sample(image, Misshapen(), sched, dif.GuidancePolicy(gamma0=0.0), seed=0,
+                       ensemble=3, cfg=cfg)
+
+    def test_float32_prediction_is_read_as_float64(self):
+        image, sched, prov, cfg = self._setup()
+
+        class Float32:
+            def eps_hat(self, yt, t, sched):
+                return prov.eps_hat(yt, t, sched).astype(np.float32)
+
+        class Widened:
+            def eps_hat(self, yt, t, sched):
+                return prov.eps_hat(yt, t, sched).astype(np.float32).astype(np.float64)
+
+        gp = dif.GuidancePolicy(gamma0=0.3)
+        a = dif.sample(image, Float32(), sched, gp, seed=4, ensemble=3, cfg=cfg)
+        b = dif.sample(image, Widened(), sched, gp, seed=4, ensemble=3, cfg=cfg)
+        assert a.mask.tobytes() == b.mask.tobytes()
+        assert a.trace.tobytes() == b.trace.tobytes()
 
     def test_twenty_member_ensemble_reproducible_bitwise(self):
         disk, ring = modes_32()
