@@ -43,7 +43,7 @@ import numpy as np
 from . import geodesic, levelset, rng
 from .errors import AT_LEAST_1, NON_NEGATIVE, POSITIVE, DegenerateRegionError, DivergenceError
 from .errors import InvalidInputError, Params, Rule, one_of, param, require, require_floats
-from .errors import require_ints
+from .errors import require_instance, require_ints
 from .field import _as_float64, as_field, binarize, check_same_shape
 
 GUIDANCE_SCHEDULES = ("constant", "noise-scaled")
@@ -52,11 +52,6 @@ GUIDANCE_SPACES = ("noise", "score")
 _MEMBER_TAG = 0x4D454D42  # "MEMB"
 _INIT_TAG = 0x494E4954  # "INIT"
 _STEP_TAG = 0x53544550  # "STEP"
-
-
-def _require_instance(key: str, value, *kinds: type) -> None:
-    if not isinstance(value, kinds):
-        raise InvalidInputError(f"{key} expects {kinds[0].__name__}, got {value!r}")
 
 
 class GuidanceFallbackWarning(UserWarning):
@@ -109,7 +104,7 @@ def make_schedule(
 def _check_t(t: int, sched: DiffusionSchedule) -> int:
     if type(t) is not int:  # the sampler's own steps are ints
         require_ints(t=t)
-    _require_instance("sched", sched, DiffusionSchedule)
+    require_instance("sched", sched, DiffusionSchedule)
     if not 1 <= t <= sched.T:
         raise InvalidInputError(f"step t={t} outside [1, {sched.T}]")
     return t - 1
@@ -178,7 +173,7 @@ class GuidancePolicy(Params):
 
 
 def guidance_scale(gp: GuidancePolicy, t: int, sched: DiffusionSchedule) -> float:
-    _require_instance("gp", gp, GuidancePolicy)
+    require_instance("gp", gp, GuidancePolicy)
     i = _check_t(t, sched)
     if gp.schedule == "noise-scaled":
         return gp.gamma0 * float(np.sqrt(1.0 - sched.alpha_bar[i]))
@@ -224,10 +219,10 @@ class GuidanceConfig:
     speed: geodesic.SpeedParams = geodesic.SpeedParams()
 
     def __post_init__(self):
-        _require_instance("heaviside", self.heaviside, levelset.HeavisideParams)
-        _require_instance("weights", self.weights, levelset.EnergyWeights)
-        _require_instance("area", self.area, levelset.AreaPrior, type(None))
-        _require_instance("speed", self.speed, geodesic.SpeedParams)
+        require_instance("heaviside", self.heaviside, levelset.HeavisideParams)
+        require_instance("weights", self.weights, levelset.EnergyWeights)
+        require_instance("area", self.area, levelset.AreaPrior, type(None))
+        require_instance("speed", self.speed, geodesic.SpeedParams)
 
     def area_prior(self, n_pixels: int) -> levelset.AreaPrior:
         if self.area is not None:
@@ -269,7 +264,7 @@ def chain_rule_grad(
     instead of aborting the sampler.
     """
     i = _check_t(t, sched)
-    _require_instance("cfg", cfg, GuidanceConfig)
+    require_instance("cfg", cfg, GuidanceConfig)
     yhat0 = predict_y0(yt, eps_hat, t, sched)
     y = np.clip(yhat0, 0.0, 1.0)
     interior = (yhat0 > 0.0) & (yhat0 < 1.0)
@@ -431,9 +426,9 @@ def sample(
     SamplerParams(ensemble, distance_refresh, guidance_space=guidance_space)
     if not callable(getattr(provider, "eps_hat", None)):
         raise InvalidInputError(f"provider must have a callable eps_hat, got {provider!r}")
-    _require_instance("sched", sched, DiffusionSchedule)
-    _require_instance("gp", gp, GuidancePolicy)
-    _require_instance("cfg", cfg, GuidanceConfig)
+    require_instance("sched", sched, DiffusionSchedule)
+    require_instance("gp", gp, GuidancePolicy)
+    require_instance("cfg", cfg, GuidanceConfig)
     image = as_field(image, "image")
     cfg = replace(cfg, area=cfg.area_prior(image.size))
     speed = geodesic.speed_field(image, cfg.speed)

@@ -6,7 +6,8 @@ rule, naming the field first.  The type is the field's annotation: ``int``,
 pass, and a bool is never a number.  The rule is the :class:`Rule` the field
 declares with :func:`param`: a range, or a list of choices (:func:`one_of`).
 A class's ``__post_init__`` adds cross-field rules only.  A bare argument is
-checked by :func:`require_ints`, :func:`require_floats` and :func:`require`.
+checked by :func:`require_ints`, :func:`require_floats`,
+:func:`require_instance` and :func:`require`.
 """
 
 import math
@@ -99,6 +100,12 @@ def require_floats(**values) -> None:
     """Reject a bare argument that is not a real number, naming its key first."""
     for key, value in values.items():
         _check_type(key, "float", value)
+
+
+def require_instance(key: str, value, *kinds: type) -> None:
+    """Reject a bare argument that is none of ``kinds``, naming its key and the first kind."""
+    if not isinstance(value, kinds):
+        raise InvalidInputError(f"{key} expects {kinds[0].__name__}, got {value!r}")
 
 
 class Params:

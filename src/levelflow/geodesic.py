@@ -22,10 +22,9 @@ along its longest characteristic; more than ``h * w + 1`` iterations
 raises ``DivergenceError``, and so does a speed whose square overflows.
 
 The near-seed initialization plants straight-segment costs within
-``EXACT_INIT_RADIUS`` pixels of the seed set.  It sums speed samples along
-each segment in a fixed order, so offsets whose sample lists share a
-prefix share the partial sum bit for bit.  A cached plan walks the offsets
-in the order of their sample lists and computes each partial sum once.
+``EXACT_INIT_RADIUS`` pixels of the seed set.  It sums each segment's
+speed samples in list order over one flat run of the seeds' padded
+bounding box, where every shift of the box is one contiguous slice.
 
 Inside a ``with reuse_solves():`` scope, a repeated solve is answered from
 memory: a call whose shape, speed bytes and seed pixels all match one of the
@@ -49,6 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NON_NEGATIVE, POSITIVE, DivergenceError, InvalidInputError, Params, param
+from .errors import require_instance
 from .field import as_field, binarize, check_same_shape, gradient
 
 # How far around the seed set _exact_init plants straight-segment costs;
@@ -90,6 +90,7 @@ class DistanceMap:
 def speed_field(image: np.ndarray, sp: SpeedParams, d_e: np.ndarray | None = None) -> np.ndarray:
     """Strictly positive cost field for the eikonal problem."""
     image = as_field(image, "image")
+    require_instance("sp", sp, SpeedParams)
     gx, gy = gradient(image)
     f = sp.eps_d + sp.beta_g * (gx * gx + gy * gy)
     if d_e is not None:
@@ -99,29 +100,15 @@ def speed_field(image: np.ndarray, sp: SpeedParams, d_e: np.ndarray | None = Non
     return f
 
 
-def _shared(a, b) -> int:
-    """Length of the common prefix of two sequences."""
-    n = 0
-    while n < min(len(a), len(b)) and a[n] == b[n]:
-        n += 1
-    return n
-
-
 @lru_cache(maxsize=8)
-def _init_plan(radius: int):
-    """Every offset within radius as a step of a walk over prefix sums.
+def _segments(radius: int):
+    """``(dr, dc, step, samples)`` for every offset within radius.
 
     The samples of offset (dr, dc) are the nearest-pixel points at <= 1 px
     spacing along the segment from (0, 0) to (dr, dc); repeats are kept,
-    each is one sample.  Offsets are ordered by their sample lists, so each
-    shares a prefix of ``keep`` samples with the one before it.  An entry
-    is ``(dr, dc, step, n, keep, adds)`` with ``step`` the segment length,
-    ``n`` the sample count and ``adds`` holding (ri, ci, fresh) for the
-    samples after the prefix; ``fresh`` is set when the partial sum before
-    that sample is needed again by a later offset and so must not be
-    overwritten.
+    each is one sample.  ``step`` is the segment length.
     """
-    lists = []
+    segments = []
     for dr in range(-radius, radius + 1):
         for dc in range(-radius, radius + 1):
             step = float(np.hypot(dr, dc))
@@ -131,22 +118,8 @@ def _init_plan(radius: int):
             samples = tuple(
                 (int(round(s * dr)), int(round(s * dc))) for s in np.linspace(0.0, 1.0, n_samples)
             )
-            lists.append((samples, dr, dc, step))
-    lists.sort()
-    keeps = [0] + [_shared(a[0], b[0]) for a, b in zip(lists, lists[1:])]
-    plan = []
-    for k, (samples, dr, dc, step) in enumerate(lists):
-        # A later offset j shares exactly min(keeps[k+1..j]) samples with
-        # this one; the partial sum of that many samples is needed again.
-        needed, shared = set(), len(samples)
-        for keep in keeps[k + 1 :]:
-            shared = min(shared, keep)
-            if shared < keeps[k]:
-                break
-            needed.add(shared)
-        adds = tuple((ri, ci, d in needed) for d, (ri, ci) in enumerate(samples) if d >= keeps[k])
-        plan.append((dr, dc, step, len(samples), keeps[k], adds))
-    return tuple(plan)
+            segments.append((dr, dc, step, samples))
+    return tuple(segments)
 
 
 def _exact_init(dist, speed, seed, radius):
@@ -157,35 +130,41 @@ def _exact_init(dist, speed, seed, radius):
     # line integral, nearest-neighbor sampling at <= 1 px spacing): exact
     # for uniform speed, and any particular path only ever upper-bounds the
     # geodesic distance, so the iteration remains free to lower these values.
-    # Samples are summed from 0 in list order, so offsets whose lists share
-    # a prefix share its partial sum bit for bit; ``stack[d]`` holds the
-    # sum of the first d samples, over the seeds' bounding box grown by the
-    # radius (no segment from a seed leaves it).  Padding by the radius
-    # keeps every shifted view in bounds: a pixel whose segment leaves the
-    # box reads padding, but its source lies outside the seed mask.
+    # The work covers the seeds' bounding box grown by the radius (no
+    # segment from a seed leaves it), held as one flat run: each box row is
+    # followed by ``radius`` zero pad columns, with ``radius + 1`` zero rows
+    # above and below, so a shift by (dr, dc) is one contiguous slice.  As
+    # |dc| <= radius, a column past either box edge lands in a pad column,
+    # not in a neighbouring row, and is no seed.  Each segment's samples are
+    # summed from +0.0 in list order; results in the pad columns are dropped.
     rows, cols = np.flatnonzero(seed.any(axis=1)), np.flatnonzero(seed.any(axis=0))
     box = (
         slice(max(rows[0] - radius, 0), rows[-1] + radius + 1),
         slice(max(cols[0] - radius, 0), cols[-1] + radius + 1),
     )
-    dist, speed, seed = dist[box], speed[box], seed[box]
-    h, w = dist.shape
-    speed_pad, seed_pad = np.pad(speed, radius), np.pad(seed, radius)
+    h, w = dist[box].shape
+    stride = w + radius
+    base, size = (radius + 1) * stride, h * stride
+
+    def run(a):
+        padded = np.zeros((h + 2 * radius + 2, stride), a.dtype)
+        padded[radius + 1 : radius + 1 + h, :w] = a[box]
+        return padded.ravel()
 
     def shifted(a, dr, dc):  # a[r - dr, c - dc] at every box pixel (r, c)
-        return a[radius - dr : radius - dr + h, radius - dc : radius - dc + w]
+        start = base - dr * stride - dc
+        return a[start : start + size]
 
-    stack = [np.zeros((h, w))]
-    for dr, dc, step, n, keep, adds in _init_plan(radius):
-        del stack[keep + 1 :]
-        acc = stack[keep]
-        for ri, ci, fresh in adds:
-            if fresh:
-                acc = acc + shifted(speed_pad, ri, ci)
-            else:
-                acc += shifted(speed_pad, ri, ci)
-            stack.append(acc)
-        np.minimum(dist, step * (acc / n), out=dist, where=shifted(seed_pad, dr, dc))
+    speed_run, seed_run, flat = run(speed), run(seed), shifted(run(dist), 0, 0)
+    acc = np.empty(size)
+    for dr, dc, step, samples in _segments(radius):
+        np.add(0.0, shifted(speed_run, *samples[0]), out=acc)
+        for ri, ci in samples[1:]:
+            acc += shifted(speed_run, ri, ci)
+        acc /= len(samples)
+        acc *= step
+        np.minimum(flat, acc, out=flat, where=shifted(seed_run, dr, dc))
+    dist[box] = flat.reshape(h, stride)[:, :w]
 
 
 @contextmanager

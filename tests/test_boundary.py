@@ -291,6 +291,10 @@ BAD_ARGUMENTS = {
     "GuidanceConfig-weights": ("weights", lambda: lf.GuidanceConfig(weights=None)),
     "GuidanceConfig-area": ("area", lambda: lf.GuidanceConfig(area=64.0)),
     "GuidanceConfig-speed": ("speed", lambda: lf.GuidanceConfig(speed=P)),
+    # a None or str speed parameter raised a bare AttributeError
+    "speed_field-sp": ("sp", lambda: lf.speed_field(IMAGE, None)),
+    "speed_field-str-sp": ("sp", lambda: lf.speed_field(IMAGE, "x")),
+    "distance_for_mask-sp": ("sp", lambda: lf.distance_for_mask(IMAGE, MASK, None)),
 }
 
 

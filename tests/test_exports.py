@@ -1,10 +1,11 @@
 """Every function and class the package exports has a caller inside it,
-and every defaulted parameter of a module-level function has a caller that
-sets it.
+every module-level function is referenced inside it, and every defaulted
+parameter of a module-level function has a caller that sets it.
 
-An export that only tests call is dead code with a public name, and a
-parameter that no caller sets is an option nothing uses; these guards keep
-new ones from appearing.  The package runs no linter, so the last guards
+An export that only tests call is dead code with a public name, a private
+helper that nothing references is left-over code, and a parameter that no
+caller sets is an option nothing uses; these guards keep new ones from
+appearing.  The package runs no linter, so the last guards
 hold its modules to 99 columns and to module-level imports they read.
 """
 
@@ -60,6 +61,21 @@ FUNCTIONS = [
     node for tree in TREES for node in tree.body
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
 ]
+NAMES = {f.name for f in FUNCTIONS}
+
+
+def _registered(f) -> bool:
+    """Whether one of the package's own decorators takes ``f`` (the CLI's ``_cmd_*``).
+
+    Such a decorator registers the function, which is its reference; a
+    wrapper from outside the package, such as ``lru_cache``, is not one.
+    """
+    return any(getattr(getattr(d, "func", d), "id", None) in NAMES for d in f.decorator_list)
+
+
+def test_every_module_level_function_is_referenced():
+    orphans = sorted(f.name for f in FUNCTIONS if f.name not in REFERENCED and not _registered(f))
+    assert not orphans, f"module-level functions nothing in the package references: {orphans}"
 
 
 def _unset_defaulted_parameters() -> set:

@@ -506,8 +506,8 @@ class TestSolveEikonalProperties:
     def test_one_more_sequential_pass_changes_no_bit(self, problem, radius):
         # the result is a fixed point of the scheme: one more pixel-order
         # Gauss-Seidel pass leaves it as it is.  It is also the fixed point
-        # that Jacobi iteration reaches from the per-offset slice init, so
-        # the shared-prefix init equals that init bit for bit.
+        # that Jacobi iteration reaches from the per-offset slice init, which
+        # TestExactInit holds the solver's init to bit for bit.
         speed, _, seed = problem
         got = geo._solve(speed, seed, radius)
         assert np.array_equal(sequential_reference(speed, seed, got, max_iterations=1), got)
@@ -526,6 +526,64 @@ class TestSolveEikonalProperties:
         assert np.all(d1[~seed] > 0.0)
         # up to rounding in the two-sided update
         assert np.all(d2 >= d1 - 1e-6 * d1.max())
+
+
+@st.composite
+def init_problems(draw):
+    """A positive speed, a seed set with one pixel forced onto a border row
+    or column, and an init radius; a grid side is often below the radius."""
+    radius = draw(st.integers(1, 12))
+    side = st.integers(1, radius) | st.integers(1, 24)
+    shape = (draw(side), draw(side))
+    speed = draw(hnp.arrays(np.float64, shape, elements=st.floats(0.1, 10.0)))
+    seed = draw(hnp.arrays(bool, shape))
+    r, c = draw(st.integers(0, shape[0] - 1)), draw(st.integers(0, shape[1] - 1))
+    if draw(st.booleans()):
+        r = draw(st.sampled_from((0, shape[0] - 1)))
+    else:
+        c = draw(st.sampled_from((0, shape[1] - 1)))
+    seed[r, c] = True
+    return speed, seed, radius
+
+
+def initialized(init, speed, seed, radius):
+    """0 on seeds and inf elsewhere, then ``init``'s straight-segment costs."""
+    dist = np.full(seed.shape, np.inf)
+    dist[seed] = 0.0
+    init(dist, speed, seed, radius)
+    return dist
+
+
+class TestExactInit:
+    # The init itself, before any Jacobi iteration.  It sums over a flat run
+    # of box rows whose shifts wrap past the row ends into pad columns; the
+    # reference shifts the 2-D grid and never wraps.
+
+    @settings(max_examples=100)
+    @given(init_problems())
+    def test_matches_reference_bit_for_bit(self, problem):
+        speed, seed, radius = problem
+        got = initialized(geo._exact_init, speed, seed, radius)
+        want = initialized(exact_init_reference, speed, seed, radius)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("shape", ["box", "two-disks", "disk"])
+    def test_pipeline_seeds_match_reference_bit_for_bit(self, n, shape):
+        # a box inset by n/5, the phantom's ground truth and a centred disk
+        # of radius n/4, over the phantom's speed field
+        image, gt = lf.make_phantom(lf.PhantomSpec("two-disks", n, noise_sigma=0.3, seed=3))
+        rows, cols = np.mgrid[0:n, 0:n]
+        k, centre = round(n / 5), (n - 1) / 2
+        seed = {
+            "box": (rows >= k) & (rows < n - k) & (cols >= k) & (cols < n - k),
+            "two-disks": gt > 0.5,
+            "disk": np.hypot(rows - centre, cols - centre) <= n / 4,
+        }[shape]
+        speed = geo.speed_field(image, geo.SpeedParams())
+        got = initialized(geo._exact_init, speed, seed, geo.EXACT_INIT_RADIUS)
+        want = initialized(exact_init_reference, speed, seed, geo.EXACT_INIT_RADIUS)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestDistanceForMask:

@@ -29,7 +29,6 @@ from levelflow.diffusion import (
     SampleResult,
     SamplerParams,
     _distance_or_zeros,
-    _require_instance,
     _trace_row,
     chain_rule_grad,
     eps_to_score,
@@ -41,6 +40,7 @@ from levelflow.diffusion import (
     score_to_eps,
 )
 from levelflow.errors import InvalidInputError
+from levelflow.errors import require_instance as _require_instance
 from levelflow.field import as_field, check_same_shape
 
 # ---------------------------------------------------------------------------
