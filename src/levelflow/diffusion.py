@@ -44,7 +44,7 @@ from . import geodesic, levelset, rng
 from .errors import AT_LEAST_1, NON_NEGATIVE, POSITIVE, DegenerateRegionError, DivergenceError
 from .errors import InvalidInputError, Params, Rule, one_of, param, require, require_floats
 from .errors import require_instance, require_ints
-from .field import _as_float64, as_field, binarize, check_same_shape
+from .field import _as_float64, as_field, as_fields, binarize, check_same_shape
 
 GUIDANCE_SCHEDULES = ("constant", "noise-scaled")
 GUIDANCE_SPACES = ("noise", "score")
@@ -115,9 +115,7 @@ def forward_sample(
 ) -> np.ndarray:
     """y_t = sqrt(abar_t) y0 + sqrt(1 - abar_t) noise (noise supplied by caller)."""
     i = _check_t(t, sched)
-    y0 = as_field(y0, "y0")
-    noise = as_field(noise, "noise")
-    check_same_shape(y0, noise)
+    y0, noise = as_fields(y0=y0, noise=noise)
     abar = sched.alpha_bar[i]
     return np.sqrt(abar) * y0 + np.sqrt(1.0 - abar) * noise
 
@@ -510,9 +508,7 @@ class LossParams(Params):
 def dpm_loss(eps_true: np.ndarray, eps_hat: np.ndarray, w_t: float = LossParams.w_t) -> float:
     """Weighted mean squared error of the noise prediction."""
     LossParams(w_t=w_t)
-    eps_true = as_field(eps_true, "eps_true")
-    eps_hat = as_field(eps_hat, "eps_hat")
-    check_same_shape(eps_true, eps_hat)
+    eps_true, eps_hat = as_fields(eps_true=eps_true, eps_hat=eps_hat)
     return w_t * float(np.mean((eps_true - eps_hat) ** 2))
 
 

@@ -10,9 +10,11 @@ Fields are validated once, at the package boundary.  An entry point (the
 CLI, ``load_field``, a parameter or provider constructor, a public
 function such as ``evolve`` or ``sample``) passes each field it receives
 through :func:`as_field`, which rejects wrong rank, empty, non-real and
-non-finite arrays with :class:`InvalidInputError`.  Kernels (``gradient``, ``heaviside``,
-the energy terms, ``reverse_step``, ...) trust their arrays and keep only
-the O(1) shape checks where two arrays meet.
+non-finite arrays with :class:`InvalidInputError`.  An entry point that
+takes two or more fields checks them with one :func:`as_fields` call,
+which also makes them share one shape.  Kernels (``gradient``,
+``heaviside``, the energy terms, ``reverse_step``, ...) trust their arrays
+and keep only the O(1) shape checks where two arrays meet.
 
 Kernels allocate their outputs and never write into an argument: an
 in-place operation (``out=``, ``*=``) is only ever applied to an array the
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import rng
 from .errors import FINITE, NON_NEGATIVE, FieldFormatError, InvalidInputError, Params, Rule
-from .errors import one_of, param
+from .errors import one_of, param, require_instance
 
 LSF1_MAGIC = b"LSF1"
 
@@ -67,6 +69,14 @@ def as_field(a, name: str = "field") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite values")
     return arr
+
+
+def as_fields(**named) -> list[np.ndarray]:
+    """Each keyword's value through :func:`as_field` under its key, in order,
+    then one :func:`check_same_shape` over them all."""
+    fields = [as_field(a, name) for name, a in named.items()]
+    check_same_shape(*fields)
+    return fields
 
 
 def check_same_shape(*fields: np.ndarray) -> None:
@@ -197,6 +207,7 @@ def make_phantom(spec: PhantomSpec) -> tuple[np.ndarray, np.ndarray]:
     counter-based stream derived from (seed, phantom tag); rerunning with
     the same spec is bit-identical.
     """
+    require_instance("spec", spec, PhantomSpec)
     mask = _phantom_mask(spec.kind, spec.size)
     image = spec.fg * mask + spec.bg * (1.0 - mask)
     if spec.noise_sigma > 0:

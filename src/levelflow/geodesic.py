@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import NON_NEGATIVE, POSITIVE, DivergenceError, InvalidInputError, Params, param
 from .errors import require_instance
-from .field import as_field, binarize, check_same_shape, gradient
+from .field import as_field, as_fields, binarize, gradient
 
 # How far around the seed set _exact_init plants straight-segment costs;
 # the bare scheme's near-source error for point seeds is O(1) relative.
@@ -89,14 +89,12 @@ class DistanceMap:
 
 def speed_field(image: np.ndarray, sp: SpeedParams, d_e: np.ndarray | None = None) -> np.ndarray:
     """Strictly positive cost field for the eikonal problem."""
-    image = as_field(image, "image")
+    image, *extra = as_fields(image=image, **({} if d_e is None else {"d_e": d_e}))
     require_instance("sp", sp, SpeedParams)
     gx, gy = gradient(image)
     f = sp.eps_d + sp.beta_g * (gx * gx + gy * gy)
-    if d_e is not None:
-        d_e = as_field(d_e, "d_e")
-        check_same_shape(image, d_e)
-        f = f + sp.nu * d_e
+    if extra:  # the checked d_e
+        f = f + sp.nu * extra[0]
     return f
 
 
@@ -285,7 +283,5 @@ def distance_for_mask(
     d_e: np.ndarray | None = None,
 ) -> DistanceMap:
     """Distance map grown from the thresholded mask over the image's speed field."""
-    image = as_field(image, "image")
-    mask = as_field(mask, "mask")
-    check_same_shape(image, mask)
+    image, mask = as_fields(image=image, mask=mask)
     return solve_eikonal(speed_field(image, sp, d_e), binarize(mask))

@@ -29,8 +29,8 @@ the per-step energy trace monotone.
 The config sections ``heaviside``, ``weights`` and ``evolve`` live here;
 ``evolve`` checks its step settings by building ``EvolveParams``.
 ``evolve``, ``energy_total``, ``region_stats`` and ``grad_energy_wrt_mask``
-validate their fields; the other functions are kernels that trust theirs
-(see :mod:`levelflow.field`).
+validate their fields with one ``as_fields`` call each; the other functions
+are kernels that trust theirs (see :mod:`levelflow.field`).
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AT_LEAST_1, NON_NEGATIVE, POSITIVE, DegenerateRegionError, DivergenceError
-from .errors import InvalidInputError, Params, param, require, require_floats
-from .field import as_field, check_same_shape, gradient, gradient_adjoint
+from .errors import InvalidInputError, Params, param, require, require_floats, require_instance
+from .field import as_fields, check_same_shape, gradient, gradient_adjoint
 
 VAR_FLOOR = 1e-6  # keeps log var and 1/var finite on a flat region
 GRAD_FLOOR = 1e-8  # keeps the unit normal grad H / |grad H| finite where H is flat
@@ -176,8 +176,8 @@ def region_stats_from_weights(image: np.ndarray, w_in: np.ndarray) -> RegionStat
 
 def region_stats(image: np.ndarray, phi: np.ndarray, p: HeavisideParams) -> RegionStats:
     """Region statistics weighted by H(phi) / 1 - H(phi)."""
-    image = as_field(image, "image")
-    phi = as_field(phi, "phi")
+    image, phi = as_fields(image=image, phi=phi)
+    require_instance("p", p, HeavisideParams)
     return region_stats_from_weights(image, heaviside(phi, p))
 
 
@@ -273,9 +273,8 @@ def energy_total(
     stats: RegionStats | None = None,
 ) -> EnergyReport:
     """Evaluate all four terms; region statistics recomputed from phi unless given."""
-    image = as_field(image, "image")
-    phi = as_field(phi, "phi")
-    dist = as_field(dist, "dist")
+    image, phi, dist = as_fields(image=image, phi=phi, dist=dist)
+    require_instance("p", p, HeavisideParams)
     if stats is None:
         stats = region_stats_from_weights(image, heaviside(phi, p))
     region = energy_region(image, phi, p, stats)
@@ -349,9 +348,9 @@ def grad_energy_wrt_mask(
     statistics vanish, and a variance pinned at the floor is locally
     constant.
     """
-    image = as_field(image, "image")
-    y = as_field(y, "mask")
-    check_same_shape(image, y, dist)
+    image, y = as_fields(image=image, mask=y)
+    check_same_shape(image, dist)
+    require_instance("w", w, EnergyWeights)
     _check_distance(dist)
     phi = mask_to_levelset(y)
     h = heaviside(phi, p)
@@ -392,11 +391,9 @@ def evolve(
     EvolveParams(dt, steps, stats_refresh)
     # phi is a C-ordered copy; the loop's other fields take its memory order
     # too (see levelflow.field on kernels and memory order).
-    image = np.ascontiguousarray(as_field(image, "image"))
-    phi = as_field(phi0, "phi0").copy()
-    check_same_shape(image, phi)
-    dist = np.ascontiguousarray(as_field(dist, "dist"))
-    check_same_shape(image, dist)
+    image, phi, dist = as_fields(image=image, phi0=phi0, dist=dist)
+    image, phi, dist = np.ascontiguousarray(image), phi.copy(), np.ascontiguousarray(dist)
+    require_instance("prior", prior, AreaPrior)
     trace = np.empty((steps, 5), dtype=np.float64)
     for n in range(steps):
         if n % stats_refresh == 0:

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FINITE, InvalidInputError, require, require_floats
-from .field import as_field, check_same_shape
+from .errors import FINITE, InvalidInputError, require, require_floats, require_instance
+from .field import as_fields
 
 
 @dataclass(frozen=True)
@@ -30,9 +30,7 @@ def confusion(pred: np.ndarray, gt: np.ndarray, threshold: float = 0.5) -> Confu
     """Pixel counts after binarizing pred at the threshold (ties -> foreground)."""
     require_floats(threshold=threshold)
     require(FINITE.test(threshold), "threshold", FINITE.text, threshold)
-    pred = as_field(pred, "pred")
-    gt = as_field(gt, "gt")
-    check_same_shape(pred, gt)
+    pred, gt = as_fields(pred=pred, gt=gt)
     if not np.all((gt == 0.0) | (gt == 1.0)):
         raise InvalidInputError("ground truth must be binary (exactly 0 or 1)")
     p = pred >= threshold
@@ -52,6 +50,7 @@ def scores(c: Confusion) -> Scores:
     agreement on emptiness); exactly one mask empty -> the affected 0/0
     ratios are 0.
     """
+    require_instance("c", c, Confusion)
     if c.tp + c.fp + c.fn == 0:
         return Scores(dice=1.0, jaccard=1.0, precision=1.0, recall=1.0)
     dice = 2.0 * c.tp / (2.0 * c.tp + c.fp + c.fn)

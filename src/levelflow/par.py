@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, Params, Rule, param
-from .field import as_field, check_same_shape
+from .errors import InvalidInputError, Params, Rule, param, require_instance
+from .field import as_field, as_fields
 
 # Fixed neighbor order: row-major over the 3x3 window minus the center.
 NEIGHBOR_OFFSETS = (
@@ -119,6 +119,7 @@ def refine(mask: np.ndarray, kernel: AffinityKernel, tau: int) -> np.ndarray:
     """Apply the kernel tau times; tau = 0 returns a copy of the mask."""
     ParParams(tau)
     mask = as_field(mask, "mask")
+    require_instance("kernel", kernel, AffinityKernel)
     expected = (*mask.shape, len(NEIGHBOR_OFFSETS))
     if np.shape(kernel.weights) != expected:
         raise InvalidInputError(
@@ -146,7 +147,5 @@ def refine(mask: np.ndarray, kernel: AffinityKernel, tau: int) -> np.ndarray:
 
 def par_loss(mask: np.ndarray, refined: np.ndarray) -> float:
     """L1 consistency loss: sum of |mask - refined| (per-pixel mean is sum/N)."""
-    mask = as_field(mask, "mask")
-    refined = as_field(refined, "refined")
-    check_same_shape(mask, refined)
+    mask, refined = as_fields(mask=mask, refined=refined)
     return float(np.abs(mask - refined).sum())

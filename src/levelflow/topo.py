@@ -29,7 +29,8 @@ import numpy as np
 
 from . import rng
 from .errors import AT_LEAST_1, InvalidInputError, Params, one_of, param, require, require_ints
-from .field import as_field, binarize, check_same_shape
+from .errors import require_instance
+from .field import as_fields, binarize
 from .levelset import nll_fields, region_stats_from_weights
 
 TD_MODELS = ("cv", "gaussian")
@@ -63,9 +64,7 @@ def td_field(image: np.ndarray, mask: np.ndarray, model: str = "cv") -> np.ndarr
 def _checked(image, mask, model) -> tuple[np.ndarray, np.ndarray]:
     """The validated image and the mask binarized at 0.5."""
     require(_MODEL_RULE.test(model), "model", _MODEL_RULE.text, model)
-    image = as_field(image, "image")
-    mask = as_field(mask, "mask")
-    check_same_shape(image, mask)
+    image, mask = as_fields(image=image, mask=mask)
     return image, binarize(mask)
 
 
@@ -128,6 +127,7 @@ def nucleation_delta(
     every probe.  When it is None it is computed here.
     """
     image, before = _checked(image, mask, model)
+    require_instance("probe", probe, NucleationProbe)
     disk = _disk_pixels(image.shape, probe)
     after = before.copy()
     if probe.direction == "remove-from-inside":

@@ -295,6 +295,17 @@ BAD_ARGUMENTS = {
     "speed_field-sp": ("sp", lambda: lf.speed_field(IMAGE, None)),
     "speed_field-str-sp": ("sp", lambda: lf.speed_field(IMAGE, "x")),
     "distance_for_mask-sp": ("sp", lambda: lf.distance_for_mask(IMAGE, MASK, None)),
+    # a None or str parameter object raised a bare AttributeError
+    "make_phantom-spec": ("spec", lambda: lf.make_phantom("two-disks")),
+    "refine-kernel": ("kernel", lambda: lf.refine(MASK, None, 1)),
+    "energy_total-p": ("p", lambda: lf.energy_total(IMAGE, PHI, None, W, PRIOR, Z)),
+    "evolve-prior": ("prior", lambda: lf.evolve(IMAGE, PHI, P, W, None, Z)),
+    "nucleation_delta-probe": ("probe", lambda: lf.nucleation_delta(IMAGE, MASK, None)),
+    "scores-c": ("c", lambda: lf.scores(None)),
+    "grad_energy_wrt_mask-w": (
+        "w", lambda: lf.grad_energy_wrt_mask(IMAGE, MASK, P, None, PRIOR, Z),
+    ),
+    "region_stats-p": ("p", lambda: lf.region_stats(IMAGE, PHI, None)),
 }
 
 

@@ -402,6 +402,16 @@ class TestEvolveCommand:
                    "--out", str(tmp_path / "e1")])
         assert rc == 1
 
+    @pytest.mark.parametrize("box", ["1,2,3", "a,b,c,d"])
+    def test_malformed_init_box_exits_1_and_writes_nothing(self, phantom_dir, tmp_path, capsys,
+                                                           box):
+        out = tmp_path / "e"
+        rc = main(["evolve", "--image", str(phantom_dir / "fields/image.lsf1"),
+                   "--init-box", box, "--steps", "2", "--out", str(out)])
+        assert rc == 1
+        assert f"--init-box expects 'r0,c0,r1,c1', got {box!r}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOtherCommands:
     def test_td_verify(self, phantom_dir, tmp_path):
@@ -568,6 +578,14 @@ class TestOtherCommands:
         assert main(["metrics", "--config", str(edited), "--out", str(tmp_path / "m1")]) == 1
         assert "--threshold" in capsys.readouterr().err
         assert not (tmp_path / "m1/reports/metrics.json").exists()
+
+    def test_non_finite_report_is_named_and_nothing_written(self, tmp_path):
+        # the guard behind every validator: no file is written before each
+        # report is known to encode as standard JSON
+        files = {"reports/ok.json": {"x": 1.0}, "reports/bad.json": {"x": float("nan")}}
+        with pytest.raises(lf.LevelflowError, match="^reports/bad.json would hold a non-finite"):
+            cli._publish(str(tmp_path / "out"), "metrics", ExperimentConfig(), {}, files)
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "key, value", [("size", "abc"), ("fg", [1]), ("threshold", "nan")],

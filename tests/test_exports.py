@@ -5,8 +5,10 @@ parameter of a module-level function has a caller that sets it.
 An export that only tests call is dead code with a public name, a private
 helper that nothing references is left-over code, and a parameter that no
 caller sets is an option nothing uses; these guards keep new ones from
-appearing.  The package runs no linter, so the last guards
-hold its modules to 99 columns and to module-level imports they read.
+appearing.  A function that checks two or more of its fields does so with
+one ``as_fields`` call, not one ``as_field`` call per field.  The package
+runs no linter, so the last guards hold its modules to 99 columns and to
+module-level imports they read.
 """
 
 import ast
@@ -118,6 +120,48 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
     )
     # an allowance outlives its reason once the parameter goes or gets a caller
     assert UNSET_ALLOWED <= unset
+
+
+def _as_field_parameters(f) -> set:
+    """The parameters of ``f`` whose values reach an ``as_field`` call in its
+    body, directly or through a local assigned from them."""
+    roots = {a.arg: {a.arg} for a in ast.walk(f.args) if isinstance(a, ast.arg)}
+
+    def reached(expr) -> set:
+        names = [n.id for n in ast.walk(expr) if isinstance(n, ast.Name)]
+        return set().union(*(roots.get(name, set()) for name in names))
+
+    assigns = sorted((n for n in ast.walk(f) if isinstance(n, ast.Assign)), key=lambda n: n.lineno)
+    for node in assigns:
+        for target in node.targets:
+            for name in (n.id for n in ast.walk(target) if isinstance(n, ast.Name)):
+                roots[name] = roots.get(name, set()) | reached(node.value)
+    calls = [
+        n for n in ast.walk(f)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "as_field"
+    ]
+    return set().union(*(reached(call.args[0]) for call in calls))
+
+
+# Functions that pass two or more of their parameters through as_field, each
+# kept on purpose.
+SEPARATE_AS_FIELD_ALLOWED = {
+    # a boolean seed is taken as it is; only a seed of another dtype is a
+    # field to check, and a mismatched seed gets its own message
+    "solve_eikonal",
+}
+
+
+def test_fields_are_checked_with_one_as_fields_call():
+    functions = [n for tree in TREES for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    separate = {f.name for f in functions if len(_as_field_parameters(f)) >= 2}
+    new = sorted(separate - SEPARATE_AS_FIELD_ALLOWED)
+    assert not new, (
+        "functions that check two or more of their fields with separate as_field calls "
+        f"(use one as_fields call, or allow it here with its reason): {new}"
+    )
+    # an allowance outlives its reason once the function checks one field
+    assert SEPARATE_AS_FIELD_ALLOWED <= separate
 
 
 MAX_COLUMNS = 99
