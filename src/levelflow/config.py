@@ -45,7 +45,7 @@ _RETIRED = {
 
 @dataclass(frozen=True)
 class AreaParams(Params):
-    """Target a1 for the area prior; None means derive it from the run's mask."""
+    """Area prior target a1; None means the run's mask area, or half the domain in ``sample``."""
 
     a1_target: float | None = param(None, Rule(NON_NEGATIVE.test, "null or finite and >= 0"))
 

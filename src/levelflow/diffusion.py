@@ -263,6 +263,7 @@ def chain_rule_grad(
     """
     i = _check_t(t, sched)
     require_instance("cfg", cfg, GuidanceConfig)
+    yt, eps_hat = _as_float64(yt, "yt"), _as_float64(eps_hat, "eps_hat")
     yhat0 = predict_y0(yt, eps_hat, t, sched)
     y = np.clip(yhat0, 0.0, 1.0)
     interior = (yhat0 > 0.0) & (yhat0 < 1.0)
@@ -283,11 +284,6 @@ def chain_rule_grad(
 # ---------------------------------------------------------------------------
 # Analytic score providers
 # ---------------------------------------------------------------------------
-
-
-def _logsumexp(x: np.ndarray) -> float:
-    m = float(np.max(x))
-    return m + float(np.log(np.exp(x - m).sum()))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -348,10 +344,13 @@ class MixtureMaskProvider:
     def responsibilities(self, yt: np.ndarray, t: int, sched: DiffusionSchedule) -> np.ndarray:
         return _softmax(self._log_terms(yt, t, sched)[0])
 
-    def log_marginal(self, yt: np.ndarray, t: int, sched: DiffusionSchedule) -> float:
+    def log_marginal(
+        self, yt: np.ndarray, t: int, sched: DiffusionSchedule
+    ) -> float | np.ndarray:
         terms, _, _, v = self._log_terms(yt, t, sched)
-        const = -0.5 * yt.size * np.log(2.0 * np.pi * v)
-        return _logsumexp(terms) + const
+        m = terms.max(axis=-1, keepdims=True)  # a logsumexp per state, over the last axis
+        const = -0.5 * self.masks[0].size * np.log(2.0 * np.pi * v)  # one state's pixel count
+        return m[..., 0] + np.log(np.exp(terms - m).sum(axis=-1)) + const
 
     def eps_hat(self, yt: np.ndarray, t: int, sched: DiffusionSchedule) -> np.ndarray:
         terms, i, root_abar, v = self._log_terms(yt, t, sched)

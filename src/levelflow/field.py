@@ -7,12 +7,12 @@ topological-derivative fields and distance maps.  All operations here are
 pure functions.
 
 Fields are validated once, at the package boundary.  An entry point (the
-CLI, ``load_field``, a parameter or provider constructor, a public
-function such as ``evolve`` or ``sample``) passes each field it receives
-through :func:`as_field`, which rejects wrong rank, empty, non-real and
-non-finite arrays with :class:`InvalidInputError`.  An entry point that
-takes two or more fields checks them with one :func:`as_fields` call,
-which also makes them share one shape.  Kernels (``gradient``,
+CLI, ``load_field``, a parameter or provider constructor, a public function
+such as ``evolve`` or ``sample``) passes each field it receives through
+:func:`as_field`, which rejects wrong rank, empty, non-real and non-finite
+arrays with :class:`InvalidInputError`.  Every entry point that takes two or
+more fields checks them with one :func:`as_fields` call, which makes them
+share one shape; a boolean seed is no exception.  Kernels (``gradient``,
 ``heaviside``, the energy terms, ``reverse_step``, ...) trust their arrays
 and keep only the O(1) shape checks where two arrays meet.
 

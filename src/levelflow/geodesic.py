@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import NON_NEGATIVE, POSITIVE, DivergenceError, InvalidInputError, Params, param
 from .errors import require_instance
-from .field import as_field, as_fields, binarize, gradient
+from .field import as_fields, binarize, gradient
 
 # How far around the seed set _exact_init plants straight-segment costs;
 # the bare scheme's near-source error for point seeds is O(1) relative.
@@ -187,19 +187,15 @@ def _digest(a: np.ndarray) -> bytes:
 def solve_eikonal(speed: np.ndarray, seed: np.ndarray) -> DistanceMap:
     """Solve |grad D| = speed with D = 0 on the seed set, then normalize.
 
-    The result is a fixed point of the discrete scheme, iterated from
-    straight-segment costs planted within ``EXACT_INIT_RADIUS`` of the
+    The seed set is ``seed >= 0.5`` for any field ``seed``, a boolean array
+    included.  The result is a fixed point of the discrete scheme, iterated
+    from straight-segment costs planted within ``EXACT_INIT_RADIUS`` of the
     seed set.  Inside a ``reuse_solves`` scope a repeated problem returns
     the earlier map.
     """
-    speed = as_field(speed, "speed")
-    seed_arr = np.asarray(seed)
-    seed_bin = seed_arr if seed_arr.dtype == bool else binarize(as_field(seed_arr, "seed"))
-    if seed_bin.shape != speed.shape:
-        raise InvalidInputError(
-            f"seed shape {seed_bin.shape} does not match speed shape {speed.shape}"
-        )
-    if not seed_bin.any():
+    speed, seed = as_fields(speed=speed, seed=seed)
+    seed = binarize(seed)
+    if not seed.any():
         raise InvalidInputError("seed set is empty")
     if speed.min() <= 0:
         raise InvalidInputError("speed must be strictly positive everywhere")
@@ -210,11 +206,11 @@ def solve_eikonal(speed: np.ndarray, seed: np.ndarray) -> DistanceMap:
     # pins work instead of calls (ROADMAP item 1).
     memo = _reuse.get()
     if memo is not None:
-        key = (speed.shape, _digest(speed), _digest(np.packbits(seed_bin)))
+        key = (speed.shape, _digest(speed), np.packbits(seed).tobytes())
         if key in memo:
             memo.move_to_end(key)
             return memo[key]
-    values = _solve(speed, seed_bin, EXACT_INIT_RADIUS)
+    values = _solve(speed, seed, EXACT_INIT_RADIUS)
     max_raw = float(values.max())
     if max_raw != 0.0:
         values /= max_raw

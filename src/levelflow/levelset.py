@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import AT_LEAST_1, NON_NEGATIVE, POSITIVE, DegenerateRegionError, DivergenceError
 from .errors import InvalidInputError, Params, param, require, require_floats, require_instance
-from .field import as_fields, check_same_shape, gradient, gradient_adjoint
+from .field import _as_float64, as_fields, check_same_shape, gradient, gradient_adjoint
 
 VAR_FLOOR = 1e-6  # keeps log var and 1/var finite on a flat region
 GRAD_FLOOR = 1e-8  # keeps the unit normal grad H / |grad H| finite where H is flat
@@ -275,6 +275,9 @@ def energy_total(
     """Evaluate all four terms; region statistics recomputed from phi unless given."""
     image, phi, dist = as_fields(image=image, phi=phi, dist=dist)
     require_instance("p", p, HeavisideParams)
+    require_instance("w", w, EnergyWeights)
+    require_instance("prior", prior, AreaPrior)
+    require_instance("stats", stats, RegionStats, type(None))
     if stats is None:
         stats = region_stats_from_weights(image, heaviside(phi, p))
     region = energy_region(image, phi, p, stats)
@@ -349,8 +352,12 @@ def grad_energy_wrt_mask(
     constant.
     """
     image, y = as_fields(image=image, mask=y)
+    dist = _as_float64(dist, "distance")
     check_same_shape(image, dist)
+    require_instance("p", p, HeavisideParams)
     require_instance("w", w, EnergyWeights)
+    require_instance("prior", prior, AreaPrior)
+    require_instance("stats", stats, RegionStats, type(None))
     _check_distance(dist)
     phi = mask_to_levelset(y)
     h = heaviside(phi, p)
@@ -393,6 +400,7 @@ def evolve(
     # too (see levelflow.field on kernels and memory order).
     image, phi, dist = as_fields(image=image, phi0=phi0, dist=dist)
     image, phi, dist = np.ascontiguousarray(image), phi.copy(), np.ascontiguousarray(dist)
+    require_instance("w", w, EnergyWeights)
     require_instance("prior", prior, AreaPrior)
     trace = np.empty((steps, 5), dtype=np.float64)
     for n in range(steps):

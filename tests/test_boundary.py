@@ -5,13 +5,15 @@ The rule is stated in the ``levelflow.field`` module docstring.  The
 entry-point table checks that every public entry point still turns a
 non-finite, wrong-rank or mismatched field into ``InvalidInputError``; the
 guard checks that the inner kernels make no ``as_field`` call of their own.
-The last tests hold library calls to the same rule for seeds and int
-parameters.
+The last tests hold library calls to the same rule for seeds, int
+parameters, parameter objects and array arguments.
 """
 
 import inspect
 import os
 import sys
+import typing
+from dataclasses import is_dataclass
 
 import numpy as np
 import pytest
@@ -306,6 +308,19 @@ BAD_ARGUMENTS = {
         "w", lambda: lf.grad_energy_wrt_mask(IMAGE, MASK, P, None, PRIOR, Z),
     ),
     "region_stats-p": ("p", lambda: lf.region_stats(IMAGE, PHI, None)),
+    "energy_total-w": ("w", lambda: lf.energy_total(IMAGE, PHI, P, None, PRIOR, Z)),
+    "energy_total-prior": ("prior", lambda: lf.energy_total(IMAGE, PHI, P, W, None, Z)),
+    "energy_total-stats": ("stats", lambda: lf.energy_total(IMAGE, PHI, P, W, PRIOR, Z, "x")),
+    "grad_energy_wrt_mask-p": (
+        "p", lambda: lf.grad_energy_wrt_mask(IMAGE, MASK, None, W, PRIOR, Z),
+    ),
+    "grad_energy_wrt_mask-prior": (
+        "prior", lambda: lf.grad_energy_wrt_mask(IMAGE, MASK, P, W, None, Z),
+    ),
+    "grad_energy_wrt_mask-stats": (
+        "stats", lambda: lf.grad_energy_wrt_mask(IMAGE, MASK, P, W, PRIOR, Z, "x"),
+    ),
+    "evolve-w": ("w", lambda: lf.evolve(IMAGE, PHI, P, None, PRIOR, Z)),
 }
 
 
@@ -314,6 +329,75 @@ def test_bad_argument_is_named(name):
     key, call = BAD_ARGUMENTS[name]
     with pytest.raises(InvalidInputError, match=rf"^{key}\b"):
         call()
+
+
+CFG = lf.GuidanceConfig()
+# Each entry point's valid arguments by name, for the generated cases below.
+VALID_CALLS = {
+    lf.evolve: dict(image=IMAGE, phi0=PHI, p=P, w=W, prior=PRIOR, dist=Z, steps=1),
+    lf.energy_total: dict(image=IMAGE, phi=PHI, p=P, w=W, prior=PRIOR, dist=Z, stats=STATS),
+    lf.region_stats: dict(image=IMAGE, phi=PHI, p=P),
+    lf.grad_energy_wrt_mask: dict(image=IMAGE, y=MASK, p=P, w=W, prior=PRIOR, dist=Z, stats=STATS),
+    lf.chain_rule_grad: dict(
+        yt=MASK, eps_hat=Z, t=3, sched=SCHED, image=IMAGE, cfg=CFG, dist=Z
+    ),
+    lf.sample: dict(
+        image=IMAGE, provider=PROVIDER, sched=SCHED, gp=lf.GuidancePolicy(), seed=0, cfg=CFG
+    ),
+}
+
+
+def _parameter_object_cases():
+    """(function, parameter) for each parameter annotated with a package
+    dataclass, or one of them ``| None``."""
+    for f in VALID_CALLS:
+        hints = typing.get_type_hints(f)
+        hints.pop("return")
+        for name, hint in hints.items():
+            kinds = typing.get_args(hint) or (hint,)
+            if any(is_dataclass(k) and k.__module__.startswith("levelflow") for k in kinds):
+                yield pytest.param(f, name, id=f"{f.__name__}-{name}")
+
+
+@pytest.mark.parametrize("f, name", list(_parameter_object_cases()))
+def test_parameter_object_of_another_type_is_named(f, name):
+    f(**VALID_CALLS[f])  # the valid call runs
+    with pytest.raises(InvalidInputError, match=rf"^{name}\b"):
+        f(**{**VALID_CALLS[f], name: "x"})
+
+
+# Array arguments that a call converts without an isfinite scan, each with
+# its label and a valid value: a list is taken as its array, and a non-real
+# array is rejected by the label.
+DIST = np.linspace(0.0, 1.0, MASK.size).reshape(SHAPE)
+EPS = 0.1 * IMAGE
+CONVERTED = {
+    "grad_energy_wrt_mask-dist": (
+        "distance", DIST, lambda v: lf.grad_energy_wrt_mask(IMAGE, MASK, P, W, PRIOR, v),
+    ),
+    "chain_rule_grad-yt": (
+        "yt", MASK, lambda v: lf.chain_rule_grad(v, EPS, 3, SCHED, IMAGE, CFG, DIST),
+    ),
+    "chain_rule_grad-eps_hat": (
+        "eps_hat", EPS, lambda v: lf.chain_rule_grad(MASK, v, 3, SCHED, IMAGE, CFG, DIST),
+    ),
+    "chain_rule_grad-dist": (
+        "distance", DIST, lambda v: lf.chain_rule_grad(MASK, EPS, 3, SCHED, IMAGE, CFG, v),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONVERTED))
+def test_list_argument_is_converted(name):
+    _, value, call = CONVERTED[name]
+    assert np.array_equal(call(value.tolist()), call(value))
+
+
+@pytest.mark.parametrize("name", sorted(CONVERTED))
+def test_non_real_array_argument_is_named(name):
+    label, _, call = CONVERTED[name]
+    with pytest.raises(InvalidInputError, match=rf"^{label} must hold real numbers"):
+        call(np.full(SHAPE, "a"))
 
 
 def test_mixture_takes_an_array_of_masks():

@@ -314,6 +314,22 @@ class TestMixtureProvider:
             )
         assert rel_inf_err(score, fd) <= 1e-4
 
+    def test_log_marginal_of_a_stack_is_one_value_per_state(self):
+        sched = dif.make_schedule(40, 1e-3, 0.2)
+        disk, ring = modes_32()
+        masks = (disk[:8, :8], ring[:8, :8], 1.0 - disk[:8, :8])
+        prov = dif.MixtureMaskProvider(masks=masks, weights=(0.2, 0.3, 0.5))
+        stack = normal_field((85, 1), (3, 8, 8))
+        t = 15
+        got = prov.log_marginal(stack, t, sched)
+        assert got.shape == (3,)
+        assert np.array_equal(got, [prov.log_marginal(y, t, sched) for y in stack])
+        # one state: the logsumexp of its K terms as a flat sum, bit for bit
+        terms, _, _, v = prov._log_terms(stack[0], t, sched)
+        m = float(np.max(terms))
+        expect = m + float(np.log(np.exp(terms - m).sum())) - 0.5 * 64 * np.log(2.0 * np.pi * v)
+        assert prov.log_marginal(stack[0], t, sched) == expect
+
     def test_noise_scale_default_is_the_sampler_sections(self):
         disk, _ = modes_32()
         provider = dif.MixtureMaskProvider((disk,), (1.0,))

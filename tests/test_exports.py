@@ -144,12 +144,8 @@ def _as_field_parameters(f) -> set:
 
 
 # Functions that pass two or more of their parameters through as_field, each
-# kept on purpose.
-SEPARATE_AS_FIELD_ALLOWED = {
-    # a boolean seed is taken as it is; only a seed of another dtype is a
-    # field to check, and a mismatched seed gets its own message
-    "solve_eikonal",
-}
+# kept on purpose; none is.
+SEPARATE_AS_FIELD_ALLOWED: set = set()
 
 
 def test_fields_are_checked_with_one_as_fields_call():

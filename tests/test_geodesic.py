@@ -214,6 +214,10 @@ class TestSolveEikonal:
         with pytest.raises(InvalidInputError):
             geo.solve_eikonal(np.ones((16, 16)), np.zeros((16, 16), dtype=bool))
 
+    def test_boolean_seed_of_another_shape_rejected(self):
+        with pytest.raises(InvalidInputError, match="^fields must share one shape"):
+            geo.solve_eikonal(np.ones((8, 8)), np.ones((8, 9), dtype=bool))
+
     def test_nonpositive_speed_rejected(self):
         seed = np.zeros((8, 8), dtype=bool)
         seed[0, 0] = True
@@ -416,6 +420,13 @@ class TestReuseSolves:
             second = geo.solve_eikonal(speed, seed)
         assert second is not first and len(solves) == 2
         assert np.array_equal(second.values, geo.solve_eikonal(speed.copy(), seed.copy()).values)
+
+    def test_soft_seed_hits_the_map_of_its_boolean_seed(self, solves):
+        speed, seed = reuse_problem()
+        with geo.reuse_solves():
+            a = geo.solve_eikonal(speed, seed)
+            b = geo.solve_eikonal(speed, np.where(seed, 0.5, 0.4999))
+        assert b is a and len(solves) == 1
 
     def test_strided_view_hits_its_contiguous_copy(self, solves):
         wide_speed, wide_seed = reuse_problem((12, 40))
