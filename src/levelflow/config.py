@@ -51,7 +51,7 @@ class AreaParams(Params):
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Params):
     seed: int = 0
     heaviside: HeavisideParams = field(default_factory=HeavisideParams)
     weights: EnergyWeights = field(default_factory=EnergyWeights)

@@ -74,18 +74,24 @@ class ScheduleParams(Params):
 
 
 @dataclass(frozen=True)
-class DiffusionSchedule:
+class DiffusionSchedule(Params):
     """Variance schedule arrays, all of length T, indexed by t - 1.
 
     ``sigma`` is the reverse-step noise scale sqrt(beta_t), forced to 0 at
     t = 1 so the returned sample is noise-free.
     """
 
-    T: int
+    T: int = param(rule=AT_LEAST_1)
     beta: np.ndarray
     alpha: np.ndarray
     alpha_bar: np.ndarray
     sigma: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        for key in ("beta", "alpha", "alpha_bar", "sigma"):
+            shape = getattr(self, key).shape
+            require(shape == (self.T,), key, f"of shape ({self.T},)", shape)
 
 
 def make_schedule(
@@ -192,6 +198,7 @@ def guided_eps(
 
 def guided_score(score: np.ndarray, grad_lsf: np.ndarray, gamma_st: float) -> np.ndarray:
     """Score-space guidance: score - gamma_st * grad."""
+    require_floats(gamma_st=gamma_st)
     check_same_shape(score, grad_lsf)
     return score - gamma_st * grad_lsf
 
@@ -208,19 +215,13 @@ class SamplerParams(Params):
 
 
 @dataclass(frozen=True)
-class GuidanceConfig:
+class GuidanceConfig(Params):
     """Contour-energy configuration used inside guided sampling."""
 
     heaviside: levelset.HeavisideParams = levelset.HeavisideParams()
     weights: levelset.EnergyWeights = levelset.EnergyWeights()
     area: levelset.AreaPrior | None = None
     speed: geodesic.SpeedParams = geodesic.SpeedParams()
-
-    def __post_init__(self):
-        require_instance("heaviside", self.heaviside, levelset.HeavisideParams)
-        require_instance("weights", self.weights, levelset.EnergyWeights)
-        require_instance("area", self.area, levelset.AreaPrior, type(None))
-        require_instance("speed", self.speed, geodesic.SpeedParams)
 
     def area_prior(self, n_pixels: int) -> levelset.AreaPrior:
         if self.area is not None:

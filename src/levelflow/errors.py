@@ -1,20 +1,25 @@
 """Exception hierarchy, and the one check every parameter dataclass runs.
 
-A :class:`Params` dataclass checks every field's type, then every field's
-rule, naming the field first.  The type is the field's annotation: ``int``,
-``float``, ``str``, or one of them ``| None``; numpy scalars of the right kind
-pass, and a bool is never a number.  The rule is the :class:`Rule` the field
-declares with :func:`param`: a range, or a list of choices (:func:`one_of`).
-A class's ``__post_init__`` adds cross-field rules only.  A bare argument is
+A :class:`Params` dataclass (the config sections, ``GuidanceConfig``,
+``DiffusionSchedule``, ``Confusion``, ``ExperimentConfig`` and the rest) runs
+:func:`check_fields`: every field's type, then every field's rule, naming the
+field first.  The type is the field's annotation: ``int``, ``float``, ``str``,
+a class (a package dataclass, ``np.ndarray``), or one of them ``| None``;
+numpy scalars of the right kind pass, and a bool is never a number.  The rule
+is the :class:`Rule` the field declares with :func:`param`: a range, or a list
+of choices (:func:`one_of`).  A class's ``__post_init__`` adds cross-field
+rules only.  ``RegionStats``, built once per energy pass, declares its rules
+but is no ``Params``: entry points check a caller's copy.  A bare argument is
 checked by :func:`require_ints`, :func:`require_floats`,
 :func:`require_instance` and :func:`require`.
 """
 
+import functools
 import math
 import sys
 from dataclasses import MISSING, field
 from numbers import Integral, Real
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_args, get_type_hints
 
 
 class LevelflowError(Exception):
@@ -81,6 +86,7 @@ def param(default=MISSING, rule: Rule | None = None):
 # annotation -> (the types taken as they are, the kind a numpy scalar must be)
 _KINDS = {"int": ((int,), Integral), "float": ((float, int), Real), "str": ((str,), str)}
 _TYPES = {**_KINDS, **{f"{k} | None": (e + (type(None),), n) for k, (e, n) in _KINDS.items()}}
+_hints = functools.cache(get_type_hints)  # any other annotation is a class (| None), resolved once
 
 
 def _check_type(key: str, annotation: str, value) -> None:
@@ -108,14 +114,24 @@ def require_instance(key: str, value, *kinds: type) -> None:
         raise InvalidInputError(f"{key} expects {kinds[0].__name__}, got {value!r}")
 
 
+def check_fields(obj) -> None:
+    """Check each field of dataclass ``obj``: its type, then its rule, naming the field."""
+    checks = obj.__dataclass_fields__.values()
+    for f in checks:
+        value = getattr(obj, f.name)
+        if f.type in _TYPES:
+            _check_type(f.name, f.type, value)
+        else:  # a class, or a class | None
+            hint = _hints(type(obj))[f.name]
+            require_instance(f.name, value, *(get_args(hint) or (hint,)))
+    for f in checks:
+        rule, value = f.metadata.get("rule"), getattr(obj, f.name)
+        if rule is not None and value is not None:
+            require(rule.test(value), f.name, rule.text, value)
+
+
 class Params:
-    """Base of the parameter dataclasses: checks each field's type, then its rule."""
+    """Base of the parameter dataclasses: each instance runs :func:`check_fields`."""
 
     def __post_init__(self):
-        checks = self.__dataclass_fields__.values()
-        for f in checks:
-            _check_type(f.name, f.type, getattr(self, f.name))
-        for f in checks:
-            rule, value = f.metadata.get("rule"), getattr(self, f.name)
-            if rule is not None and value is not None:
-                require(rule.test(value), f.name, rule.text, value)
+        check_fields(self)

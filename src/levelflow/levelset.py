@@ -40,8 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AT_LEAST_1, NON_NEGATIVE, POSITIVE, DegenerateRegionError, DivergenceError
-from .errors import InvalidInputError, Params, param, require, require_floats, require_instance
+from .errors import AT_LEAST_1, FINITE, NON_NEGATIVE, POSITIVE, DegenerateRegionError
+from .errors import DivergenceError, InvalidInputError, Params, check_fields, param, require
+from .errors import require_floats, require_instance
 from .field import _as_float64, as_fields, check_same_shape, gradient, gradient_adjoint
 
 VAR_FLOOR = 1e-6  # keeps log var and 1/var finite on a flat region
@@ -60,14 +61,17 @@ class HeavisideParams(Params):
 
 @dataclass(frozen=True)
 class RegionStats:
-    """Weighted means/variances of the two regions plus their soft masses."""
+    """Weighted means/variances of the two regions plus their soft masses.
 
-    mean_in: float
-    mean_out: float
-    var_in: float
-    var_out: float
-    mass_in: float
-    mass_out: float
+    Built per energy pass, so no :class:`Params`; an entry point checks a caller's.
+    """
+
+    mean_in: float = param(rule=FINITE)
+    mean_out: float = param(rule=FINITE)
+    var_in: float = param(rule=POSITIVE)
+    var_out: float = param(rule=POSITIVE)
+    mass_in: float = param(rule=NON_NEGATIVE)
+    mass_out: float = param(rule=NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -280,6 +284,8 @@ def energy_total(
     require_instance("stats", stats, RegionStats, type(None))
     if stats is None:
         stats = region_stats_from_weights(image, heaviside(phi, p))
+    else:
+        check_fields(stats)
     region = energy_region(image, phi, p, stats)
     terms = (energy_length(phi, p), energy_area(phi, p, prior), energy_distance(phi, p, dist))
     return _report(w, region, *terms)
@@ -363,6 +369,8 @@ def grad_energy_wrt_mask(
     h = heaviside(phi, p)
     if stats is None:
         stats = region_stats_from_weights(image, h)
+    else:
+        check_fields(stats)
     # d(phi)/dy = 1
     return _grad_energy_wrt_phi(image, phi, h, p, w, prior, dist, stats)
 

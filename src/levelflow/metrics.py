@@ -6,16 +6,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FINITE, InvalidInputError, require, require_floats, require_instance
+from .errors import FINITE, NON_NEGATIVE, InvalidInputError, Params, param, require
+from .errors import require_floats, require_instance
 from .field import as_fields
 
 
 @dataclass(frozen=True)
-class Confusion:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
+class Confusion(Params):
+    tp: int = param(rule=NON_NEGATIVE)
+    fp: int = param(rule=NON_NEGATIVE)
+    fn: int = param(rule=NON_NEGATIVE)
+    tn: int = param(rule=NON_NEGATIVE)
 
 
 @dataclass(frozen=True)

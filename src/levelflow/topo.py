@@ -29,7 +29,7 @@ import numpy as np
 
 from . import rng
 from .errors import AT_LEAST_1, InvalidInputError, Params, one_of, param, require, require_ints
-from .errors import require_instance
+from .errors import require_floats, require_instance
 from .field import as_fields, binarize
 from .levelset import nll_fields, region_stats_from_weights
 
@@ -128,6 +128,8 @@ def nucleation_delta(
     """
     image, before = _checked(image, mask, model)
     require_instance("probe", probe, NucleationProbe)
+    if before_energy is not None:
+        require_floats(before_energy=before_energy)
     disk = _disk_pixels(image.shape, probe)
     after = before.copy()
     if probe.direction == "remove-from-inside":

@@ -9,18 +9,21 @@ The last tests hold library calls to the same rule for seeds, int
 parameters, parameter objects and array arguments.
 """
 
+import importlib
 import inspect
 import os
+import pkgutil
 import sys
 import typing
-from dataclasses import is_dataclass
+from dataclasses import is_dataclass, replace
 
 import numpy as np
 import pytest
 
 import levelflow as lf
 from levelflow import diffusion, field, levelset, rng
-from levelflow.errors import InvalidInputError
+from levelflow.config import ExperimentConfig
+from levelflow.errors import InvalidInputError, Params
 
 SHAPE = (16, 16)
 MASK = np.zeros(SHAPE)
@@ -254,6 +257,11 @@ INT_PARAMETERS = {
 }
 
 
+def _stats(**changed):
+    """Valid region statistics with some values changed."""
+    return replace(lf.RegionStats(0.0, 1.0, 1.0, 1.0, 1.0, 1.0), **changed)
+
+
 # Arguments that are neither fields nor parameter dataclasses, each given a
 # value of the wrong kind, or a number numpy cannot take (an int past
 # float64's range raised a bare OverflowError); the call names the argument.
@@ -321,6 +329,27 @@ BAD_ARGUMENTS = {
         "stats", lambda: lf.grad_energy_wrt_mask(IMAGE, MASK, P, W, PRIOR, Z, "x"),
     ),
     "evolve-w": ("w", lambda: lf.evolve(IMAGE, PHI, P, None, PRIOR, Z)),
+    # a caller's statistics gave a silent NaN energy or gradient
+    "energy_total-nan-stats": (
+        "var_in", lambda: lf.energy_total(IMAGE, PHI, P, W, PRIOR, Z, _stats(var_in=np.nan)),
+    ),
+    "grad_energy_wrt_mask-negative-stats": (
+        "var_in",
+        lambda: lf.grad_energy_wrt_mask(IMAGE, MASK, P, W, PRIOR, Z, _stats(var_in=-1.0)),
+    ),
+    # a str raised a bare TypeError from the arithmetic
+    "nucleation_delta-before_energy": (
+        "before_energy", lambda: lf.nucleation_delta(IMAGE, MASK, PROBE, before_energy="x"),
+    ),
+    "guided_score-gamma_st": ("gamma_st", lambda: lf.guided_score(Z, MASK, "x")),
+    # arrays shorter than T raised a bare IndexError at the last steps
+    "DiffusionSchedule-short-arrays": (
+        "beta", lambda: lf.predict_y0(MASK, MASK, 5, lf.DiffusionSchedule(5, *[np.ones(3)] * 4)),
+    ),
+    # a negative count gave a Dice of 1.25, and a str a bare TypeError
+    "Confusion-negative": ("tp", lambda: lf.scores(lf.Confusion(-5, 1, 1, 1))),
+    "Confusion-str": ("tp", lambda: lf.Confusion("a", 1, 1, 1)),
+    "ExperimentConfig-weights": ("weights", lambda: ExperimentConfig(weights={"lambda1": 0.01})),
 }
 
 
@@ -329,6 +358,45 @@ def test_bad_argument_is_named(name):
     key, call = BAD_ARGUMENTS[name]
     with pytest.raises(InvalidInputError, match=rf"^{key}\b"):
         call()
+
+
+def _params_classes():
+    """Every Params subclass the package defines, its modules imported."""
+    for module in pkgutil.iter_modules(lf.__path__):
+        importlib.import_module(f"levelflow.{module.name}")
+    found, todo = [], [Params]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        found += subclasses
+        todo += subclasses
+    return found
+
+
+# A valid instance of each Params class that takes required arguments.
+VALID_PARAMS = {
+    lf.AreaPrior: PRIOR,
+    lf.Confusion: lf.Confusion(1, 1, 1, 1),
+    lf.DiffusionSchedule: SCHED,
+    lf.NucleationProbe: PROBE,
+    lf.PhantomSpec: lf.PhantomSpec("two-disks", 32),
+}
+
+
+def _class_typed_fields():
+    """(class, field, kind) for each field whose resolved annotation is one
+    class, or one class ``| None``."""
+    for cls in _params_classes():
+        for name, hint in typing.get_type_hints(cls).items():
+            kinds = [k for k in typing.get_args(hint) or (hint,) if k is not type(None)]
+            if len(kinds) == 1 and isinstance(kinds[0], type):
+                yield pytest.param(cls, name, kinds[0], id=f"{cls.__name__}-{name}")
+
+
+@pytest.mark.parametrize("cls, name, kind", list(_class_typed_fields()))
+def test_params_field_of_another_type_is_named(cls, name, kind):
+    valid = VALID_PARAMS[cls] if cls in VALID_PARAMS else cls()
+    with pytest.raises(InvalidInputError, match=rf"^{name} expects "):
+        replace(valid, **{name: b"x" if kind is str else "x"})
 
 
 CFG = lf.GuidanceConfig()

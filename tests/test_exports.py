@@ -6,18 +6,23 @@ An export that only tests call is dead code with a public name, a private
 helper that nothing references is left-over code, and a parameter that no
 caller sets is an option nothing uses; these guards keep new ones from
 appearing.  A function that checks two or more of its fields does so with
-one ``as_fields`` call, not one ``as_field`` call per field.  The package
-runs no linter, so the last guards hold its modules to 99 columns and to
-module-level imports they read.
+one ``as_fields`` call, not one ``as_field`` call per field, and a
+dataclass that an exported function takes as a parameter is a ``Params``,
+so its fields are checked where it is built.  The package runs no linter,
+so the last guards hold its modules to 99 columns and to module-level
+imports they read.
 """
 
 import ast
 import inspect
+import typing
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import pytest
 
 import levelflow as lf
+from levelflow.errors import Params
 
 SOURCES = [p for p in Path(lf.__file__).parent.glob("*.py") if p.name != "__init__.py"]
 
@@ -158,6 +163,54 @@ def test_fields_are_checked_with_one_as_fields_call():
     )
     # an allowance outlives its reason once the function checks one field
     assert SEPARATE_AS_FIELD_ALLOWED <= separate
+
+
+# Package dataclasses that a parameter of an exported function or method
+# takes, and that are no Params, each kept on purpose.
+PLAIN_PARAMETER_CLASSES_ALLOWED = {
+    # one is built per energy pass; energy_total and grad_energy_wrt_mask run
+    # check_fields on a caller's statistics instead
+    "RegionStats",
+    # refine checks its weights against the mask it refines
+    "AffinityKernel",
+}
+
+
+def _exported_callables():
+    """Each exported function, and each public method of an exported class."""
+    for name in EXPORTS:
+        obj = getattr(lf, name)
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            methods = (getattr(m, "__func__", m) for k, m in vars(obj).items() if k[0] != "_")
+            yield from (m for m in methods if inspect.isfunction(m))
+
+
+def _plain_parameter_classes() -> set:
+    """Names of the package dataclasses, no Params, that annotate a parameter
+    (not a return) of an exported function or method."""
+    plain = set()
+    for f in _exported_callables():
+        hints = typing.get_type_hints(f)
+        hints.pop("return", None)
+        for hint in hints.values():
+            for kind in typing.get_args(hint) or (hint,):
+                packaged = is_dataclass(kind) and kind.__module__.startswith("levelflow")
+                if packaged and not issubclass(kind, Params):
+                    plain.add(kind.__name__)
+    return plain
+
+
+def test_parameter_dataclasses_are_params():
+    plain = _plain_parameter_classes()
+    new = sorted(plain - PLAIN_PARAMETER_CLASSES_ALLOWED)
+    assert not new, (
+        "dataclasses that exported functions take as parameters but that run no field check "
+        f"(make each a Params, or allow it here with its reason): {new}"
+    )
+    # an allowance outlives its reason once the class is a Params or no parameter takes it
+    assert PLAIN_PARAMETER_CLASSES_ALLOWED <= plain
 
 
 MAX_COLUMNS = 99
