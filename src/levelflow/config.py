@@ -52,7 +52,7 @@ class AreaParams(Params):
 
 @dataclass(frozen=True)
 class ExperimentConfig(Params):
-    seed: int = 0
+    seed: int = param(0, SEED)
     heaviside: HeavisideParams = field(default_factory=HeavisideParams)
     weights: EnergyWeights = field(default_factory=EnergyWeights)
     area: AreaParams = field(default_factory=AreaParams)
@@ -85,10 +85,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - set(_SECTIONS) - {"schema_version", "seed"}
     if unknown:
         raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
-    seed = doc.get("seed", 0)
-    if not (type(seed) is int and SEED.test(seed)):  # a JSON integer; true is not one
-        raise InvalidInputError(f"config seed expects an int {SEED.text}, got {seed!r}")
-    kwargs: dict = {"seed": seed}
+    kwargs: dict = {"seed": doc.get("seed", 0)}
     for name in _SECTIONS:
         section = doc.get(name, {})
         if not isinstance(section, dict):
@@ -106,11 +103,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if bad:
             raise InvalidInputError(f"unknown config keys: {sorted(f'{name}.{k}' for k in bad)}")
         if cls:
-            try:
-                kwargs[name] = cls(**live)
-            except InvalidInputError as exc:  # each section's check names its key first
-                raise InvalidInputError(f"config {name}.{exc}") from None
-    return ExperimentConfig(**kwargs)
+            kwargs[name] = _built(cls, live, f"{name}.")
+    return _built(ExperimentConfig, kwargs, "")
+
+
+def _built(cls, kwargs: dict, prefix: str):
+    try:
+        return cls(**kwargs)
+    except InvalidInputError as exc:  # each check names its key first
+        raise InvalidInputError(f"config {prefix}{exc}") from None
 
 
 def load_config_document(path, command: str) -> tuple[ExperimentConfig, dict | None]:

@@ -24,6 +24,8 @@ and are algebraically equivalent.
 
 The config sections ``schedule``, ``guidance``, ``sampler`` and ``losses``
 live here, and the functions that read them build them to check arguments.
+A :class:`DiffusionSchedule` is a ``schedule`` section that builds its
+read-only arrays from its three settings; no caller can set them.
 ``sample``, ``chain_rule_grad``, ``forward_sample``, ``dpm_loss`` and the
 provider constructors validate their fields; ``predict_y0``,
 ``reverse_step``, the guidance updates and the provider methods are
@@ -65,7 +67,10 @@ class PredictionDivergenceError(DivergenceError):
 @dataclass(frozen=True)
 class ScheduleParams(Params):
     steps: int = param(1000, AT_LEAST_1)
-    beta1: float = param(1e-4, Rule(lambda v: 0 < v < 1, "in (0, 1)"))
+    # 1 - abar_t is a divisor, so abar_1 = 1 - beta1 must not round to 1
+    beta1: float = param(
+        1e-4, Rule(lambda v: 0 < v < 1 and 1 - float(v) < 1, "in (0, 1) with 1 - beta1 < 1")
+    )
     betaT: float = 0.02
 
     def __post_init__(self):
@@ -74,37 +79,36 @@ class ScheduleParams(Params):
 
 
 @dataclass(frozen=True)
-class DiffusionSchedule(Params):
-    """Variance schedule arrays, all of length T, indexed by t - 1.
-
-    ``sigma`` is the reverse-step noise scale sqrt(beta_t), forced to 0 at
-    t = 1 so the returned sample is noise-free.
+class DiffusionSchedule(ScheduleParams):
+    """Read-only arrays ``beta``, ``alpha``, ``alpha_bar`` and ``sigma`` of
+    length ``T`` (``steps``), indexed by t - 1.  ``sigma`` is the reverse-step
+    noise scale sqrt(beta_t), forced to 0 at t = 1 so the returned sample is
+    noise-free.
     """
-
-    T: int = param(rule=AT_LEAST_1)
-    beta: np.ndarray
-    alpha: np.ndarray
-    alpha_bar: np.ndarray
-    sigma: np.ndarray
 
     def __post_init__(self):
         super().__post_init__()
-        for key in ("beta", "alpha", "alpha_bar", "sigma"):
-            shape = getattr(self, key).shape
-            require(shape == (self.T,), key, f"of shape ({self.T},)", shape)
+        beta = np.linspace(self.beta1, self.betaT, self.steps)
+        alpha = 1.0 - beta
+        alpha_bar = np.cumprod(alpha)
+        sigma = np.sqrt(beta)
+        sigma[0] = 0.0
+        # abar_t is a divisor too: it must not underflow to 0
+        require(alpha_bar[-1] > 0.0, "steps", "few enough that alpha_bar_T > 0", self.steps)
+        for key, values in dict(beta=beta, alpha=alpha, alpha_bar=alpha_bar, sigma=sigma).items():
+            values.flags.writeable = False
+            object.__setattr__(self, key, values)
+
+    @property
+    def T(self) -> int:  # the chain length
+        return self.steps
 
 
 def make_schedule(
     T: int, beta1: float = ScheduleParams.beta1, betaT: float = ScheduleParams.betaT
 ) -> DiffusionSchedule:
     """Linear variance schedule from beta1 to betaT over T steps."""
-    ScheduleParams(T, beta1, betaT)
-    beta = np.linspace(beta1, betaT, T)
-    alpha = 1.0 - beta
-    alpha_bar = np.cumprod(alpha)
-    sigma = np.sqrt(beta)
-    sigma[0] = 0.0
-    return DiffusionSchedule(T=T, beta=beta, alpha=alpha, alpha_bar=alpha_bar, sigma=sigma)
+    return DiffusionSchedule(T, beta1, betaT)
 
 
 def _check_t(t: int, sched: DiffusionSchedule) -> int:

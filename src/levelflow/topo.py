@@ -50,7 +50,7 @@ class NucleationProbe(Params):
     direction: str = param(rule=one_of(PROBE_DIRECTIONS))
 
 
-def td_field(image: np.ndarray, mask: np.ndarray, model: str = "cv") -> np.ndarray:
+def td_field(image: np.ndarray, mask: np.ndarray, model: str) -> np.ndarray:
     """Per-pixel topological derivative T from hard region statistics.
 
     Sign convention: flipping a pixel out of its current region changes
@@ -107,11 +107,7 @@ def _energy_sum(mask_bin, e1, e2) -> float:
 
 
 def nucleation_delta(
-    image: np.ndarray,
-    mask: np.ndarray,
-    probe: NucleationProbe,
-    model: str = "cv",
-    *,
+    image: np.ndarray, mask: np.ndarray, probe: NucleationProbe, model: str, *,
     before_energy: float | None = None,
 ) -> float:
     """Exact energy change per flipped pixel for a hard disk flip.
@@ -168,12 +164,7 @@ class TdVerifyReport:
 
 
 def verify_td(
-    image: np.ndarray,
-    mask: np.ndarray,
-    model: str = "cv",
-    samples: int = 200,
-    radius: int = 2,
-    seed: int = 0,
+    image: np.ndarray, mask: np.ndarray, model: str, samples: int, radius: int, seed: int
 ) -> TdVerifyReport:
     """Compare the TD field against the nucleation oracle at random pixels.
 

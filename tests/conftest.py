@@ -1,14 +1,30 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import levelflow as lf
 from levelflow import rng
+from levelflow.errors import Params
 
 # Property tests draw the same examples on every run and every checkout,
 # and the solver-heavy ones may take longer than hypothesis's deadline.
 settings.register_profile("levelflow", derandomize=True, deadline=None)
 settings.load_profile("levelflow")
+
+
+def params_classes() -> list:
+    """Every Params subclass the package defines, its modules imported."""
+    for module in pkgutil.iter_modules(lf.__path__):
+        importlib.import_module(f"levelflow.{module.name}")
+    found, todo = [], [Params]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        found += subclasses
+        todo += subclasses
+    return found
 
 
 def uniform_field(key_tags, shape, lo=0.0, hi=1.0):

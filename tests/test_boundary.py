@@ -9,10 +9,8 @@ The last tests hold library calls to the same rule for seeds, int
 parameters, parameter objects and array arguments.
 """
 
-import importlib
 import inspect
 import os
-import pkgutil
 import sys
 import typing
 from dataclasses import is_dataclass, replace
@@ -23,7 +21,9 @@ import pytest
 import levelflow as lf
 from levelflow import diffusion, field, levelset, rng
 from levelflow.config import ExperimentConfig
-from levelflow.errors import InvalidInputError, Params
+from levelflow.errors import InvalidInputError
+
+from conftest import params_classes
 
 SHAPE = (16, 16)
 MASK = np.zeros(SHAPE)
@@ -57,9 +57,9 @@ ENTRY_POINTS = {
     "speed_field": lambda image, d_e: lf.speed_field(image, lf.SpeedParams(), d_e),
     "solve_eikonal": lambda speed, seed: lf.solve_eikonal(speed + 1.0, seed),
     "distance_for_mask": lambda image, mask: lf.distance_for_mask(image, mask),
-    "td_field": lambda image, mask: lf.td_field(image, mask),
-    "nucleation_delta": lambda image, mask: lf.nucleation_delta(image, mask, PROBE),
-    "verify_td": lambda image, mask: lf.verify_td(image, mask, samples=5),
+    "td_field": lambda image, mask: lf.td_field(image, mask, "cv"),
+    "nucleation_delta": lambda image, mask: lf.nucleation_delta(image, mask, PROBE, "cv"),
+    "verify_td": lambda image, mask: lf.verify_td(image, mask, "cv", 5, 2, 0),
     "refine": lambda mask, image: lf.refine(mask, lf.affinity_kernel(image), 2),
     "par_loss": lambda mask, refined: lf.par_loss(mask, refined),
     "confusion": lambda pred, gt: lf.confusion(pred, gt),
@@ -183,8 +183,7 @@ def test_kernel_trusts_its_arrays(as_field_calls, name):
 @pytest.fixture
 def read_only_arguments():
     """Every array the KERNELS calls take, made read-only for one test."""
-    arrays = [IMAGE, MASK, PHI, Z, *PROVIDER.masks, SCHED.beta, SCHED.alpha, SCHED.alpha_bar,
-              SCHED.sigma]
+    arrays = [IMAGE, MASK, PHI, Z, *PROVIDER.masks]  # a schedule's arrays are read-only already
     for a in arrays:
         a.flags.writeable = False
     yield
@@ -229,7 +228,7 @@ def _sample(**kwargs):
     [
         lambda seed: rng.derive_key(seed, 1),
         lambda seed: _sample(seed=seed),
-        lambda seed: lf.verify_td(IMAGE, MASK, samples=5, seed=seed),
+        lambda seed: lf.verify_td(IMAGE, MASK, "cv", 5, 2, seed),
     ],
     ids=["derive_key", "sample", "verify_td"],
 )
@@ -251,8 +250,8 @@ INT_PARAMETERS = {
     "SamplerParams-distance_refresh": (
         "distance_refresh", lambda v: diffusion.SamplerParams(distance_refresh=v),
     ),
-    "verify_td-samples": ("samples", lambda v: lf.verify_td(IMAGE, MASK, samples=v)),
-    "verify_td-radius": ("radius", lambda v: lf.verify_td(IMAGE, MASK, samples=5, radius=v)),
+    "verify_td-samples": ("samples", lambda v: lf.verify_td(IMAGE, MASK, "cv", v, 2, 0)),
+    "verify_td-radius": ("radius", lambda v: lf.verify_td(IMAGE, MASK, "cv", 5, v, 0)),
     "derive_key": ("seed", lambda v: rng.derive_key(v)),
 }
 
@@ -310,7 +309,7 @@ BAD_ARGUMENTS = {
     "refine-kernel": ("kernel", lambda: lf.refine(MASK, None, 1)),
     "energy_total-p": ("p", lambda: lf.energy_total(IMAGE, PHI, None, W, PRIOR, Z)),
     "evolve-prior": ("prior", lambda: lf.evolve(IMAGE, PHI, P, W, None, Z)),
-    "nucleation_delta-probe": ("probe", lambda: lf.nucleation_delta(IMAGE, MASK, None)),
+    "nucleation_delta-probe": ("probe", lambda: lf.nucleation_delta(IMAGE, MASK, None, "cv")),
     "scores-c": ("c", lambda: lf.scores(None)),
     "grad_energy_wrt_mask-w": (
         "w", lambda: lf.grad_energy_wrt_mask(IMAGE, MASK, P, None, PRIOR, Z),
@@ -339,13 +338,12 @@ BAD_ARGUMENTS = {
     ),
     # a str raised a bare TypeError from the arithmetic
     "nucleation_delta-before_energy": (
-        "before_energy", lambda: lf.nucleation_delta(IMAGE, MASK, PROBE, before_energy="x"),
+        "before_energy", lambda: lf.nucleation_delta(IMAGE, MASK, PROBE, "cv", before_energy="x"),
     ),
     "guided_score-gamma_st": ("gamma_st", lambda: lf.guided_score(Z, MASK, "x")),
-    # arrays shorter than T raised a bare IndexError at the last steps
-    "DiffusionSchedule-short-arrays": (
-        "beta", lambda: lf.predict_y0(MASK, MASK, 5, lf.DiffusionSchedule(5, *[np.ones(3)] * 4)),
-    ),
+    # a negative seed built, and its to_dict() wrote a document the loader rejects
+    "ExperimentConfig-seed": ("seed", lambda: ExperimentConfig(seed=-1)),
+    "ExperimentConfig-bool-seed": ("seed", lambda: ExperimentConfig(seed=True)),
     # a negative count gave a Dice of 1.25, and a str a bare TypeError
     "Confusion-negative": ("tp", lambda: lf.scores(lf.Confusion(-5, 1, 1, 1))),
     "Confusion-str": ("tp", lambda: lf.Confusion("a", 1, 1, 1)),
@@ -358,18 +356,6 @@ def test_bad_argument_is_named(name):
     key, call = BAD_ARGUMENTS[name]
     with pytest.raises(InvalidInputError, match=rf"^{key}\b"):
         call()
-
-
-def _params_classes():
-    """Every Params subclass the package defines, its modules imported."""
-    for module in pkgutil.iter_modules(lf.__path__):
-        importlib.import_module(f"levelflow.{module.name}")
-    found, todo = [], [Params]
-    while todo:
-        subclasses = todo.pop().__subclasses__()
-        found += subclasses
-        todo += subclasses
-    return found
 
 
 # A valid instance of each Params class that takes required arguments.
@@ -385,7 +371,7 @@ VALID_PARAMS = {
 def _class_typed_fields():
     """(class, field, kind) for each field whose resolved annotation is one
     class, or one class ``| None``."""
-    for cls in _params_classes():
+    for cls in params_classes():
         for name, hint in typing.get_type_hints(cls).items():
             kinds = [k for k in typing.get_args(hint) or (hint,) if k is not type(None)]
             if len(kinds) == 1 and isinstance(kinds[0], type):

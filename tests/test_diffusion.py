@@ -1,9 +1,13 @@
 import contextlib
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import levelflow as lf
 from levelflow import diffusion as dif
@@ -13,6 +17,9 @@ from levelflow.config import ExperimentConfig
 from levelflow.errors import DivergenceError, InvalidInputError
 
 from conftest import central_fd_grad, normal_field, rel_inf_err, uniform_field
+
+
+SCHEDULE_ARRAYS = ("beta", "alpha", "alpha_bar", "sigma")
 
 
 def modes_32():
@@ -51,6 +58,63 @@ class TestSchedule:
             dif.make_schedule(10, 0.01, 1.0)
         with pytest.raises(InvalidInputError):
             dif.make_schedule(0)
+        # 1 - beta1 rounds to 1, so 1 - abar_1 is 0; abar_T underflows to 0
+        with pytest.raises(InvalidInputError, match=r"^beta1 must be in \(0, 1\) with 1 - beta1 < 1"):
+            dif.make_schedule(3, 1e-20, 1e-20)
+        with pytest.raises(InvalidInputError, match=r"^steps must be few enough"):
+            dif.make_schedule(1000, 0.5, 0.99)
+
+    @pytest.mark.parametrize("key", SCHEDULE_ARRAYS)
+    def test_arrays_are_read_only(self, key):
+        sched = dif.make_schedule(5, 0.01, 0.3)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sched, key)[0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(sched, key, np.zeros(5))
+
+    @pytest.mark.parametrize(
+        "T, beta1, betaT", [(5, 0.01, 0.3), (60, 1e-3, 0.2), (200, 1e-3, 0.2), (1000, 1e-4, 0.02)]
+    )
+    def test_arrays_match_the_linear_schedule_bit_for_bit(self, T, beta1, betaT):
+        # the body make_schedule ran before the schedule built its own arrays
+        beta = np.linspace(beta1, betaT, T)
+        alpha = 1.0 - beta
+        alpha_bar = np.cumprod(alpha)
+        sigma = np.sqrt(beta)
+        sigma[0] = 0.0
+        sched = dif.make_schedule(T, beta1, betaT)
+        assert sched.T == T
+        for key, expected in zip(SCHEDULE_ARRAYS, (beta, alpha, alpha_bar, sigma)):
+            got = getattr(sched, key)
+            assert got.dtype == expected.dtype and got.shape == (T,)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_replaced_setting_rebuilds_the_arrays(self):
+        rebuilt = dataclasses.replace(dif.make_schedule(5, 0.01, 0.3), steps=8, betaT=0.2)
+        fresh = dif.make_schedule(8, 0.01, 0.2)
+        for key in SCHEDULE_ARRAYS:
+            assert np.array_equal(getattr(rebuilt, key), getattr(fresh, key))
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(1, 1000),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(0.0, 1.0, exclude_max=True),
+        hnp.arrays(np.float64, (3, 4, 4), elements=st.floats(-4.0, 4.0)),
+    )
+    def test_every_step_of_a_valid_schedule_is_finite(self, steps, beta1, share, fields):
+        # any betaT in [beta1, 1); a schedule either builds or names its culprit
+        betaT = min(beta1 + share * (1.0 - beta1), math.nextafter(1.0, 0.0))
+        try:
+            sched = dif.make_schedule(steps, beta1, betaT)
+        except InvalidInputError as exc:
+            assert re.match(r"^(beta1|steps) must be ", str(exc))
+            return
+        y, eps, xi = fields
+        for t in range(1, steps + 1):
+            assert np.isfinite(dif.forward_sample(y, t, sched, eps)).all()
+            assert np.isfinite(dif.predict_y0(y, eps, t, sched)).all()
+            assert np.isfinite(dif.reverse_step(y, eps, t, sched, xi)).all()
 
 
 class TestForwardAndPredict:

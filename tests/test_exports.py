@@ -8,21 +8,26 @@ caller sets is an option nothing uses; these guards keep new ones from
 appearing.  A function that checks two or more of its fields does so with
 one ``as_fields`` call, not one ``as_field`` call per field, and a
 dataclass that an exported function takes as a parameter is a ``Params``,
-so its fields are checked where it is built.  The package runs no linter,
+so its fields are checked where it is built; each field of a ``Params``
+holds a setting (a number, a string or another ``Params``), never an array
+or other state.  The package runs no linter,
 so the last guards hold its modules to 99 columns and to module-level
 imports they read.
 """
 
 import ast
 import inspect
+import types
 import typing
-from dataclasses import is_dataclass
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
 import levelflow as lf
 from levelflow.errors import Params
+
+from conftest import params_classes
 
 SOURCES = [p for p in Path(lf.__file__).parent.glob("*.py") if p.name != "__init__.py"]
 
@@ -211,6 +216,26 @@ def test_parameter_dataclasses_are_params():
     )
     # an allowance outlives its reason once the class is a Params or no parameter takes it
     assert PLAIN_PARAMETER_CLASSES_ALLOWED <= plain
+
+
+def _holds_a_setting(hint) -> bool:
+    """Whether ``hint`` is int, float, str or a Params class, or one of them | None."""
+    union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+    kinds = [k for k in (typing.get_args(hint) if union else (hint,)) if k is not type(None)]
+    if len(kinds) != 1 or not inspect.isclass(kinds[0]) or typing.get_origin(kinds[0]):
+        return False  # a union of two kinds, or a generic such as list[int]
+    return kinds[0] in (int, float, str) or issubclass(kinds[0], Params)
+
+
+def test_params_fields_hold_settings():
+    # an array is derived from settings (DiffusionSchedule's) or passed as an argument
+    bad = sorted(
+        f"{cls.__name__}.{f.name}: {hint}"
+        for cls in params_classes()
+        for f in fields(cls)
+        if not _holds_a_setting(hint := typing.get_type_hints(cls)[f.name])
+    )
+    assert not bad, f"Params fields that hold no setting: {bad}"
 
 
 MAX_COLUMNS = 99

@@ -236,6 +236,6 @@ class TestVerifyTd:
 
     def test_deterministic(self, two_disks_64):
         image, gt = two_disks_64
-        r1 = topo.verify_td(image, gt, samples=50, radius=2, seed=9)
-        r2 = topo.verify_td(image, gt, samples=50, radius=2, seed=9)
+        r1 = topo.verify_td(image, gt, "cv", samples=50, radius=2, seed=9)
+        r2 = topo.verify_td(image, gt, "cv", samples=50, radius=2, seed=9)
         assert r1 == r2
