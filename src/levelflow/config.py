@@ -1,16 +1,16 @@
 """One JSON document carrying every module's parameters.
 
-Each section is the dataclass of the module that reads it (only ``area``
-lives here), which checks each value's type and range as
-:mod:`levelflow.errors` states, naming the key, whether a config, a flag or
-a library call supplies the value.  The document is versioned, validated
-strictly (unknown keys anywhere are rejected so typos cannot silently fall
-back to defaults) and reproduced verbatim into run manifests, so a run can
-be repeated from its manifest alone, by the same subcommand.  Settings that
-are gone now (``_RETIRED``: ``schedule.kind``, the ``numerics`` section, the
-area override and two ``par`` keys) are dropped at the one value they ever
-took, so older manifests still replay; any other value or type of one is
-rejected.
+Each section is the dataclass of the module that reads it (only ``area`` lives
+here), which checks each value's type and range as :mod:`levelflow.errors`
+states, naming the key, whether a config, a flag or a library call supplies
+the value; the ``schedule`` section builds its chain, so one that cannot run
+fails at load.  The document is versioned, validated strictly (unknown keys
+anywhere are rejected so typos cannot silently fall back to defaults) and
+reproduced verbatim into run manifests, so a run can be repeated from its
+manifest alone, by the same subcommand.  Settings that are gone now
+(``_RETIRED``: ``schedule.kind``, the ``numerics`` section, the area override
+and two ``par`` keys) are dropped at the one value they ever took, so older
+manifests still replay; any other value or type of one is rejected.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
-from .diffusion import GuidancePolicy, LossParams, SamplerParams, ScheduleParams
+from .diffusion import DiffusionSchedule, GuidancePolicy, LossParams, SamplerParams
 from .errors import NON_NEGATIVE, InvalidInputError, Params, Rule, param
 from .geodesic import SpeedParams
 from .levelset import EnergyWeights, EvolveParams, HeavisideParams
@@ -58,7 +58,7 @@ class ExperimentConfig(Params):
     area: AreaParams = field(default_factory=AreaParams)
     speed: SpeedParams = field(default_factory=SpeedParams)
     par: ParParams = field(default_factory=ParParams)
-    schedule: ScheduleParams = field(default_factory=ScheduleParams)
+    schedule: DiffusionSchedule = field(default_factory=DiffusionSchedule)
     guidance: GuidancePolicy = field(default_factory=GuidancePolicy)
     sampler: SamplerParams = field(default_factory=SamplerParams)
     evolve: EvolveParams = field(default_factory=EvolveParams)

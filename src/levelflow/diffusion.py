@@ -24,8 +24,8 @@ and are algebraically equivalent.
 
 The config sections ``schedule``, ``guidance``, ``sampler`` and ``losses``
 live here, and the functions that read them build them to check arguments.
-A :class:`DiffusionSchedule` is a ``schedule`` section that builds its
-read-only arrays from its three settings; no caller can set them.
+The ``schedule`` section is the :class:`DiffusionSchedule`: it builds its
+read-only arrays from its three settings, so a chain that loads can run.
 ``sample``, ``chain_rule_grad``, ``forward_sample``, ``dpm_loss`` and the
 provider constructors validate their fields; ``predict_y0``,
 ``reverse_step``, the guidance updates and the provider methods are
@@ -65,7 +65,14 @@ class PredictionDivergenceError(DivergenceError):
 
 
 @dataclass(frozen=True)
-class ScheduleParams(Params):
+class DiffusionSchedule(Params):
+    """The ``schedule`` section, and the chain it sets: read-only arrays
+    ``beta``, ``alpha``, ``alpha_bar`` and ``sigma`` of length ``T``
+    (``steps``), indexed by t - 1, built at construction.  ``sigma`` is the
+    reverse-step noise scale sqrt(beta_t), forced to 0 at t = 1 so the
+    returned sample is noise-free.
+    """
+
     steps: int = param(1000, AT_LEAST_1)
     # 1 - abar_t is a divisor, so abar_1 = 1 - beta1 must not round to 1
     beta1: float = param(
@@ -76,18 +83,6 @@ class ScheduleParams(Params):
     def __post_init__(self):
         super().__post_init__()
         require(self.beta1 <= self.betaT < 1, "betaT", "in [beta1, 1)", self.betaT)
-
-
-@dataclass(frozen=True)
-class DiffusionSchedule(ScheduleParams):
-    """Read-only arrays ``beta``, ``alpha``, ``alpha_bar`` and ``sigma`` of
-    length ``T`` (``steps``), indexed by t - 1.  ``sigma`` is the reverse-step
-    noise scale sqrt(beta_t), forced to 0 at t = 1 so the returned sample is
-    noise-free.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
         beta = np.linspace(self.beta1, self.betaT, self.steps)
         alpha = 1.0 - beta
         alpha_bar = np.cumprod(alpha)
@@ -105,9 +100,9 @@ class DiffusionSchedule(ScheduleParams):
 
 
 def make_schedule(
-    T: int, beta1: float = ScheduleParams.beta1, betaT: float = ScheduleParams.betaT
+    T: int, beta1: float = DiffusionSchedule.beta1, betaT: float = DiffusionSchedule.betaT
 ) -> DiffusionSchedule:
-    """Linear variance schedule from beta1 to betaT over T steps."""
+    """The positional form of ``DiffusionSchedule``, kept for its callers."""
     return DiffusionSchedule(T, beta1, betaT)
 
 

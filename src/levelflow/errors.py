@@ -4,16 +4,16 @@ A :class:`Params` dataclass (the config sections, ``GuidanceConfig``,
 ``DiffusionSchedule``, ``Confusion``, ``ExperimentConfig`` and the rest) runs
 :func:`check_fields`: every field's type, then every field's rule, naming the
 field first.  The type is the field's annotation: ``int``, ``float``, ``str``,
-a ``Params`` class, or one of them ``| None``; numpy scalars of the right
-kind pass, and a bool is never a number.  The rule is the :class:`Rule` the
-field declares with :func:`param`: a range, or a list of choices
-(:func:`one_of`).  A class's ``__post_init__`` adds cross-field rules, or
-derives state from the checked fields: a field holds a setting, and
-``DiffusionSchedule`` builds its arrays from its own.  ``RegionStats``,
-built once per energy pass, declares its rules but is no ``Params``: entry
-points check a caller's copy.  A bare argument is checked by
-:func:`require_ints`, :func:`require_floats`, :func:`require_instance` and
-:func:`require`.
+a ``Params`` class, or one of them ``| None``; numpy scalars of the right kind
+pass, and a bool is never a number.  The rule is the :class:`Rule` the field
+declares with :func:`param`: a range, or a list of choices (:func:`one_of`).
+A class's ``__post_init__`` adds cross-field rules, or derives state from the
+checked fields: a field holds a setting, and the ``schedule`` section,
+``DiffusionSchedule``, builds its arrays from its own.  No ``Params`` class
+derives from another.  ``RegionStats``, built once per energy pass, declares
+its rules but is no ``Params``: entry points check a caller's copy.  A bare
+argument is checked by :func:`require_ints`, :func:`require_floats`,
+:func:`require_instance` and :func:`require`.
 """
 
 import functools

@@ -56,7 +56,7 @@ BASE_KWARGS = {
 # Every parameter dataclass; each checks its fields through errors.Params.
 PARAM_CLASSES = [
     lf.HeavisideParams, lf.EnergyWeights, lf.AreaPrior, lf.levelset.EvolveParams,
-    lf.diffusion.ScheduleParams, lf.GuidancePolicy, lf.diffusion.SamplerParams,
+    lf.DiffusionSchedule, lf.GuidancePolicy, lf.diffusion.SamplerParams,
     lf.diffusion.LossParams, lf.SpeedParams, lf.ParParams, config.AreaParams, lf.PhantomSpec,
     lf.NucleationProbe,
 ]
@@ -230,6 +230,20 @@ class TestConfig:
         path.write_text(json.dumps(doc))
         assert main(["phantom", "--kind", "two-disks", "--config", str(path),
                      "--out", str(tmp_path / "x")]) == 1
+
+    def test_schedule_that_cannot_run_rejected_at_load(self, tmp_path, capsys):
+        # alpha_bar_T underflows to 0 over 1000 steps from beta1 0.5; the
+        # schedule section builds its chain, so the document fails to load
+        doc = ExperimentConfig().to_dict()
+        doc["schedule"].update(steps=1000, beta1=0.5, betaT=0.99)
+        message = "config schedule.steps must be few enough that alpha_bar_T > 0, got 1000"
+        with pytest.raises(InvalidInputError, match=re.escape(message) + "$"):
+            config_from_dict(doc)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert main(["phantom", "--config", str(path), "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == f"levelflow: invalid input: {message}\n"
+        assert not (tmp_path / "x").exists()
 
     @staticmethod
     def _losses(phantom_dir, out, *extra):
@@ -637,6 +651,19 @@ class TestOtherCommands:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("levelflow: out of memory:") and "Traceback" not in err
+
+    def test_unallocatable_config_step_count_exits_2_without_traceback(self, tmp_path, capsys):
+        # the schedule section builds its chain at load, and 10**16 steps
+        # need 71 PiB, so numpy refuses them at once
+        doc = ExperimentConfig().to_dict()
+        doc["schedule"]["steps"] = 10**16
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["phantom", "--config", str(path), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("levelflow: out of memory:") and "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
     def test_degenerate_final_trace_row_is_json_null(self, phantom_dir, tmp_path):
         # a near-hard Heaviside and a noise prediction that drives every

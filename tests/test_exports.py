@@ -10,9 +10,9 @@ one ``as_fields`` call, not one ``as_field`` call per field, and a
 dataclass that an exported function takes as a parameter is a ``Params``,
 so its fields are checked where it is built; each field of a ``Params``
 holds a setting (a number, a string or another ``Params``), never an array
-or other state.  The package runs no linter,
-so the last guards hold its modules to 99 columns and to module-level
-imports they read.
+or other state, and no ``Params`` derives from another.  The package runs
+no linter, so the last guards hold its modules to 99 columns and to
+module-level imports they read.
 """
 
 import ast
@@ -236,6 +236,15 @@ def test_params_fields_hold_settings():
         if not _holds_a_setting(hint := typing.get_type_hints(cls)[f.name])
     )
     assert not bad, f"Params fields that hold no setting: {bad}"
+
+
+def test_no_params_class_derives_from_another():
+    # a settings section and the object built from it are one class
+    derived = sorted(
+        cls.__name__ for cls in params_classes()
+        if any(base is not Params and issubclass(base, Params) for base in cls.__bases__)
+    )
+    assert not derived, f"Params classes derived from another Params class: {derived}"
 
 
 MAX_COLUMNS = 99
